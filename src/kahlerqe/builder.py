@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from kahlerqe.jets import CJet, Jet, log_, value
 from kahlerqe.numutil import PanelAntiderivative, halton_points, invert_monotone
 from kahlerqe.odes import (
     CONSTANTS_ADMITTED,
-    PhiSolution,
     ScalarProfile,
     SKRParams,
     nonexistence_decision,
@@ -120,7 +118,7 @@ def positivity_intervals(profile, lo, hi, exclude=(), grid=4096):
                 i_end = i if v <= 0.0 else i + 1
                 left_edge = a if run_start == 0 else _root(fn, xs[run_start - 1], xs[run_start])
                 right_edge = b if i_end == len(vals) else _root(fn, xs[i_end - 1], xs[i_end])
-                out.append((left_edge, right_edge))
+                out.append((float(left_edge), float(right_edge)))
                 run_start = None
     return out
 

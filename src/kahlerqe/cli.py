@@ -22,7 +22,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
 
 from kahlerqe.builder import (
     BaseModel,
@@ -49,7 +48,7 @@ from kahlerqe.odes import (
     CONSTANTS_ADMITTED,
 )
 from kahlerqe.rational import RationalFunction
-from kahlerqe.verify import DEFAULT_TOLERANCES, run_suite
+from kahlerqe.verify import DEFAULT_TOLERANCES, params_dict, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -281,31 +280,20 @@ def certify_params(params):
                 scaling_ok,
             )
         )
-        if params.a.denominator in (1, 2):
-            for i, member in enumerate(branch, start=1):
-                r0, r1 = closed_form_certificate(params, member)
-                entries.append(
-                    _entry(
-                        f"closed-form-residual-{i}",
-                        f"({r0.render()}) + ({r1.render()})*sqrt(t*(t-2c))",
-                        "(0) + (0)*sqrt(t*(t-2c))",
-                        r0.is_zero and r1.is_zero,
-                    )
-                )
-        else:
+        for i, member in enumerate(branch, start=1):
+            psi_part, rat_part = closed_form_certificate(params, member)
             entries.append(
-                _entry("closed-form-residual",
-                       f"skipped: a = {params.a} has denominator > 2, "
-                       "no exact radical certificate")
+                _entry(
+                    f"closed-form-residual-{i}",
+                    f"psi*({psi_part.render()}) + ({rat_part.render()})",
+                    "psi*(0) + (0)",
+                    psi_part.is_zero and rat_part.is_zero,
+                )
             )
 
     passed = all(e.get("equal", True) for e in entries)
     return {
-        "params": {k: str(v) for k, v in (
-            ("m", params.m), ("a", params.a), ("c", params.c), ("k", params.k),
-            ("kappa", params.kappa), ("lambda", params.lam), ("C1", params.C1),
-            ("C2", params.C2), ("b", params.b), ("sign_phi", params.sign_phi),
-        )},
+        "params": params_dict(params),
         "decision": decision,
         "degeneracy_roots": alpha_degeneracy_roots(params),
         "identities": entries,

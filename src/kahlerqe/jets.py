@@ -131,10 +131,6 @@ def value(x):
     return x.val if isinstance(x, Jet) else float(x)
 
 
-def as_jet(x, nvars):
-    return x if isinstance(x, Jet) else Jet.constant(x, nvars)
-
-
 def exp_(x):
     if isinstance(x, Jet):
         e = math.exp(x.val)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 _GL7 = np.polynomial.legendre.leggauss(7)
 _GL15 = np.polynomial.legendre.leggauss(15)
@@ -119,13 +118,33 @@ def invert_monotone(fn, dfn, target, lo, hi, bisect_steps=80, newton_steps=2):
     return x
 
 
+def _first_primes(count):
+    primes = []
+    n = 2
+    while len(primes) < count:
+        if all(n % p for p in primes):
+            primes.append(n)
+        n += 1
+    return primes
+
+
 def halton_points(dim, count, seed=0, skip=64):
     """Deterministic low-discrepancy points in [0,1)^dim.
 
     ``seed`` selects a disjoint stretch of the (unscrambled) Halton
     sequence, so runs with equal seeds coincide exactly and different
-    seeds decorrelate.
+    seeds decorrelate.  Coordinate j is the radical inverse in the j-th
+    prime of the indices skip + seed*100003 + i, computed directly at
+    those indices; the digits are summed least significant first, so the
+    points equal scipy's ``qmc.Halton(scramble=False)`` bit for bit.
     """
-    sampler = qmc.Halton(d=dim, scramble=False)
-    sampler.fast_forward(skip + seed * 100003)
-    return sampler.random(count)
+    start = skip + seed * 100003
+    out = np.zeros((count, dim))
+    for j, base in enumerate(_first_primes(dim)):
+        index = np.arange(start, start + count, dtype=np.int64)
+        weight = 1.0 / base
+        while index.any():
+            index, digit = np.divmod(index, base)
+            out[:, j] += digit * weight
+            weight /= base
+    return out

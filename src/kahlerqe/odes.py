@@ -471,38 +471,16 @@ def phi_closed_form(params):
 def closed_form_certificate(params, ode):
     """Exact residual of the closed-form phi in a second-order member.
 
-    Returns rational functions (R0, R1) with residual = R0 + R1 *
-    sqrt(tau (tau - 2c)); the closed form solves the member iff both are
-    identically zero.  For integer a the residual itself is rational and
-    lands in R0.  Supports integer and half-integer a.
+    With psi the nonconstant mode and L = psi'/psi (rational for every
+    rational a), the residual of phi = C1 + C2 psi is C2 psi E + (C C1 - D)
+    where E = A(L' + L^2) + B L + C.  Returns the rational functions
+    (C2 E, C C1 - D); the closed form solves the member when both are
+    identically zero.  For integer a, psi is itself rational, so the test
+    is sufficient but not necessary: it can only fail closed.
     """
-    a, c, m = params.a, params.c, params.m
-    t = RationalFunction.variable()
-    rat_part = ode.C * params.C1 - ode.D
-    if a.denominator == 1:
-        psi = (
-            (t - 2 * c) ** int(1 - a)
-            * (t - c) ** (-m)
-            * t ** int(2 * m - 1 + a)
-        )
-        psi1 = psi.derivative()
-        psi2 = psi1.derivative()
-        full = params.C2 * (ode.A * psi2 + ode.B * psi1 + ode.C * psi) + rat_part
-        return full, RationalFunction.constant(0)
-    if a.denominator == 2:
-        # psi = u * sqrt(s) with u rational, s = (tau - 2c) tau
-        i1 = int(1 - a - Fraction(1, 2))
-        i3 = int(2 * m - 1 + a - Fraction(1, 2))
-        u = (t - 2 * c) ** i1 * (t - c) ** (-m) * t**i3
-        s = (t - 2 * c) * t
-        half_dlog_s = s.derivative() / (2 * s)
-        w1 = u.derivative() + u * half_dlog_s
-        w2 = w1.derivative() + w1 * half_dlog_s
-        irr_part = params.C2 * (ode.A * w2 + ode.B * w1 + ode.C * u)
-        return rat_part, irr_part
-    raise ValueError(
-        f"exact certificate needs integer or half-integer a, got a={a}"
-    )
+    L = closed_form_log_derivative(params)
+    E, _ = lemma_quantities(LinearODE1(-L, RationalFunction.constant(0)), ode)
+    return params.C2 * E, ode.C * params.C1 - ode.D
 
 
 def appendix_system(m, a, c, kappa, lam, sign_phi=1):

@@ -12,12 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
 from kahlerqe.charts import (
-    ScalarField,
     conformal_scale,
     grad_norm_sq,
     hessian,

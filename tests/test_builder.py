@@ -83,6 +83,19 @@ def test_positivity_intervals():
     assert len(split) == 2
 
 
+def test_refusal_message_has_plain_float_endpoints():
+    # the automatic search picks (-3, -1.657...), which lies on the wrong
+    # side of c; the refusal names it with plain floats
+    base = BaseModel(kind=FUBINI_STUDY, dim_c=2, s=1)
+    params = SKRParams.section6(m=3, a=2, c=1, C2=1, kappa=3)
+    with pytest.raises(ConstructionError, match=r"sgn\(tau - c\) = -1") as info:
+        end_to_end(params, base)
+    assert "np.float64" not in str(info.value)
+    for iv in positivity_intervals(q_from_phi(params, phi_closed_form(params)), -3.0, 5.0,
+                                   {0.0, 1.0, 2.0}):
+        assert all(type(x) is float for x in iv)
+
+
 def test_warp_profile_roundtrip_and_monotonicity():
     p = flat_params()
     phi = phi_closed_form(p)

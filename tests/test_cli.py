@@ -88,6 +88,18 @@ def test_certify_pass(tmp_path, capsys):
         assert need in names
 
 
+def test_certify_fractional_a(tmp_path, capsys):
+    cfgp = write(tmp_path, "frac.ini", "[params]\nm = 2\na = 7/3\nc = 1\nc2 = 1\n")
+    rc = cli.main(["certify", "--config", cfgp, "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert "overall: PASS" in capsys.readouterr().out
+    cert = json.loads((tmp_path / "o" / "certificate.json").read_text())
+    residuals = {e["name"]: e for e in cert["identities"]
+                 if e["name"].startswith("closed-form-residual")}
+    assert sorted(residuals) == ["closed-form-residual-1", "closed-form-residual-2"]
+    assert all(e["equal"] for e in residuals.values())
+
+
 def test_certify_detects_inconsistent_constants(tmp_path, capsys):
     # explicit k on the branch but lambda not matched to C1: the closed-form
     # residual is a nonzero rational function and certification must fail

@@ -363,6 +363,14 @@ def test_phi_closed_form_exclusions():
     assert phi_closed_form(a1).value(2.0) == 16.0
 
 
+def _certified(params):
+    return all(
+        part.is_zero
+        for eq in solsys_system(params)
+        for part in closed_form_certificate(params, eq)
+    )
+
+
 def test_certificates_vanish_and_detect_tampering():
     for (m, a, c, C2, kap) in (
         (2, Fraction(2), Fraction(1), Fraction(5), Fraction(4)),
@@ -380,9 +388,78 @@ def test_certificates_vanish_and_detect_tampering():
     r0, r1 = closed_form_certificate(bad, eq2)
     assert not (r0.is_zero and r1.is_zero)
 
-    third = replace(good, a=Fraction(1, 3))
-    with pytest.raises(ValueError):
-        closed_form_certificate(third, solsys_system(third)[0])
+    # a = 1/3 has no radical expansion, but the log-derivative certificate
+    # still decides it: matched constants pass, a mismatched lambda fails
+    third = SKRParams.section6(m=2, a=Fraction(1, 3), c=1, C2=1, kappa=4)
+    assert _certified(third)
+    assert not _certified(replace(third, lam=third.lam + 1))
+
+
+def test_certificates_for_any_rational_a():
+    for (m, a, c) in (
+        (2, Fraction(7, 3), Fraction(1)),
+        (3, Fraction(5, 7), Fraction(-1)),
+        (12, Fraction(21, 2), Fraction(2)),
+    ):
+        p = SKRParams.section6(m=m, a=a, c=c, C2=3, kappa=2 * m)
+        assert _certified(p)
+        assert not _certified(replace(p, lam=p.lam + Fraction(1, 5)))
+        assert not _certified(replace(p, C1=p.C1 - 1))
+
+
+def _expansion_residual(params, ode):
+    """Residual of the closed form expanded through psi itself (oracle).
+
+    psi = u * sqrt(tau (tau - 2c))^h with u rational and h = 0 for integer
+    a, h = 1 for half-integer a.  Returns (R0, R1, u) with residual
+    R0 + R1 * sqrt(tau (tau - 2c)); for integer a, R1 = 0.
+    """
+    a, c, m = params.a, params.c, params.m
+    t = RationalFunction.variable()
+    rat_part = ode.C * params.C1 - ode.D
+    if a.denominator == 1:
+        u = (t - 2 * c) ** int(1 - a) * (t - c) ** (-m) * t ** int(2 * m - 1 + a)
+        psi1 = u.derivative()
+        full = params.C2 * (ode.A * psi1.derivative() + ode.B * psi1 + ode.C * u)
+        return full + rat_part, RationalFunction.constant(0), u
+    assert a.denominator == 2
+    half = Fraction(1, 2)
+    u = (
+        (t - 2 * c) ** int(1 - a - half)
+        * (t - c) ** (-m)
+        * t ** int(2 * m - 1 + a - half)
+    )
+    s = (t - 2 * c) * t
+    half_dlog_s = s.derivative() / (2 * s)
+    w1 = u.derivative() + u * half_dlog_s
+    w2 = w1.derivative() + w1 * half_dlog_s
+    return rat_part, params.C2 * (ode.A * w2 + ode.B * w1 + ode.C * u), u
+
+
+def test_certificate_matches_radical_expansion():
+    for (m, a, c) in (
+        (2, Fraction(1), Fraction(1)),
+        (3, Fraction(2), Fraction(-1)),
+        (2, Fraction(3), Fraction(2)),
+        (2, Fraction(1, 2), Fraction(1)),
+        (3, Fraction(3, 2), Fraction(-1)),
+        (2, Fraction(7, 2), Fraction(3)),
+    ):
+        good = SKRParams.section6(m=m, a=a, c=c, C2=-2, kappa=2 * m)
+        for p in (good, replace(good, lam=good.lam + 1), replace(good, C1=good.C1 + 1)):
+            for eq in solsys_system(p):
+                psi_part, rat_part = closed_form_certificate(p, eq)
+                r0, r1, u = _expansion_residual(p, eq)
+                if a.denominator == 1:
+                    # psi = u is rational: the two parts recombine exactly
+                    assert r0 == u * psi_part + rat_part and r1.is_zero
+                else:
+                    # C2 psi E = (C2 E u) sqrt(tau (tau - 2c))
+                    assert r0 == rat_part and r1 == u * psi_part
+                assert (r0.is_zero and r1.is_zero) == (
+                    psi_part.is_zero and rat_part.is_zero
+                )
+            assert _certified(p) == (p is good)
 
 
 def test_appendix_system_structure():
