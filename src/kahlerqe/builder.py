@@ -24,7 +24,12 @@ import numpy as np
 
 from kahlerqe.charts import ComplexStructure, MetricChart, ScalarField
 from kahlerqe.jets import CJet, Jet, log_, value
-from kahlerqe.numutil import PanelAntiderivative, halton_points, invert_monotone
+from kahlerqe.numutil import (
+    ConvergenceError,
+    PanelAntiderivative,
+    halton_points,
+    invert_monotone,
+)
 from kahlerqe.odes import (
     CONSTANTS_ADMITTED,
     ScalarProfile,
@@ -171,9 +176,14 @@ class WarpProfile:
                     f"Q is not positive at tau={t} inside {interval}"
                 )
         bf = float(params.b)
-        anti = PanelAntiderivative.build(
-            lambda t: bf / q.value(t), wlo, whi, anchor=0.5 * (wlo + whi)
-        )
+        try:
+            anti = PanelAntiderivative.build(
+                lambda t: bf / q.value(t), wlo, whi, anchor=0.5 * (wlo + whi)
+            )
+        except ConvergenceError as exc:
+            raise ConstructionError(
+                f"the warp integral of b/Q did not converge on {interval}: {exc}"
+            ) from exc
         return cls(
             params=params, phi=phi, q=q, interval=(lo, hi),
             work_interval=(wlo, whi), tau0=0.5 * (wlo + whi), antiderivative=anti,

@@ -16,6 +16,11 @@ from typing import Callable
 
 import numpy as np
 
+
+class ConvergenceError(ArithmeticError):
+    """An iteration stopped at its step limit before meeting its tolerance."""
+
+
 _GL7 = np.polynomial.legendre.leggauss(7)
 _GL15 = np.polynomial.legendre.leggauss(15)
 
@@ -37,7 +42,11 @@ class PanelAntiderivative:
 
     @classmethod
     def build(cls, fn, lo, hi, anchor, rtol=1e-13, max_depth=40):
-        """Panelize [lo, hi] until GL7 and GL15 agree per panel, then freeze."""
+        """Panelize [lo, hi] until GL7 and GL15 agree per panel, then freeze.
+
+        Raises ConvergenceError when a panel still disagrees after
+        ``max_depth`` halvings.
+        """
         if not lo < hi:
             raise ValueError(f"empty integration range [{lo}, {hi}]")
         if not lo <= anchor <= hi:
@@ -49,8 +58,13 @@ class PanelAntiderivative:
             coarse = _gl(fn, a, b, _GL7)
             fine = _gl(fn, a, b, _GL15)
             scale = abs(fine) + 1e-30
-            if abs(fine - coarse) <= rtol * scale or depth >= max_depth:
+            if abs(fine - coarse) <= rtol * scale:
                 panels.append((a, b, fine))
+            elif depth >= max_depth:
+                raise ConvergenceError(
+                    f"panel [{a}, {b}] at depth {depth}: GL7 and GL15 differ by "
+                    f"{abs(fine - coarse):.3g}, above rtol {rtol:g}"
+                )
             else:
                 mid = 0.5 * (a + b)
                 stack.append((a, mid, depth + 1))
@@ -84,7 +98,8 @@ def invert_monotone(fn, dfn, target, lo, hi, bisect_steps=80, newton_steps=2):
     """Solve fn(x) = target for strictly monotone fn on [lo, hi].
 
     Plain bisection to ~1e-12 of the bracket, then a couple of Newton
-    polishing steps with the supplied derivative.
+    polishing steps with the supplied derivative.  Raises ConvergenceError
+    when ``bisect_steps`` halvings leave the bracket wider than that.
     """
     flo, fhi = fn(lo) - target, fn(hi) - target
     if flo == 0.0:
@@ -106,6 +121,11 @@ def invert_monotone(fn, dfn, target, lo, hi, bisect_steps=80, newton_steps=2):
             a, flo = mid, fm
         if b - a <= 1e-13 * (abs(a) + abs(b) + 1.0):
             break
+    else:
+        raise ConvergenceError(
+            f"bisection for target {target} on [{lo}, {hi}] left the bracket "
+            f"[{a}, {b}] after {bisect_steps} steps"
+        )
     x = 0.5 * (a + b)
     for _ in range(newton_steps):
         d = dfn(x)

@@ -26,6 +26,7 @@ from kahlerqe.builder import (
 from kahlerqe.charts import (
     ComplexStructure,
     MetricChart,
+    PointGeometry,
     ScalarField,
     metric_values,
     ricci,
@@ -303,7 +304,8 @@ def _hyperbolic_from_flat_fixture():
 def test_criterion_7_conformal_expansions(verified_charts):
     recs = []
     for ns, pts in (_constant_tau_fixture(), _hyperbolic_from_flat_fixture()):
-        recs.append(check_conformal_formulas(ns, pts))
+        geos = [PointGeometry(ns, p, i) for i, p in enumerate(pts)]
+        recs.append(check_conformal_formulas(ns, geos))
     _, skr, _, _ = verified_charts[0]
     pts, _ = gather_points(skr, 20, seed=5)
     recs.append(check_conformal_formulas(skr, pts))

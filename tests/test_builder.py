@@ -24,6 +24,7 @@ from kahlerqe.builder import (
 )
 from kahlerqe.charts import is_positive_definite, metric_values
 from kahlerqe.jets import Jet
+from kahlerqe.numutil import PanelAntiderivative
 from kahlerqe.odes import ScalarProfile, SKRParams, phi_closed_form
 
 
@@ -110,6 +111,17 @@ def test_warp_profile_roundtrip_and_monotonicity():
     taus = [r[0] for r in rows]
     assert taus == sorted(taus)
     assert all(r[2] > 0 for r in rows)
+
+
+def test_unconverged_warp_integral_is_a_construction_error(monkeypatch):
+    build = PanelAntiderivative.build
+    monkeypatch.setattr(
+        PanelAntiderivative, "build",
+        classmethod(lambda cls, *args, **kw: build(*args, max_depth=0, **kw)),
+    )
+    p = flat_params()
+    with pytest.raises(ConstructionError, match=r"did not converge on \(0.35, 0.95\)"):
+        WarpProfile.build(p, phi_closed_form(p), (0.35, 0.95))
 
 
 def test_warp_tau_jet_derivatives():

@@ -3,6 +3,7 @@ symmetry properties on random metrics, and independence checks against
 finite differences."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -12,26 +13,25 @@ from kahlerqe.charts import (
     ChartDomainError,
     ComplexStructure,
     MetricChart,
+    PointGeometry,
     ScalarField,
     SingularMetricError,
     christoffel,
     conformal_scale,
-    grad_norm_sq,
-    gradient,
     hessian,
     inverse_metric,
     is_positive_definite,
-    kahler_residual,
-    killing_residual,
-    laplacian,
     metric_values,
     ricci,
     riemann,
-    riemann_lowered,
-    scalar_curvature,
 )
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _geometry(chart, p, **fields):
+    """PointGeometry of ``chart`` at ``p`` carrying the given tau / f / J."""
+    return PointGeometry(SimpleNamespace(chart=chart, **fields), p)
 
 
 def flat_chart(n):
@@ -103,7 +103,9 @@ def test_sphere_is_einstein():
     for th in (0.4, 1.1, 2.3):
         p = np.array([th, 0.7])
         npt.assert_allclose(ricci(ch, p), metric_values(ch, p), atol=1e-9)
-    assert abs(scalar_curvature(ch, np.array([1.0, 0.0])) - 2.0) < 1e-9
+    geo = _geometry(ch, np.array([1.0, 0.0]))
+    scal = float(np.einsum("ij,ij->", geo.ginv, geo.ricci))
+    assert abs(scal - 2.0) < 1e-9
 
 
 def test_hyperbolic_is_negative_einstein():
@@ -125,7 +127,7 @@ def test_fubini_study_line_is_kahler_einstein():
     J = ComplexStructure(lambda c: J2, "J")
     for p in (np.array([0.0, 0.0]), np.array([0.4, -0.3]), np.array([1.0, 0.5])):
         npt.assert_allclose(ricci(ch, p), 2.0 * metric_values(ch, p), atol=1e-10)
-        assert kahler_residual(ch, J, p) < 1e-10
+        assert _geometry(ch, p, J=J).kahler_residual < 1e-10
 
 
 def _random_metric_chart(seed, n=3, eps=0.08):
@@ -159,7 +161,7 @@ def test_riemann_symmetries_random_metrics():
             # first Bianchi identity: cyclic sum over the last three slots
             cyc = R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2))
             assert np.max(np.abs(cyc)) < 1e-9
-            Rl = riemann_lowered(ch, p)
+            Rl = np.einsum("la,akij->lkij", _geometry(ch, p).g, R)
             npt.assert_allclose(Rl, -np.transpose(Rl, (0, 1, 3, 2)), atol=1e-9)
             npt.assert_allclose(Rl, np.transpose(Rl, (2, 3, 0, 1)), atol=1e-9)
 
@@ -238,12 +240,13 @@ def test_gradient_laplacian_fixtures():
     ch = flat_chart(2)
     rad = ScalarField(lambda c: c[0] * c[0] + c[1] * c[1], "r^2")
     p = np.array([0.6, -0.8])
-    assert abs(grad_norm_sq(ch, rad, p) - 4.0 * (0.6 ** 2 + 0.8 ** 2)) < 1e-13
-    assert abs(laplacian(ch, rad, p) - 4.0) < 1e-13
-    npt.assert_allclose(gradient(ch, rad, p), [1.2, -1.6], atol=1e-14)
-    const = ScalarField(lambda c: 5.0, "const")
-    assert grad_norm_sq(ch, const, p) == 0.0
-    assert laplacian(ch, const, p) == 0.0
+    geo = _geometry(ch, p, tau=rad)
+    assert abs(geo.grad_tau_sq - 4.0 * (0.6 ** 2 + 0.8 ** 2)) < 1e-13
+    assert abs(geo.lap_tau - 4.0) < 1e-13
+    npt.assert_allclose(geo.grad_tau, [1.2, -1.6], atol=1e-14)
+    const = _geometry(ch, p, tau=ScalarField(lambda c: 5.0, "const"))
+    assert const.grad_tau_sq == 0.0
+    assert const.lap_tau == 0.0
 
 
 def test_killing_fixtures():
@@ -253,9 +256,9 @@ def test_killing_fixtures():
     trans = ScalarField(lambda c: c[0], "translation")
     bad = ScalarField(lambda c: c[0] * c[0], "anisotropic")
     p = np.array([0.9, 0.4])
-    assert np.max(np.abs(killing_residual(ch, rot, J, p))) < 1e-13
-    assert np.max(np.abs(killing_residual(ch, trans, J, p))) < 1e-13
-    assert np.max(np.abs(killing_residual(ch, bad, J, p))) > 0.1
+    assert _geometry(ch, p, tau=rot, J=J).killing_residual < 1e-13
+    assert _geometry(ch, p, tau=trans, J=J).killing_residual < 1e-13
+    assert _geometry(ch, p, tau=bad, J=J).killing_residual > 0.1
 
 
 def test_kahler_fixtures():
@@ -263,7 +266,7 @@ def test_kahler_fixtures():
     J4 = np.kron(np.eye(2), J2)
     J = ComplexStructure(lambda c: J4, "J")
     p = np.array([0.3, -0.4, 0.8, 0.1])
-    assert kahler_residual(ch, J, p) < 1e-14
+    assert _geometry(ch, p, J=J).kahler_residual < 1e-14
 
     # Hermitian but non-Kahler: second complex direction scaled by e^{2x0}
     from kahlerqe.jets import exp_
@@ -278,7 +281,7 @@ def test_kahler_fixtures():
         ]
 
     bad = MetricChart(dim=4, components=comps, name="nonkahler")
-    res = kahler_residual(bad, J, np.zeros(4))
+    res = _geometry(bad, np.zeros(4), J=J).kahler_residual
     assert res > 0.1
     assert abs(res - 1.0) < 1e-12  # pinned: the only nonzero covariant slot
 

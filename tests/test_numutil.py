@@ -1,5 +1,6 @@
 """Numerical helpers: the Halton sample points against an independent
-reference, and the import cost of the package."""
+reference, loud failure of the quadrature and the monotone inversion, and
+the import cost of the package."""
 
 import os
 import subprocess
@@ -9,7 +10,12 @@ import numpy as np
 import pytest
 
 import kahlerqe
-from kahlerqe.numutil import halton_points
+from kahlerqe.numutil import (
+    ConvergenceError,
+    PanelAntiderivative,
+    halton_points,
+    invert_monotone,
+)
 
 
 def test_halton_points_match_scipy_bit_for_bit():
@@ -44,3 +50,18 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_panel_build_raises_at_max_depth():
+    fn = lambda t: 1.0 / t  # needs refinement near the left end
+    with pytest.raises(ConvergenceError, match="depth 2"):
+        PanelAntiderivative.build(fn, 0.01, 1.0, anchor=0.5, max_depth=2)
+    anti = PanelAntiderivative.build(fn, 0.01, 1.0, anchor=0.5)
+    assert abs(anti(1.0) - np.log(2.0)) < 1e-13
+
+
+def test_invert_monotone_raises_when_bisection_stops_early():
+    fn, dfn = (lambda x: x ** 3), (lambda x: 3 * x * x)
+    with pytest.raises(ConvergenceError, match="after 5 steps"):
+        invert_monotone(fn, dfn, 0.2, 0.0, 1.0, bisect_steps=5)
+    assert abs(invert_monotone(fn, dfn, 0.2, 0.0, 1.0) - 0.2 ** (1 / 3)) < 1e-14

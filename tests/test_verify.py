@@ -13,10 +13,21 @@ import pytest
 
 from kahlerqe.builder import (
     FLAT,
+    FUBINI_STUDY,
     BaseModel,
     end_to_end,
 )
-from kahlerqe.charts import ComplexStructure, MetricChart, ScalarField
+from kahlerqe.charts import (
+    ComplexStructure,
+    MetricChart,
+    PointGeometry,
+    ScalarField,
+    conformal_jets,
+    conformal_scale,
+    metric_jets,
+    ricci,
+    scalar_jet,
+)
 from kahlerqe.jets import log_, sin_
 from kahlerqe.odes import SKRParams, alpha_profile, gamma_from_phi, phi_closed_form
 from kahlerqe.verify import (
@@ -34,12 +45,25 @@ J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 J4 = np.kron(np.eye(2), J2)
 
 
+def _geometries(skr, pts):
+    return [PointGeometry(skr, p, i) for i, p in enumerate(pts)]
+
+
 @pytest.fixture(scope="module")
 def flat_skr():
     params = SKRParams.section6(m=2, a=1, c=1, C2=-1, kappa=0, b=1, sign_phi=-1)
     skr, phi = end_to_end(params, BaseModel(kind=FLAT, dim_c=1, s=1),
                           interval=(0.35, 0.95))
     return skr, phi
+
+
+@pytest.fixture(scope="module")
+def fs_skr():
+    params = SKRParams.section6(m=3, a=2, c=1, C2=Fraction(-1, 100), kappa=3,
+                                b=Fraction(-1, 2), sign_phi=1)
+    skr, _ = end_to_end(params, BaseModel(kind=FUBINI_STUDY, dim_c=2, s=1),
+                        interval=(1.3, 1.9))
+    return skr
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +89,45 @@ def test_constructed_chart_passes_suite(flat_report):
     assert by_name["skr-eigenstructure"].extra["trivial_pair"] is False
     assert by_name["warped-einstein-constant"].status == "pass"
     assert report.excluded_points == 0
+
+
+def test_worst_point_recorded(flat_skr, flat_report):
+    skr, _ = flat_skr
+    geos, _ = gather_points(skr, 25, seed=0)
+    for rec in flat_report.records:
+        worst = geos[rec.extra["worst_index"]]
+        assert rec.extra["worst_tau"] == worst.tau
+    killing = next(r for r in flat_report.records if r.name == "killing")
+    worst = geos[killing.extra["worst_index"]]
+    assert worst.killing_residual == killing.max_abs
+
+
+def test_run_suite_evaluates_components_once_per_point(flat_skr, fs_skr):
+    for skr in (flat_skr[0], fs_skr):
+        calls = []
+
+        def counted(coords, components=skr.chart.components):
+            calls.append(coords)
+            return components(coords)
+
+        counted_skr = replace(skr, chart=replace(skr.chart, components=counted))
+        report = run_suite(counted_skr, samples=6, seed=0)
+        assert report.excluded_points == 0
+        assert len(calls) == 6
+
+
+def test_conformal_jets_match_rescaled_chart_bit_for_bit(flat_skr, fs_skr):
+    for skr in (flat_skr[0], fs_skr):
+        ghat = conformal_scale(skr.chart, skr.tau)
+        geos, _ = gather_points(skr, 20, seed=0)
+        for geo in geos:
+            p = geo.p
+            got = conformal_jets(*metric_jets(skr.chart, p), scalar_jet(skr.tau, skr.chart, p))
+            want = metric_jets(ghat, p)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            assert np.array_equal(geo.g_hat, want[0])
+            assert np.array_equal(geo.ricci_hat, ricci(ghat, p))
 
 
 def test_report_deterministic(flat_skr, flat_report):
@@ -144,10 +207,30 @@ def test_product_double_flagged_trivial():
         np.array([-0.5, 0.1, 0.8, -0.6]),
         np.array([0.0, 0.0, 1.3, 0.2]),
     ]
-    rec = check_skr(ns, pts)
+    rec = check_skr(ns, _geometries(ns, pts))
     assert rec.passed  # eigenstructure holds...
     assert rec.extra["trivial_pair"] is True  # ...but only because phi = 0
     assert abs(rec.extra["phi_estimate_max"]) < 1e-9
+
+
+def test_horizontal_frame_uses_J_at_the_sample_point():
+    """J is the standard structure where |w| = 1, at every sample point,
+    but vanishes at the coordinate origin."""
+    ns = _product_double_fixture()
+
+    def J_fn(c):
+        wsq = c[2] * c[2] + c[3] * c[3]
+        return [[float(J4[i, j]) * wsq for j in range(4)] for i in range(4)]
+
+    ns.J = ComplexStructure(J_fn, "|w|^2 J")
+    pts = [
+        np.array([0.3, -0.2, 0.6, 0.8]),
+        np.array([-0.5, 0.1, 0.8, -0.6]),
+        np.array([0.0, 0.0, 1.0, 0.0]),
+    ]
+    rec = check_skr(ns, _geometries(ns, pts))
+    assert rec.passed
+    assert rec.extra["trivial_pair"] is True
 
 
 def test_generic_kahler_chart_fails_skr_check():
@@ -160,7 +243,7 @@ def test_generic_kahler_chart_fails_skr_check():
         chart=chart, tau=tau, J=ComplexStructure(lambda c: J4, "J"), dim=4
     )
     pts = [np.array([0.3, 0.7, 0.5, 0.2]), np.array([-0.4, 0.1, 0.9, -0.3])]
-    rec = check_skr(ns, pts)
+    rec = check_skr(ns, _geometries(ns, pts))
     assert not rec.passed
     assert rec.max_abs > 0.1
 
@@ -191,7 +274,6 @@ def test_einstein_product_alpha_zero():
     ns = SimpleNamespace(
         chart=chart,
         tau=ScalarField(cos1, "cos(theta1)"),
-        tau_at=lambda p: math.cos(p[0]),
         params=None,
         warp=SimpleNamespace(phi=None),
         dim=4,
@@ -202,7 +284,7 @@ def test_einstein_product_alpha_zero():
         np.array([2.2, 0.0, 0.6, 0.5]),
     ]
     rec = check_ricci_hessian(
-        ns, pts, alpha=lambda t: 0.0, gamma=lambda t: 1.0
+        ns, _geometries(ns, pts), alpha=lambda t: 0.0, gamma=lambda t: 1.0
     )
     assert rec.passed
     assert rec.max_abs < 1e-9
@@ -225,7 +307,7 @@ def test_constant_f_makes_fiber_constant_exact():
         params=SKRParams(m=2, a=2, c=1, k=0, lam=5),
     )
     pts = [np.array([0.1, 0.5]), np.array([-0.7, 1.2]), np.array([0.4, 2.0])]
-    rec = check_warped_einstein_constant(ns, pts)
+    rec = check_warped_einstein_constant(ns, _geometries(ns, pts))
     assert rec.passed
     assert rec.max_abs == 0.0
     assert abs(rec.extra["mu_mean"] - 5.0 * 9.0) < 1e-12
@@ -244,7 +326,7 @@ def test_positive_definite_check_flags_bad_metric():
     chart = MetricChart(dim=2, components=lambda c: [[-1.0, 0.0], [0.0, 1.0]],
                         name="lorentz")
     ns = SimpleNamespace(chart=chart)
-    rec = check_positive_definite(ns, [np.zeros(2)])
+    rec = check_positive_definite(ns, _geometries(ns, [np.zeros(2)]))
     assert not rec.passed
     assert rec.extra["indefinite_points"] == 1
 
