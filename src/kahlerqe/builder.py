@@ -75,6 +75,23 @@ class BaseModel:
         """Einstein constant of the base metric."""
         return Fraction(0) if self.kind == FLAT else Fraction(self.dim_c + 1)
 
+    @property
+    def sigma(self):
+        """Chern curvature multiple of e^(-2 rho): 2s (flat), s (Fubini-Study)."""
+        return 2 * self.s if self.kind == FLAT else self.s
+
+    def rho(self, x2):
+        """rho as a plain float at a base point with |x|^2 = x2."""
+        s = float(self.s)
+        if self.kind == FLAT:
+            return 0.5 * s * x2
+        return 0.5 * s * math.log(1.0 + x2)
+
+
+def tau_side(interval, c):
+    """sgn(tau - c) on an interval that avoids tau = c."""
+    return 1 if 0.5 * (float(interval[0]) + float(interval[1])) > float(c) else -1
+
 
 def q_from_phi(params, phi):
     """Profile Q = 2 (tau - c) phi with two derivatives."""
@@ -332,17 +349,12 @@ class SKRChart:
         span = hi - lo
         elo = lo + self.sample_margin * span
         ehi = hi - self.sample_margin * span
-        s = float(self.base.s)
         pts = np.empty((count, 2 * d + 2))
         for r, row in enumerate(raw):
             xs = self.x_bound * (2.0 * row[:2 * d] - 1.0)
             ell = elo + (ehi - elo) * row[2 * d]
             theta = 2.0 * math.pi * row[2 * d + 1]
-            if self.base.kind == FLAT:
-                rho = 0.5 * s * float(np.dot(xs, xs))
-            else:
-                rho = 0.5 * s * math.log(1.0 + float(np.dot(xs, xs)))
-            R = math.exp(ell + rho)
+            R = math.exp(ell + self.base.rho(float(np.dot(xs, xs))))
             pts[r, :2 * d] = xs
             pts[r, 2 * d] = R * math.cos(theta)
             pts[r, 2 * d + 1] = R * math.sin(theta)
@@ -416,11 +428,7 @@ def assemble_chart(base, warp):
         x2 = float(np.dot(xs, xs))
         if x2 >= z2max:
             return False
-        if base.kind == FLAT:
-            rho = 0.5 * s * x2
-        else:
-            rho = 0.5 * s * math.log(1.0 + x2)
-        ell = 0.5 * math.log(wsq) - rho
+        ell = 0.5 * math.log(wsq) - base.rho(x2)
         return lo_ell + guard <= ell <= hi_ell - guard
 
     def tau_fn(coords):
@@ -451,29 +459,21 @@ def assemble_chart(base, warp):
     )
 
 
-def build_warp(params, phi, interval, margin=0.04):
-    return WarpProfile.build(params, phi, interval, margin=margin)
+def build_warp(params, phi, interval):
+    return WarpProfile.build(params, phi, interval)
 
 
 def expected_kahler(base, params, interval):
-    """Whether the bundle curvature matches the closed-form compatibility.
-
-    The two-form of g closes iff the Chern curvature multiple sigma of
-    e^(-2 rho) (2s for the flat base, s for Fubini-Study) equals
-    -2 b sgn(tau - c) on the interval.
-    """
-    mid = 0.5 * (float(interval[0]) + float(interval[1]))
-    sgn = 1 if mid > float(params.c) else -1
-    sigma = 2 * base.s if base.kind == FLAT else base.s
-    return sigma == -2 * params.b * sgn
+    """Whether the two-form of g closes: sigma = -2 b sgn(tau - c) on the interval."""
+    return base.sigma == -2 * params.b * tau_side(interval, params.c)
 
 
-def end_to_end(params, base, search=None, interval=None, margin=0.04):
-    """Pick a positivity interval of Q, build the warp, assemble the chart.
+def admitted_phi(params, base):
+    """phi of a parameter set the construction admits on this base.
 
     Refuses parameter sets that the exact first-order obstruction forces to
-    phi = 0, and parameter/base combinations whose Einstein constants
-    disagree.
+    phi = 0, and parameter/base combinations whose dimensions or Einstein
+    constants disagree.
     """
     if base.dim_c != params.m - 1:
         raise ConstructionError(
@@ -491,32 +491,23 @@ def end_to_end(params, base, search=None, interval=None, margin=0.04):
             "so the only solution of the reduced system is phi = 0 "
             f"(verdict: {verdict}); use k = -1/(2c)"
         )
-    phi = phi_closed_form(params)
-    cf = float(params.c)
-    if search is None:
-        lo = min(0.0, cf, 2 * cf) - 3.0 * max(1.0, abs(cf))
-        hi = max(0.0, cf, 2 * cf) + 3.0 * max(1.0, abs(cf))
-        if params.a.denominator != 1:
-            lo = max(2 * cf, 0.0) + 1e-6
-        search = (lo, hi)
-    if interval is None:
-        exclude = {0.0, cf, 2 * cf}
-        candidates = positivity_intervals(q_from_phi(params, phi), search[0], search[1], exclude)
-        candidates = [iv for iv in candidates if iv[1] - iv[0] > 1e-3]
-        if not candidates:
-            raise ConstructionError(
-                f"no positivity interval of Q found in {search}"
-            )
-        interval = candidates[0]
-    else:
-        interval = (float(interval[0]), float(interval[1]))
-    mid = 0.5 * (interval[0] + interval[1])
-    sgn = 1 if mid > cf else -1
+    return phi_closed_form(params)
+
+
+def end_to_end(params, base, interval):
+    """Build the warp on a tau-window and assemble the chart.
+
+    After the refusals of ``admitted_phi``, refuses a window off the
+    sgn(tau - c) = sign_phi side, where Q = 2 (tau - c) phi cannot be positive.
+    """
+    phi = admitted_phi(params, base)
+    interval = (float(interval[0]), float(interval[1]))
+    sgn = tau_side(interval, params.c)
     if sgn != params.sign_phi:
         raise ConstructionError(
             f"interval {interval} lies on the sgn(tau - c) = {sgn} side, "
             f"inconsistent with sign_phi = {params.sign_phi}"
         )
-    warp = build_warp(params, phi, interval, margin=margin)
+    warp = build_warp(params, phi, interval)
     skr = assemble_chart(base, warp)
     return skr, phi

@@ -17,19 +17,23 @@ import configparser
 import csv
 import itertools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from kahlerqe.builder import (
     BaseModel,
     ConstructionError,
+    admitted_phi,
+    build_warp,
     end_to_end,
     expected_kahler,
     positivity_intervals,
     q_from_phi,
+    tau_side,
 )
 from kahlerqe.odes import (
     ExactParameterError,
@@ -42,7 +46,6 @@ from kahlerqe.odes import (
     first_order_reduction,
     lemma_quantities,
     nonexistence_decision,
-    phi_closed_form,
     solsys_system,
     system_12,
     CONSTANTS_ADMITTED,
@@ -63,7 +66,7 @@ class ConfigError(ValueError):
 _ALLOWED = {
     "params": {"m", "a", "c", "k", "kappa", "lam", "c1", "c2", "b", "sign_phi"},
     "base": {"kind", "s"},
-    "interval": {"lo", "hi", "search_lo", "search_hi"},
+    "interval": {"lo", "hi"},
     "run": {"seed", "samples", "workers", "tolerance_scale", "out"},
     "tolerances": set(DEFAULT_TOLERANCES),
     "sweep": {"m", "a", "c", "c2", "k", "samples"},
@@ -180,13 +183,7 @@ def interval_from_config(cfg):
     hi = _float(cfg, "interval", "hi")
     if (lo is None) != (hi is None):
         raise ConfigError("[interval] needs both lo and hi (or neither)")
-    interval = None if lo is None else (lo, hi)
-    slo = _float(cfg, "interval", "search_lo")
-    shi = _float(cfg, "interval", "search_hi")
-    if (slo is None) != (shi is None):
-        raise ConfigError("[interval] needs both search_lo and search_hi (or neither)")
-    search = None if slo is None else (slo, shi)
-    return interval, search
+    return None if lo is None else (lo, hi)
 
 
 def tolerances_from_config(cfg):
@@ -353,11 +350,13 @@ def write_effective_config(path, params, base, interval, seed, samples, ts,
 def cmd_construct_verify(cfg, args):
     params = params_from_config(cfg)
     base = base_from_config(cfg, params.m)
-    interval, search = interval_from_config(cfg)
+    interval = interval_from_config(cfg)
     seed, samples, _, ts, out_dir = _run_settings(cfg, args)
     tolerances = tolerances_from_config(cfg)
 
-    skr, phi = end_to_end(params, base, search=search, interval=interval)
+    if interval is None:
+        interval = select_window(params, base, side=params.sign_phi)
+    skr, phi = end_to_end(params, base, interval)
     print(
         f"chart: {skr.chart.name}  interval=({skr.warp.interval[0]:.6g}, "
         f"{skr.warp.interval[1]:.6g})  expected_kahler={expected_kahler(base, params, skr.warp.interval)}"
@@ -415,10 +414,6 @@ def _clamp_window(params, phi, iv, qcap=50.0, span_cap=6.0):
     Center on the grid point with Q nearest 1, grow while Q <= qcap, then
     cap the log r span.
     """
-    import math
-
-    from kahlerqe.builder import build_warp
-
     q = q_from_phi(params, phi)
     lo, hi = iv
     pad = 1e-4 * (hi - lo)
@@ -451,6 +446,34 @@ def _clamp_window(params, phi, iv, qcap=50.0, span_cap=6.0):
     return (min(ta, tb), max(ta, tb))
 
 
+class NoWindowError(ConstructionError):
+    """Q has no usable positivity interval on the allowed side of tau = c."""
+
+
+def select_window(params, base, side=None):
+    """The automatic tau-window, after the refusals of ``admitted_phi``.
+
+    Q is scanned around 0, c and 2c (fractional a: only tau > max(0, 2c),
+    where phi is real); the first positivity interval wider than 1e-2 on
+    the allowed side of tau = c (side = +1 or -1, None for either) is
+    clamped by ``_clamp_window``.
+    """
+    phi = admitted_phi(params, base)
+    cf = float(params.c)
+    span = 3.0 * max(1.0, abs(cf))
+    lo, hi = min(0.0, 2 * cf) - span, max(0.0, 2 * cf) + span
+    if params.a.denominator != 1:
+        lo = max(0.0, 2 * cf) + 1e-6
+    candidates = [
+        iv for iv in positivity_intervals(q_from_phi(params, phi), lo, hi, {0.0, cf, 2 * cf})
+        if iv[1] - iv[0] > 1e-2 and side in (None, tau_side(iv, cf))
+    ]
+    if not candidates:
+        where = "" if side is None else f" on the sgn(tau - c) = {side} side"
+        raise NoWindowError(f"no positivity interval of Q found in ({lo:.6g}, {hi:.6g}){where}")
+    return _clamp_window(params, phi, candidates[0])
+
+
 def _sweep_cell(index, m, a, c, C2, k, base_kind, s, samples, seed, ts):
     row = {
         "index": index, "m": m, "a": str(a), "c": str(c), "C2": str(C2),
@@ -461,47 +484,31 @@ def _sweep_cell(index, m, a, c, C2, k, base_kind, s, samples, seed, ts):
         "note": "",
     }
     try:
-        kappa = Fraction(0) if base_kind == "flat" else Fraction(m)
         try:
+            base = BaseModel(kind=base_kind, dim_c=m - 1, s=s)
             if k is not None:
-                probe = SKRParams(m=m, a=a, c=c, k=k, kappa=kappa, C2=C2)
+                probe = SKRParams(m=m, a=a, c=c, k=k, kappa=base.kappa, C2=C2)
                 if nonexistence_decision(probe) != CONSTANTS_ADMITTED:
                     row["status"] = "refused"
                     row["note"] = "obstruction a(2ck+1) != 0 forces phi = 0"
                     return row
             # any admitted cell sits on k = -1/(2c); take the matched constants
-            params = SKRParams.section6(m=m, a=a, c=c, C2=C2, kappa=kappa)
+            params = SKRParams.section6(m=m, a=a, c=c, C2=C2, kappa=base.kappa)
         except (ValueError, ExactParameterError) as exc:
             row["status"] = "refused"
             row["note"] = str(exc)
             return row
-        phi = phi_closed_form(params)
-        cf = float(c)
-        if params.a.denominator == 1:
-            span = 3.0 * max(1.0, abs(cf))
-            lo = min(0.0, cf, 2 * cf) - span
-            hi = max(0.0, cf, 2 * cf) + span
-        else:
-            lo, hi = max(0.0, 2 * cf) + 1e-6, max(0.0, 2 * cf) + 3.0 * max(1.0, abs(cf))
-        ivs = positivity_intervals(
-            q_from_phi(params, phi), lo, hi, {0.0, cf, 2 * cf}
-        )
-        ivs = [iv for iv in ivs if iv[1] - iv[0] > 1e-2]
-        if not ivs:
+        # section6 admits kappa != 0 only with sign_phi = +1, i.e. tau > c
+        try:
+            iv = select_window(params, base, side=None if base.kappa == 0 else 1)
+        except NoWindowError:
             row["status"] = "no-interval"
             return row
-        iv = _clamp_window(params, phi, ivs[0])
-        sgn = 1 if 0.5 * (iv[0] + iv[1]) > cf else -1
-        sigma = 2 * s if base_kind == "flat" else s
-        b = Fraction(-sgn) * sigma / 2
-        try:
-            params = replace(params, sign_phi=sgn, b=b)
-        except ValueError as exc:
-            row["status"] = "refused"
-            row["note"] = str(exc)
-            return row
-        base = BaseModel(kind=base_kind, dim_c=m - 1, s=s)
-        skr, _ = end_to_end(params, base, interval=iv)
+        # b is the one that makes the chart Kahler: sigma = -2 b sgn(tau - c)
+        sgn = tau_side(iv, c)
+        params = SKRParams.section6(m=m, a=a, c=c, C2=C2, kappa=base.kappa,
+                                    b=-sgn * base.sigma / 2, sign_phi=sgn)
+        skr, _ = end_to_end(params, base, iv)
         # absolute residuals grow with the metric's magnitude; grade each
         # cell relative to the profile scale on its own window
         t0, t1 = skr.warp.work_interval

@@ -194,7 +194,8 @@ def test_criterion_4_nonexistence_crosscheck():
         tried += 1
     refused = False
     try:
-        end_to_end(SKRParams(m=2, a=1, c=1, k=0), BaseModel(kind=FLAT, dim_c=1, s=1))
+        end_to_end(SKRParams(m=2, a=1, c=1, k=0), BaseModel(kind=FLAT, dim_c=1, s=1),
+                   interval=(0.35, 0.95))
     except ConstructionError as exc:
         refused = "forced-zero" in str(exc)
     ok = ok and refused

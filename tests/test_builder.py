@@ -23,6 +23,7 @@ from kahlerqe.builder import (
     q_from_phi,
 )
 from kahlerqe.charts import is_positive_definite, metric_values
+from kahlerqe.cli import NoWindowError, select_window
 from kahlerqe.jets import Jet
 from kahlerqe.numutil import PanelAntiderivative
 from kahlerqe.odes import ScalarProfile, SKRParams, phi_closed_form
@@ -85,12 +86,17 @@ def test_positivity_intervals():
 
 
 def test_refusal_message_has_plain_float_endpoints():
-    # the automatic search picks (-3, -1.657...), which lies on the wrong
-    # side of c; the refusal names it with plain floats
+    # Q is positive on (-3, -1.657...) and on (2, 5); the automatic window
+    # skips the first, which lies on the wrong side of c for sign_phi = +1
     base = BaseModel(kind=FUBINI_STUDY, dim_c=2, s=1)
-    params = SKRParams.section6(m=3, a=2, c=1, C2=1, kappa=3)
+    params = SKRParams.section6(m=3, a=2, c=1, C2=1, kappa=3, b=Fraction(-1, 2))
+    lo, hi = select_window(params, base, side=params.sign_phi)
+    assert 2.0 <= lo < hi <= 5.0
+    skr, _ = end_to_end(params, base, (lo, hi))
+    assert skr.dim == 6
+    # an explicit wrong-side interval is still refused, named with plain floats
     with pytest.raises(ConstructionError, match=r"sgn\(tau - c\) = -1") as info:
-        end_to_end(params, base)
+        end_to_end(params, base, (np.float64(-3.0), np.float64(-1.7)))
     assert "np.float64" not in str(info.value)
     for iv in positivity_intervals(q_from_phi(params, phi_closed_form(params)), -3.0, 5.0,
                                    {0.0, 1.0, 2.0}):
@@ -249,18 +255,19 @@ def test_end_to_end_fubini_study():
 def test_end_to_end_refusals():
     base = BaseModel(kind=FLAT, dim_c=1, s=1)
     off_branch = SKRParams(m=2, a=1, c=1, k=0)
-    with pytest.raises(ConstructionError, match="forced-zero"):
-        end_to_end(off_branch, base)
     wrong_kappa = SKRParams.section6(m=2, a=1, c=1, C2=1, kappa=4)
-    with pytest.raises(ConstructionError, match="Einstein constant"):
-        end_to_end(wrong_kappa, base)
     wrong_m = fs_params()
-    with pytest.raises(ConstructionError, match="m="):
-        end_to_end(wrong_m, base)
+    # the parameter refusals come before any window is looked at or built
+    for params, reason in ((off_branch, "forced-zero"), (wrong_kappa, "Einstein constant"),
+                           (wrong_m, "m=")):
+        with pytest.raises(ConstructionError, match=reason):
+            end_to_end(params, base, interval=(0.35, 0.95))
+        with pytest.raises(ConstructionError, match=reason):
+            select_window(params, base)
     # interval on the wrong side of c for the declared sign
     with pytest.raises(ConstructionError, match="sign_phi"):
         end_to_end(flat_params(sign_phi=1), base, interval=(0.35, 0.95))
     # phi identically zero has no positivity interval
     zero = flat_params(C2=0)
-    with pytest.raises(ConstructionError, match="no positivity interval"):
-        end_to_end(zero, base)
+    with pytest.raises(NoWindowError, match="no positivity interval"):
+        select_window(zero, base)

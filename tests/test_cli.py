@@ -63,6 +63,9 @@ def test_load_config_rejections(tmp_path):
     bad_sec = write(tmp_path, "s.ini", "[metric]\nm = 2\n")
     with pytest.raises(cli.ConfigError, match="unknown section"):
         cli.load_config(bad_sec)
+    search = write(tmp_path, "r.ini", "[interval]\nsearch_lo = -3\nsearch_hi = 5\n")
+    with pytest.raises(cli.ConfigError, match="unknown key 'search_lo'"):
+        cli.load_config(search)
     bad_val = write(tmp_path, "v.ini", "[params]\nm = 2\na = 0.5x\nc = 1\n")
     with pytest.raises(cli.ConfigError):
         cli.params_from_config(cli.load_config(bad_val))
@@ -142,6 +145,21 @@ def test_construct_verify_artifacts(tmp_path, capsys):
     assert "expected_kahler=True" in text
 
 
+def test_construct_verify_automatic_window(tmp_path, capsys):
+    # without [interval] the window is the first positivity interval of Q on
+    # the sign_phi = -1 side of c, clamped as in the sweep
+    auto = FLAT_INI.replace("[interval]\nlo = 0.35\nhi = 0.95\n", "")
+    assert "[interval]" not in auto
+    cfgp = write(tmp_path, "auto.ini", auto)
+    rc = cli.main(["construct-verify", "--config", cfgp, "--out", str(tmp_path / "o")])
+    assert rc == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["interval"][1] < 1.0
+    assert len(report["checks"]) == 12
+    assert all(r["passed"] for r in report["checks"])
+    assert "expected_kahler=True" in capsys.readouterr().out
+
+
 def test_effective_config_roundtrip(tmp_path):
     cfgp = write(tmp_path, "flat.ini", FLAT_INI)
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
@@ -174,7 +192,9 @@ kind = flat
     cfgp = write(tmp_path, "off.ini", off)
     rc = cli.main(["construct-verify", "--config", cfgp, "--out", str(tmp_path / "o")])
     assert rc == 3
-    assert "construction error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "construction error" in err
+    assert "obstruction a(2ck+1)" in err
 
 
 def test_config_error_exit(tmp_path, capsys):
@@ -216,3 +236,28 @@ workers = 2
     assert all(r["status"] == "ok" and r["passed"] == "True" for r in by_k["branch"])
     text = capsys.readouterr().out
     assert "sweep results" in text
+
+
+def test_sweep_fubini_study_windows_above_c(tmp_path):
+    # a base with kappa != 0 admits only sign_phi = +1, so only tau > c
+    sweep = """\
+[sweep]
+m = 2
+a = 1
+c = 1
+c2 = 1, -1
+samples = 6
+
+[base]
+kind = fubini-study
+"""
+    cfgp = write(tmp_path, "fs.ini", sweep)
+    out = str(tmp_path / "sw")
+    assert cli.main(["sweep", "--config", cfgp, "--out", out]) == 0
+    with open(os.path.join(out, "sweep.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    ok = [r for r in rows if r["status"] == "ok"]
+    assert ok
+    assert all(float(r["interval_lo"]) > 1.0 for r in ok)
+    assert all(r["status"] in ("ok", "no-interval") for r in rows)
