@@ -22,7 +22,6 @@ from kahlerqe.odes import (
     ExactParameterError,
     LinearODE1,
     LinearODE2,
-    PhiSolution,
     SKRParams,
     ScalarProfile,
     alpha_profile,
@@ -35,13 +34,7 @@ from kahlerqe.odes import (
     solsys_system,
     system_12,
 )
-from kahlerqe.rational import (
-    PoleError,
-    Polynomial,
-    RationalFunction,
-    RationalParseError,
-    parse_rational,
-)
+from kahlerqe.rational import PoleError, Polynomial, RationalFunction
 from kahlerqe.verify import (
     DEFAULT_TOLERANCES,
     CheckRecord,
@@ -59,11 +52,9 @@ __all__ = [
     "ExactParameterError",
     "LinearODE1",
     "LinearODE2",
-    "PhiSolution",
     "PoleError",
     "Polynomial",
     "RationalFunction",
-    "RationalParseError",
     "SKRChart",
     "SKRParams",
     "ScalarProfile",
@@ -79,7 +70,6 @@ __all__ = [
     "first_order_reduction",
     "lemma_quantities",
     "nonexistence_decision",
-    "parse_rational",
     "phi_closed_form",
     "positivity_intervals",
     "q_from_phi",

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from kahlerqe.charts import ComplexStructure, MetricChart, ScalarField
-from kahlerqe.jets import CJet, Jet, log_, value
+from kahlerqe.jets import CJet, Jet, log_
 from kahlerqe.numutil import (
     ConvergenceError,
     PanelAntiderivative,
@@ -79,6 +79,11 @@ class BaseModel:
     def sigma(self):
         """Chern curvature multiple of e^(-2 rho): 2s (flat), s (Fubini-Study)."""
         return 2 * self.s if self.kind == FLAT else self.s
+
+    def kahler_b(self, side):
+        """The b that closes the two-form of g on the side = sgn(tau - c) of
+        tau = c: sigma = -2 b side."""
+        return -side * self.sigma / 2
 
     def rho(self, x2):
         """rho as a plain float at a base point with |x|^2 = x2."""
@@ -360,9 +365,6 @@ class SKRChart:
             pts[r, 2 * d + 1] = R * math.sin(theta)
         return pts
 
-    def tau_at(self, p):
-        return value(self.tau.fn(np.asarray(p, dtype=float)))
-
 
 def assemble_chart(base, warp):
     """MetricChart + fields from a base model and a frozen warp profile."""
@@ -464,8 +466,8 @@ def build_warp(params, phi, interval):
 
 
 def expected_kahler(base, params, interval):
-    """Whether the two-form of g closes: sigma = -2 b sgn(tau - c) on the interval."""
-    return base.sigma == -2 * params.b * tau_side(interval, params.c)
+    """Whether the two-form of g closes: b is ``base.kahler_b`` on the interval's side."""
+    return params.b == base.kahler_b(tau_side(interval, params.c))
 
 
 def admitted_phi(params, base):

@@ -73,19 +73,6 @@ def check_point(chart, p):
     return p
 
 
-def _to_value_matrix(rows, n):
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = value(rows[i][j])
-    return out
-
-
-def metric_values(chart, p):
-    p = check_point(chart, p)
-    return _to_value_matrix(chart.components(p), chart.dim)
-
-
 def metric_jets(chart, p):
     """Metric with derivatives: (g[i,j], dg[k,i,j]=d_k g_ij, d2g[k,l,i,j])."""
     p = check_point(chart, p)

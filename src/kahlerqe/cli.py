@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -193,21 +194,20 @@ def tolerances_from_config(cfg):
     return out
 
 
-def _run_settings(cfg, args):
-    seed = args.seed if args.seed is not None else _int(cfg, "run", "seed", 0)
-    samples = args.samples if args.samples is not None else _int(cfg, "run", "samples", 200)
-    workers = args.workers if args.workers is not None else _int(cfg, "run", "workers", 1)
-    ts = (
-        args.tolerance_scale
-        if args.tolerance_scale is not None
-        else _float(cfg, "run", "tolerance_scale", 1.0)
-    )
-    out = args.out if args.out is not None else cfg.get("run", "out", "out")
-    if samples < 1:
-        raise ConfigError(f"samples must be positive, got {samples}")
-    if workers < 1:
-        raise ConfigError(f"workers must be positive, got {workers}")
-    return seed, samples, workers, ts, out
+def _run_setting(cfg, args, key, default, parse=None):
+    """A [run] setting; the command-line flag of the same name wins."""
+    flag = getattr(args, key)
+    if flag is not None:
+        return flag
+    if parse is None:
+        return cfg.get("run", key, default)
+    return parse(cfg, "run", key, default)
+
+
+def _positive(what, n):
+    if n < 1:
+        raise ConfigError(f"{what} must be positive, got {n}")
+    return n
 
 
 # -- certify ----------------------------------------------------------------
@@ -300,7 +300,7 @@ def certify_params(params):
 
 def cmd_certify(cfg, args):
     params = params_from_config(cfg)
-    _, _, _, _, out_dir = _run_settings(cfg, args)
+    out_dir = _run_setting(cfg, args, "out", "out")
     cert = certify_params(params)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "certificate.json")
@@ -350,8 +350,13 @@ def write_effective_config(path, params, base, interval, seed, samples, ts,
 def cmd_construct_verify(cfg, args):
     params = params_from_config(cfg)
     base = base_from_config(cfg, params.m)
+    if not cfg.has("params", "b"):
+        params = dataclasses.replace(params, b=base.kahler_b(params.sign_phi))
     interval = interval_from_config(cfg)
-    seed, samples, _, ts, out_dir = _run_settings(cfg, args)
+    seed = _run_setting(cfg, args, "seed", 0, _int)
+    samples = _positive("samples", _run_setting(cfg, args, "samples", 200, _int))
+    ts = _run_setting(cfg, args, "tolerance_scale", 1.0, _float)
+    out_dir = _run_setting(cfg, args, "out", "out")
     tolerances = tolerances_from_config(cfg)
 
     if interval is None:
@@ -504,10 +509,10 @@ def _sweep_cell(index, m, a, c, C2, k, base_kind, s, samples, seed, ts):
         except NoWindowError:
             row["status"] = "no-interval"
             return row
-        # b is the one that makes the chart Kahler: sigma = -2 b sgn(tau - c)
+        # the b that makes the chart Kahler on the window's side of tau = c
         sgn = tau_side(iv, c)
         params = SKRParams.section6(m=m, a=a, c=c, C2=C2, kappa=base.kappa,
-                                    b=-sgn * base.sigma / 2, sign_phi=sgn)
+                                    b=base.kahler_b(sgn), sign_phi=sgn)
         skr, _ = end_to_end(params, base, iv)
         # absolute residuals grow with the metric's magnitude; grade each
         # cell relative to the profile scale on its own window
@@ -544,22 +549,19 @@ def cmd_sweep(cfg, args):
     a_list = _parse_list(cfg.get("sweep", "a", "1"), lambda x: as_fraction(x, "a"), "a")
     c_list = _parse_list(cfg.get("sweep", "c", "1"), lambda x: as_fraction(x, "c"), "c")
     C2_list = _parse_list(cfg.get("sweep", "c2", "1"), lambda x: as_fraction(x, "C2"), "C2")
-    k_raw = cfg.get("sweep", "k")
-    k_list = (
-        [None]
-        if k_raw is None
-        else [
-            None if piece == "branch" else as_fraction(piece, "k")
-            for piece in (x.strip() for x in k_raw.split(","))
-            if piece
-        ]
+    k_list = _parse_list(
+        cfg.get("sweep", "k", "branch"),
+        lambda x: None if x == "branch" else as_fraction(x, "k"), "k",
     )
-    cell_samples = _int(cfg, "sweep", "samples", 25)
+    cell_samples = _positive("samples", _int(cfg, "sweep", "samples", 25))
     kind = cfg.get("base", "kind", "flat")
     if kind not in ("flat", "fubini-study"):
         raise ConfigError(f"unknown base kind {kind!r}")
     s = _frac(cfg, "base", "s", Fraction(1))
-    seed, _, workers, ts, out_dir = _run_settings(cfg, args)
+    seed = _run_setting(cfg, args, "seed", 0, _int)
+    workers = _positive("workers", _run_setting(cfg, args, "workers", 1, _int))
+    ts = _run_setting(cfg, args, "tolerance_scale", 1.0, _float)
+    out_dir = _run_setting(cfg, args, "out", "out")
 
     cells = list(itertools.product(ms, a_list, c_list, C2_list, k_list))
     print(f"sweep: {len(cells)} cells, {workers} worker(s)")
@@ -598,18 +600,18 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("certify", cmd_certify),
-        ("construct-verify", cmd_construct_verify),
-        ("sweep", cmd_sweep),
+    # each command takes only the [run] overrides it reads
+    for name, fn, flags in (
+        ("certify", cmd_certify, {}),
+        ("construct-verify", cmd_construct_verify,
+         {"--seed": int, "--samples": int, "--tolerance-scale": float}),
+        ("sweep", cmd_sweep, {"--seed": int, "--workers": int, "--tolerance-scale": float}),
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI configuration file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--tolerance-scale", type=float, default=None)
+        for flag, kind in flags.items():
+            p.add_argument(flag, type=kind, default=None)
         p.set_defaults(fn=fn)
     return parser
 

@@ -18,9 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
-from kahlerqe.jets import exp_, log_
 from kahlerqe.rational import Polynomial, RationalFunction
 
 
@@ -118,13 +117,6 @@ class ScalarProfile:
 
 
 @dataclass(frozen=True)
-class PhiSolution(ScalarProfile):
-    """A phi profile tied to the parameter set that produced it."""
-
-    params: Optional[SKRParams] = None
-
-
-@dataclass(frozen=True)
 class LinearODE2:
     """A phi'' + B phi' + C phi = D with rational-function coefficients."""
 
@@ -155,25 +147,6 @@ class LinearODE1:
     p: RationalFunction
     q: RationalFunction
 
-    def residual(self, profile, x):
-        return profile.d1(x) + self.p(x) * profile.value(x) - self.q(x)
-
-    def render(self, var="t"):
-        return f"phi' + ({self.p.render(var)})*phi = {self.q.render(var)}"
-
-
-# -- profile substitutions ------------------------------------------------
-
-
-def u_from_f(f, a):
-    """u = -a log f (f > 0); accepts floats or jets."""
-    return -a * log_(f)
-
-
-def f_from_u(u, a):
-    """f = exp(-u/a); accepts floats or jets."""
-    return exp_(u * (-1.0 / a))
-
 
 # -- pointwise coefficient formulas ----------------------------------------
 
@@ -184,28 +157,6 @@ def alpha_profile(params):
     return ((2 * params.m - 2) * (1 + params.k * t) + params.a) / (
         t * (1 + params.k * t)
     )
-
-
-def rh_coefficients(params, tau, Q, lap_tau):
-    """(alpha, gamma) of the Ricci-Hessian equation alpha*Hess(tau) + r = gamma*g.
-
-    Exact when all inputs are exact; float otherwise.
-    """
-    m, a, k, lam = params.m, params.a, params.k, params.lam
-    w = a / (1 + k * tau)
-    alpha = (2 * m - 2 + w) / tau
-    gamma = lam / (tau * tau) - lap_tau / tau + (w + 2 * m - 1) * Q / (tau * tau)
-    return alpha, gamma
-
-
-def dtau_dtau_coefficient(fprofile, tau, a):
-    """Coefficient of dtau (x) dtau in the conformally expanded equation.
-
-    Equals (a/f)(f'' + 2 f'/tau); identically zero iff f is affine in
-    1/tau, which is what singles out f = 1/tau + k.
-    """
-    f = fprofile.value(tau)
-    return (a / f) * (fprofile.d2(tau) + 2.0 * fprofile.d1(tau) / tau)
 
 
 def alpha_degeneracy_roots(params):
@@ -224,23 +175,6 @@ def alpha_degeneracy_roots(params):
     denom = float((n - 2) * k)
     out = [r1, (base + root) / denom, (base - root) / denom]
     return sorted(out)
-
-
-def mek_residual(params, phi, alpha, tau):
-    """Residual of the fiber-constancy ODE for the warped Einstein constant.
-
-    (tau-c)^2 phi'' + (tau-c)(m - (tau-c) alpha) phi' - m phi + sgn(phi) kappa/2,
-    with alpha a callable profile.
-    """
-    c = float(params.c)
-    m = params.m
-    al = alpha(tau)
-    return (
-        (tau - c) ** 2 * phi.d2(tau)
-        + (tau - c) * (m - (tau - c) * al) * phi.d1(tau)
-        - m * phi.value(tau)
-        + params.sign_phi * float(params.kappa) / 2.0
-    )
 
 
 def gamma_from_phi(params, phi, alpha, tau):
@@ -334,15 +268,6 @@ def lemma_quantities(reduced, ode2):
 
 FORCED_ZERO = "forced-zero"
 CONSTANTS_ADMITTED = "constants-admitted"
-
-
-def obstruction_verdict(e1):
-    """Verdict from a compatibility quantity E1 (a rational function).
-
-    Substituting the first-order reduction back into a second-order member
-    leaves E1*phi = E2 with E2 = 0; nonzero E1 therefore forces phi = 0.
-    """
-    return CONSTANTS_ADMITTED if e1.is_zero else FORCED_ZERO
 
 
 def nonexistence_decision(params):
@@ -465,7 +390,7 @@ def phi_closed_form(params):
         return C2f * (pt * pt - pterm_d(tau)) * psi(tau)
 
     label = f"C1 + C2 (t-2c)^{1 - a} (t-c)^{-m} t^{2 * m - 1 + a}"
-    return PhiSolution(value=val, d1=d1, d2=d2, label=label, params=params)
+    return ScalarProfile(value=val, d1=d1, d2=d2, label=label)
 
 
 def closed_form_certificate(params, ode):

@@ -119,7 +119,7 @@ def gather_points(skr, samples, seed=0, grad_floor=1e-12):
     return geos, excluded
 
 
-def check_positive_definite(skr, geos, tol=0.0, tolerance_scale=1.0):
+def check_positive_definite(skr, geos):
     flags = [0.0 if is_positive_definite(geo.g) else 1.0 for geo in geos]
     bad = int(sum(flags))
     # one aggregate residual, the count; its point is the first indefinite one
@@ -128,14 +128,12 @@ def check_positive_definite(skr, geos, tol=0.0, tolerance_scale=1.0):
                    {"indefinite_points": bad})
 
 
-def check_kahler(skr, geos, tol=None, tolerance_scale=1.0):
-    tol = DEFAULT_TOLERANCES["kahler"] if tol is None else tol
+def check_kahler(skr, geos, tol=DEFAULT_TOLERANCES["kahler"], tolerance_scale=1.0):
     res = [geo.kahler_residual for geo in geos]
     return _finish("kahler", res, tol, geos, scale=tolerance_scale)
 
 
-def check_killing(skr, geos, tol=None, tolerance_scale=1.0):
-    tol = DEFAULT_TOLERANCES["killing"] if tol is None else tol
+def check_killing(skr, geos, tol=DEFAULT_TOLERANCES["killing"], tolerance_scale=1.0):
     res = [geo.killing_residual for geo in geos]
     return _finish("killing", res, tol, geos, scale=tolerance_scale)
 
@@ -144,11 +142,11 @@ def _horizontal_block(S, hs):
     return np.array([[u @ S @ w for w in hs] for u in hs])
 
 
-def check_skr(skr, geos, tol=None, tolerance_scale=1.0):
+def check_skr(skr, geos, tol=DEFAULT_TOLERANCES["skr-eigenstructure"],
+              tolerance_scale=1.0):
     """Eigenstructure of Hess(tau) and Ricci on the complement of
     {grad tau, J grad tau}: both must restrict to scalars there with no
     mixed terms."""
-    tol = DEFAULT_TOLERANCES["skr-eigenstructure"] if tol is None else tol
     n = skr.dim
     res = []
     phi_hats = []
@@ -175,10 +173,9 @@ def check_skr(skr, geos, tol=None, tolerance_scale=1.0):
     return _finish("skr-eigenstructure", res, tol, geos, extra, scale=tolerance_scale)
 
 
-def check_ricci_hessian(skr, geos, tol=None, tolerance_scale=1.0,
-                        alpha=None, gamma=None):
+def check_ricci_hessian(skr, geos, tol=DEFAULT_TOLERANCES["ricci-hessian"],
+                        tolerance_scale=1.0, alpha=None, gamma=None):
     """alpha(tau) Hess(tau) + r = gamma(tau) g with the profile coefficients."""
-    tol = DEFAULT_TOLERANCES["ricci-hessian"] if tol is None else tol
     params = skr.params
     phi = skr.warp.phi
     if alpha is None:
@@ -194,9 +191,9 @@ def check_ricci_hessian(skr, geos, tol=None, tolerance_scale=1.0,
     return _finish("ricci-hessian", res, tol, geos, scale=tolerance_scale)
 
 
-def check_quasi_einstein(skr, geos, tol=None, tolerance_scale=1.0):
+def check_quasi_einstein(skr, geos, tol=DEFAULT_TOLERANCES["quasi-einstein"],
+                         tolerance_scale=1.0):
     """(-a/f) Hess_ghat(f) + ricci(ghat) = lambda ghat for ghat = g / tau^2."""
-    tol = DEFAULT_TOLERANCES["quasi-einstein"] if tol is None else tol
     params = skr.params
     af, lamf = float(params.a), float(params.lam)
     res = []
@@ -212,12 +209,13 @@ def check_quasi_einstein(skr, geos, tol=None, tolerance_scale=1.0):
     )
 
 
-def check_warped_einstein_constant(skr, geos, tol=None, tolerance_scale=1.0):
+def check_warped_einstein_constant(skr, geos,
+                                   tol=DEFAULT_TOLERANCES["warped-einstein-constant"],
+                                   tolerance_scale=1.0):
     """Pointwise constancy of mu_F = f lap(f) + (a-1)|grad f|^2 + lambda f^2
     in the scaled metric; constancy is what makes the warped product with an
     a-dimensional Einstein fiber itself Einstein.  Skipped for fractional a
     (no integer fiber dimension)."""
-    tol = DEFAULT_TOLERANCES["warped-einstein-constant"] if tol is None else tol
     params = skr.params
     if params.a.denominator != 1:
         return CheckRecord(
@@ -241,11 +239,11 @@ def check_warped_einstein_constant(skr, geos, tol=None, tolerance_scale=1.0):
     )
 
 
-def check_conformal_formulas(skr, geos, tol=None, tolerance_scale=1.0):
+def check_conformal_formulas(skr, geos, tol=DEFAULT_TOLERANCES["conformal-expansions"],
+                             tolerance_scale=1.0):
     """Direct curvature of ghat = g/tau^2 against its expansion in g-terms,
     and likewise for the Hessian of f; both identities are exact, so the
     residual is pure differentiation noise."""
-    tol = DEFAULT_TOLERANCES["conformal-expansions"] if tol is None else tol
     n = skr.dim
     res = []
     for geo in geos:
@@ -261,11 +259,10 @@ def check_conformal_formulas(skr, geos, tol=None, tolerance_scale=1.0):
     return _finish("conformal-expansions", res, tol, geos, scale=tolerance_scale)
 
 
-def check_profile_identities(skr, geos, tolerance_scale=1.0, tols=None):
+def check_profile_identities(skr, geos, tolerance_scale=1.0, tols=DEFAULT_TOLERANCES):
     """The chart-level identities tying the construction to its profiles:
     |grad tau|^2 = Q(tau), lap tau = 2m phi + 2(tau-c) phi', recovery of the
     constant c, and phi as the horizontal Hessian eigenvalue."""
-    tols = tols or {}
     params = skr.params
     phi = skr.warp.phi
     q = q_from_phi(params, phi)
@@ -287,8 +284,7 @@ def check_profile_identities(skr, geos, tolerance_scale=1.0, tols=None):
         ("c-recovery", e_c),
         ("hessian-eigenvalue", e_eig),
     ):
-        tol = tols.get(name, DEFAULT_TOLERANCES[name])
-        out.append(_finish(name, errs, tol, geos, scale=tolerance_scale))
+        out.append(_finish(name, errs, tols[name], geos, scale=tolerance_scale))
     return out
 
 
@@ -374,24 +370,23 @@ def base_dict(base):
 
 def run_suite(skr, samples=200, seed=0, tolerance_scale=1.0, tolerances=None,
               include_profile_identities=True, label=""):
-    """Run every check on one shared deterministic point set."""
-    tolerances = tolerances or {}
+    """Run every check on one shared deterministic point set; ``tolerances``
+    overrides entries of ``DEFAULT_TOLERANCES``."""
+    tols = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     geos, excluded = gather_points(skr, samples, seed=seed)
     ts = tolerance_scale
     records = [
         check_positive_definite(skr, geos),
-        check_kahler(skr, geos, tolerances.get("kahler"), ts),
-        check_killing(skr, geos, tolerances.get("killing"), ts),
-        check_skr(skr, geos, tolerances.get("skr-eigenstructure"), ts),
-        check_ricci_hessian(skr, geos, tolerances.get("ricci-hessian"), ts),
-        check_quasi_einstein(skr, geos, tolerances.get("quasi-einstein"), ts),
-        check_warped_einstein_constant(
-            skr, geos, tolerances.get("warped-einstein-constant"), ts
-        ),
-        check_conformal_formulas(skr, geos, tolerances.get("conformal-expansions"), ts),
+        check_kahler(skr, geos, tols["kahler"], ts),
+        check_killing(skr, geos, tols["killing"], ts),
+        check_skr(skr, geos, tols["skr-eigenstructure"], ts),
+        check_ricci_hessian(skr, geos, tols["ricci-hessian"], ts),
+        check_quasi_einstein(skr, geos, tols["quasi-einstein"], ts),
+        check_warped_einstein_constant(skr, geos, tols["warped-einstein-constant"], ts),
+        check_conformal_formulas(skr, geos, tols["conformal-expansions"], ts),
     ]
     if include_profile_identities:
-        records.extend(check_profile_identities(skr, geos, ts, tolerances))
+        records.extend(check_profile_identities(skr, geos, ts, tols))
     return VerificationReport(
         label=label or skr.chart.name,
         params=params_dict(skr.params),

@@ -28,7 +28,7 @@ from kahlerqe.charts import (
     MetricChart,
     PointGeometry,
     ScalarField,
-    metric_values,
+    metric_jets,
     ricci,
 )
 from kahlerqe.jets import exp_, sin_
@@ -40,7 +40,6 @@ from kahlerqe.odes import (
     first_order_reduction,
     lemma_quantities,
     nonexistence_decision,
-    obstruction_verdict,
     phi_closed_form,
     solsys_system,
     system_12,
@@ -108,7 +107,7 @@ def test_criterion_2_appendix_obstruction():
         )
         e1, e2 = lemma_quantities(red, qe2_f)
         ok = ok and e1 == (-a * (t - c)) / t and e2.is_zero
-        ok = ok and obstruction_verdict(e1) == FORCED_ZERO
+        ok = ok and not e1.is_zero  # E1*phi = 0 with E1 != 0 forces phi = 0
         tuples += 1
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 5.0
@@ -326,12 +325,12 @@ def _fd_ricci(chart, p, h=1e-5):
     n = chart.dim
 
     def gamma_at(q):
-        g = metric_values(chart, q)
+        g = metric_jets(chart, q)[0]
         dg = np.zeros((n, n, n))
         for k in range(n):
             e = np.zeros(n)
             e[k] = h
-            dg[k] = (metric_values(chart, q + e) - metric_values(chart, q - e)) / (2 * h)
+            dg[k] = (metric_jets(chart, q + e)[0] - metric_jets(chart, q - e)[0]) / (2 * h)
         ginv = np.linalg.inv(g)
         T = np.zeros((n, n, n))
         for a in range(n):
@@ -368,7 +367,7 @@ def test_criterion_8_curvature_core():
     )
     for th in (0.6, 1.2, 2.4):
         p = np.array([th, 0.5])
-        ok = ok and np.max(np.abs(ricci(sphere, p) - metric_values(sphere, p))) < 1e-9
+        ok = ok and np.max(np.abs(ricci(sphere, p) - metric_jets(sphere, p)[0])) < 1e-9
 
     hyp = MetricChart(
         dim=2,
@@ -377,7 +376,7 @@ def test_criterion_8_curvature_core():
     )
     for y in (0.5, 1.0, 3.0):
         p = np.array([0.2, y])
-        ok = ok and np.max(np.abs(ricci(hyp, p) + metric_values(hyp, p))) < 1e-9
+        ok = ok and np.max(np.abs(ricci(hyp, p) + metric_jets(hyp, p)[0])) < 1e-9
 
     # random polynomial metrics: first Bianchi identity and AD-vs-FD Ricci
     from kahlerqe.charts import riemann

@@ -22,7 +22,7 @@ from kahlerqe.builder import (
     positivity_intervals,
     q_from_phi,
 )
-from kahlerqe.charts import is_positive_definite, metric_values
+from kahlerqe.charts import is_positive_definite, metric_jets
 from kahlerqe.cli import NoWindowError, select_window
 from kahlerqe.jets import Jet
 from kahlerqe.numutil import PanelAntiderivative
@@ -180,8 +180,8 @@ def test_constant_q_chart_vertical_block():
     lo, hi = warp.ell_range
     assert lo < 0.0 < hi
     pt = np.array([0.0, 0.0, 1.0, 0.0])
-    g = metric_values(skr.chart, pt)
-    tau = skr.tau_at(pt)
+    g = metric_jets(skr.chart, pt)[0]
+    tau = float(skr.tau.fn(pt))
     # vertical block Q/(b|w|)^2 Re<.,.> = Q0 * I at |w| = 1
     npt.assert_allclose(g[2:, 2:], Q0 * np.eye(2), atol=1e-9)
     # base block 2|tau - c| h = 2(tau + 2) I at x = 0 (P-terms vanish there)
@@ -214,7 +214,7 @@ def test_sample_points_deterministic_and_in_domain():
     lo, hi = skr.warp.work_interval
     for p in pts:
         assert skr.chart.domain(p)
-        assert lo <= skr.tau_at(p) <= hi
+        assert lo <= float(skr.tau.fn(p)) <= hi
 
 
 def test_expected_kahler_pinned():
@@ -235,11 +235,11 @@ def test_end_to_end_flat():
     assert skr.dim == 4
     kf = float(p.k)
     for pt in skr.sample_points(10, seed=1):
-        tau = skr.tau_at(pt)
+        tau = float(skr.tau.fn(pt))
         assert 0.35 < tau < 0.95
         fval = float(np.asarray(skr.f.fn(pt)))
         assert abs(fval - (1.0 / tau + kf)) < 1e-12
-        assert is_positive_definite(metric_values(skr.chart, pt))
+        assert is_positive_definite(metric_jets(skr.chart, pt)[0])
 
 
 def test_end_to_end_fubini_study():
@@ -248,8 +248,8 @@ def test_end_to_end_fubini_study():
                         interval=(1.3, 1.9))
     assert skr.dim == 6
     pt = skr.sample_points(4, seed=0)[0]
-    assert 1.3 < skr.tau_at(pt) < 1.9
-    assert is_positive_definite(metric_values(skr.chart, pt))
+    assert 1.3 < float(skr.tau.fn(pt)) < 1.9
+    assert is_positive_definite(metric_jets(skr.chart, pt)[0])
 
 
 def test_end_to_end_refusals():

@@ -21,7 +21,7 @@ from kahlerqe.charts import (
     hessian,
     inverse_metric,
     is_positive_definite,
-    metric_values,
+    metric_jets,
     ricci,
     riemann,
 )
@@ -102,7 +102,7 @@ def test_sphere_is_einstein():
     ch = sphere_chart()
     for th in (0.4, 1.1, 2.3):
         p = np.array([th, 0.7])
-        npt.assert_allclose(ricci(ch, p), metric_values(ch, p), atol=1e-9)
+        npt.assert_allclose(ricci(ch, p), metric_jets(ch, p)[0], atol=1e-9)
     geo = _geometry(ch, np.array([1.0, 0.0]))
     scal = float(np.einsum("ij,ij->", geo.ginv, geo.ricci))
     assert abs(scal - 2.0) < 1e-9
@@ -112,7 +112,7 @@ def test_hyperbolic_is_negative_einstein():
     ch = hyperbolic_chart()
     for y in (0.5, 1.0, 2.5):
         p = np.array([0.3, y])
-        npt.assert_allclose(ricci(ch, p), -metric_values(ch, p), atol=1e-9)
+        npt.assert_allclose(ricci(ch, p), -metric_jets(ch, p)[0], atol=1e-9)
 
 
 def test_fubini_study_line_is_kahler_einstein():
@@ -126,7 +126,7 @@ def test_fubini_study_line_is_kahler_einstein():
     ch = MetricChart(dim=2, components=comps, name="fs1")
     J = ComplexStructure(lambda c: J2, "J")
     for p in (np.array([0.0, 0.0]), np.array([0.4, -0.3]), np.array([1.0, 0.5])):
-        npt.assert_allclose(ricci(ch, p), 2.0 * metric_values(ch, p), atol=1e-10)
+        npt.assert_allclose(ricci(ch, p), 2.0 * metric_jets(ch, p)[0], atol=1e-10)
         assert _geometry(ch, p, J=J).kahler_residual < 1e-10
 
 
@@ -156,7 +156,7 @@ def test_riemann_symmetries_random_metrics():
         rng = np.random.RandomState(100 + seed)
         for _ in range(4):
             p = rng.uniform(-0.6, 0.6, size=3)
-            assert is_positive_definite(metric_values(ch, p))
+            assert is_positive_definite(metric_jets(ch, p)[0])
             R = riemann(ch, p)
             # first Bianchi identity: cyclic sum over the last three slots
             cyc = R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2))
@@ -171,12 +171,12 @@ def _fd_ricci(ch, p, h=1e-5):
     n = ch.dim
 
     def gamma_at(q):
-        g = metric_values(ch, q)
+        g = metric_jets(ch, q)[0]
         dg = np.zeros((n, n, n))
         for k in range(n):
             e = np.zeros(n)
             e[k] = h
-            dg[k] = (metric_values(ch, q + e) - metric_values(ch, q - e)) / (2 * h)
+            dg[k] = (metric_jets(ch, q + e)[0] - metric_jets(ch, q - e)[0]) / (2 * h)
         ginv = np.linalg.inv(g)
         T = np.zeros((n, n, n))
         for a in range(n):
@@ -231,7 +231,7 @@ def test_sphere_height_function_hessian():
         p = np.array([th, 1.0])
         npt.assert_allclose(
             hessian(ch, height, p),
-            -math.cos(th) * metric_values(ch, p),
+            -math.cos(th) * metric_jets(ch, p)[0],
             atol=1e-12,
         )
 
@@ -291,7 +291,7 @@ def test_conformal_scale_constant_factor():
     tau = ScalarField(lambda c: 2.0, "two")
     gh = conformal_scale(ch, tau)
     p = np.array([0.1, 0.2, 0.3])
-    npt.assert_allclose(metric_values(gh, p), np.eye(3) / 4.0, atol=1e-15)
+    npt.assert_allclose(metric_jets(gh, p)[0], np.eye(3) / 4.0, atol=1e-15)
     npt.assert_allclose(ricci(gh, p), 0.0, atol=1e-13)
 
 
@@ -301,9 +301,9 @@ def test_conformal_scale_gives_hyperbolic():
     tau = ScalarField(lambda c: c[1], "y")
     gh = conformal_scale(ch, tau)
     for p in (np.array([0.0, 1.0]), np.array([0.5, 0.7]), np.array([-1.0, 2.0])):
-        npt.assert_allclose(ricci(gh, p), -metric_values(gh, p), atol=1e-9)
+        npt.assert_allclose(ricci(gh, p), -metric_jets(gh, p)[0], atol=1e-9)
     with pytest.raises(ChartDomainError):
-        metric_values(gh, np.array([0.0, 0.0]))
+        metric_jets(gh, np.array([0.0, 0.0]))
 
 
 def test_degenerate_metric_raises():
@@ -312,7 +312,7 @@ def test_degenerate_metric_raises():
 
     ch = MetricChart(dim=2, components=comps, name="degenerate")
     with pytest.raises(SingularMetricError):
-        inverse_metric(metric_values(ch, np.array([0.0, 1.0])))
+        inverse_metric(metric_jets(ch, np.array([0.0, 1.0]))[0])
     assert not is_positive_definite(np.diag([-1.0, 1.0]))
 
 
@@ -322,4 +322,4 @@ def test_domain_enforced():
         domain=lambda p: p[0] > 0, name="halfplane",
     )
     with pytest.raises(ChartDomainError):
-        metric_values(ch, np.array([-1.0, 0.0]))
+        metric_jets(ch, np.array([-1.0, 0.0]))

@@ -261,3 +261,51 @@ kind = fubini-study
     assert ok
     assert all(float(r["interval_lo"]) > 1.0 for r in ok)
     assert all(r["status"] in ("ok", "no-interval") for r in rows)
+
+
+def test_sweep_config_rejections(tmp_path, capsys):
+    grid = "[sweep]\nm = 2\na = 1\nc = 1\nc2 = 1\n{extra}\n[base]\nkind = flat\n"
+    for extra, message in (("k =", "empty k list"),
+                           ("samples = 0", "samples must be positive, got 0")):
+        cfgp = write(tmp_path, "bad.ini", grid.format(extra=extra))
+        assert cli.main(["sweep", "--config", cfgp, "--out", str(tmp_path / "o")]) == 4
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_construct_verify_derives_b(tmp_path, capsys):
+    # without [params] b, b is the Kahler value -sign_phi * sigma / 2
+    given, derived = str(tmp_path / "given"), str(tmp_path / "derived")
+    no_b = FLAT_INI.replace("b = 1\n", "")
+    assert "b =" not in no_b
+    for text, out in ((FLAT_INI, given), (no_b, derived)):
+        cfgp = write(tmp_path, "flat.ini", text)
+        assert cli.main(["construct-verify", "--config", cfgp, "--out", out]) == 0
+    assert ((tmp_path / "given" / "report.json").read_bytes()
+            == (tmp_path / "derived" / "report.json").read_bytes())
+    assert "b = 1\n" in (tmp_path / "derived" / "effective.ini").read_text()
+
+    fs = "[params]\nm = 3\na = 2\nc = 1\nc2 = 1\nkappa = 3\n[base]\nkind = fubini-study\n"
+    cfgp = write(tmp_path, "fs.ini", fs)
+    capsys.readouterr()
+    # the exit code is not pinned: on the unclamped window (2, 5) other
+    # checks still fail by tolerance
+    cli.main(["construct-verify", "--config", cfgp, "--out", str(tmp_path / "fs"),
+              "--samples", "8"])
+    assert "expected_kahler=True" in capsys.readouterr().out
+    assert "b = -1/2\n" in (tmp_path / "fs" / "effective.ini").read_text()
+    report = json.loads((tmp_path / "fs" / "report.json").read_text())
+    assert report["params"]["b"] == "-1/2"
+    kahler = next(r for r in report["checks"] if r["name"] == "kahler")
+    assert kahler["passed"] is True
+
+
+def test_each_command_takes_only_its_flags(tmp_path, capsys):
+    cfgp = write(tmp_path, "flat.ini", FLAT_INI)
+    for argv in (["certify", "--samples", "5"],
+                 ["construct-verify", "--workers", "2"],
+                 ["sweep", "--samples", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--config", cfgp])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -7,7 +7,6 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
 import numpy.testing as npt
 import pytest
 
@@ -23,19 +22,13 @@ from kahlerqe.odes import (
     as_fraction,
     closed_form_certificate,
     closed_form_log_derivative,
-    dtau_dtau_coefficient,
-    f_from_u,
     first_order_reduction,
     gamma_from_phi,
     lemma_quantities,
-    mek_residual,
     nonexistence_decision,
-    obstruction_verdict,
     phi_closed_form,
-    rh_coefficients,
     solsys_system,
     system_12,
-    u_from_f,
 )
 from kahlerqe.rational import Polynomial, RationalFunction
 
@@ -71,20 +64,6 @@ def test_distinguished_branch_constructor():
         SKRParams.section6(m=2, a=1, c=1, C2=1, kappa=2, sign_phi=-1)
 
 
-def test_u_f_substitution():
-    assert u_from_f(1.0, 2.0) == 0.0
-    assert f_from_u(0.0, 3.0) == 1.0
-    assert abs(u_from_f(math.exp(-2.0), 2.0) - 4.0) < 1e-12
-    from kahlerqe.jets import Jet
-
-    x = Jet.seed(np.array([0.8]))[0]
-    f = 0.3 + x * x
-    back = f_from_u(u_from_f(f, 2.0), 2.0)
-    assert abs(back.val - f.val) < 1e-12
-    npt.assert_allclose(back.grad, f.grad, atol=1e-12)
-    npt.assert_allclose(back.hess, f.hess, atol=1e-11)
-
-
 def test_alpha_profile_values():
     # near-zero a leaves (n-2)/tau: n = 6, tau = 1 gives 4
     p = SKRParams(m=3, a=Fraction(1, 10**9), c=1, k=Fraction(-1, 2))
@@ -92,6 +71,48 @@ def test_alpha_profile_values():
     # n = 4, a = 2, k = 0, tau = 1: (2 + 2)/1 = 4 exactly
     q = SKRParams(m=2, a=2, c=1, k=0)
     assert alpha_profile(q)(Fraction(1)) == 4
+
+
+# -- independent pointwise oracles of the paper's identities ---------------
+
+
+def rh_coefficients(params, tau, Q, lap_tau):
+    """(alpha, gamma) of the Ricci-Hessian equation alpha*Hess(tau) + r = gamma*g.
+
+    Exact when all inputs are exact; float otherwise.
+    """
+    m, a, k, lam = params.m, params.a, params.k, params.lam
+    w = a / (1 + k * tau)
+    alpha = (2 * m - 2 + w) / tau
+    gamma = lam / (tau * tau) - lap_tau / tau + (w + 2 * m - 1) * Q / (tau * tau)
+    return alpha, gamma
+
+
+def dtau_dtau_coefficient(fprofile, tau, a):
+    """Coefficient of dtau (x) dtau in the conformally expanded equation.
+
+    Equals (a/f)(f'' + 2 f'/tau); identically zero iff f is affine in
+    1/tau, which is what singles out f = 1/tau + k.
+    """
+    f = fprofile.value(tau)
+    return (a / f) * (fprofile.d2(tau) + 2.0 * fprofile.d1(tau) / tau)
+
+
+def mek_residual(params, phi, alpha, tau):
+    """Residual of the fiber-constancy ODE for the warped Einstein constant.
+
+    (tau-c)^2 phi'' + (tau-c)(m - (tau-c) alpha) phi' - m phi + sgn(phi) kappa/2,
+    with alpha a callable profile.
+    """
+    c = float(params.c)
+    m = params.m
+    al = alpha(tau)
+    return (
+        (tau - c) ** 2 * phi.d2(tau)
+        + (tau - c) * (m - (tau - c) * al) * phi.d1(tau)
+        - m * phi.value(tau)
+        + params.sign_phi * float(params.kappa) / 2.0
+    )
 
 
 def test_rh_coefficients_consistency():
@@ -281,7 +302,7 @@ def test_lemma_quantities_closed_forms():
         expected = (a * (t - c) ** 2 * (2 * c * k + 1)) / ((t - 2 * c) * (t * k + 1))
         assert e1 == expected
         assert e2.is_zero
-        assert obstruction_verdict(e1) == nonexistence_decision(p)
+        assert e1.is_zero == (nonexistence_decision(p) == CONSTANTS_ADMITTED)
 
 
 def test_decision_examples():
@@ -477,4 +498,4 @@ def test_appendix_system_structure():
         e1, e2 = lemma_quantities(red, qe2_f)
         assert e1 == (-a * (t - c)) / t  # never the zero function for a > 0
         assert e2.is_zero
-        assert obstruction_verdict(e1) == FORCED_ZERO
+        assert not e1.is_zero

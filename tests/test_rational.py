@@ -1,17 +1,80 @@
 """Exact polynomial / rational-function arithmetic."""
 
+import ast
 import random
 from fractions import Fraction
 
 import pytest
 
-from kahlerqe.rational import (
-    PoleError,
-    Polynomial,
-    RationalFunction,
-    RationalParseError,
-    parse_rational,
-)
+from kahlerqe.rational import PoleError, Polynomial, RationalFunction
+
+
+# -- an independent reader of rendered expressions, the oracle of render() --
+
+
+class RationalParseError(ValueError):
+    """Raised when a rational-function expression cannot be parsed."""
+
+
+def parse_rational(text, var="t"):
+    """Parse expressions like ``(3*t^2 - 1)/(t - 2)`` into a RationalFunction.
+
+    Grammar: integer literals, the variable, parentheses, ``+ - * /`` and
+    ``^`` (or ``**``) with integer exponents.
+    """
+    try:
+        tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
+    except SyntaxError as exc:
+        raise RationalParseError(f"unparseable expression: {text!r}") from exc
+    return _from_node(tree.body, var, text)
+
+
+def _from_node(node, var, text):
+    if isinstance(node, ast.Constant):
+        if isinstance(node.value, int) and not isinstance(node.value, bool):
+            return RationalFunction.constant(node.value)
+        raise RationalParseError(
+            f"only integer literals allowed, got {node.value!r} in {text!r}"
+        )
+    if isinstance(node, ast.Name):
+        if node.id == var:
+            return RationalFunction.variable()
+        raise RationalParseError(f"unknown symbol {node.id!r} in {text!r}")
+    if isinstance(node, ast.UnaryOp):
+        inner = _from_node(node.operand, var, text)
+        if isinstance(node.op, ast.USub):
+            return -inner
+        if isinstance(node.op, ast.UAdd):
+            return inner
+        raise RationalParseError(f"unsupported unary operator in {text!r}")
+    if isinstance(node, ast.BinOp):
+        if isinstance(node.op, ast.Pow):
+            base = _from_node(node.left, var, text)
+            exp = _int_exponent(node.right, text)
+            return base**exp
+        left = _from_node(node.left, var, text)
+        right = _from_node(node.right, var, text)
+        if isinstance(node.op, ast.Add):
+            return left + right
+        if isinstance(node.op, ast.Sub):
+            return left - right
+        if isinstance(node.op, ast.Mult):
+            return left * right
+        if isinstance(node.op, ast.Div):
+            return left / right
+        raise RationalParseError(f"unsupported operator in {text!r}")
+    raise RationalParseError(f"unsupported syntax in {text!r}")
+
+
+def _int_exponent(node, text):
+    sign = 1
+    while isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        if isinstance(node.op, ast.USub):
+            sign = -sign
+        node = node.operand
+    if isinstance(node, ast.Constant) and isinstance(node.value, int):
+        return sign * node.value
+    raise RationalParseError(f"exponents must be integer literals in {text!r}")
 
 
 def _random_poly(rng, max_deg=5, span=6):
