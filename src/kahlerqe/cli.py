@@ -64,20 +64,29 @@ class ConfigError(ValueError):
     """Bad configuration file or option combination."""
 
 
-_ALLOWED = {
-    "params": {"m", "a", "c", "k", "kappa", "lam", "c1", "c2", "b", "sign_phi"},
-    "base": {"kind", "s"},
-    "interval": {"lo", "hi"},
-    "run": {"seed", "samples", "workers", "tolerance_scale", "out"},
-    "tolerances": set(DEFAULT_TOLERANCES),
-    "sweep": {"m", "a", "c", "c2", "k", "samples"},
+_PARAMS = ("m", "a", "c", "k", "kappa", "lam", "c1", "c2", "b", "sign_phi")
+_BASE = ("kind", "s")
+
+# Every (section, key) each command reads; any other is a config error.  Each
+# [run] key is also a flag of its command (in this order, the order
+# effective.ini writes them), and a flag's value is parsed as the INI value is.
+_READS = {
+    "certify": {"params": _PARAMS, "run": ("out",)},
+    "construct-verify": {
+        "params": _PARAMS, "base": _BASE, "interval": ("lo", "hi"),
+        "run": ("seed", "samples", "tolerance_scale", "out"),
+        "tolerances": tuple(DEFAULT_TOLERANCES),
+    },
+    "sweep": {
+        "sweep": ("m", "a", "c", "c2", "k", "samples"), "base": _BASE,
+        "run": ("seed", "workers", "tolerance_scale", "out"),
+    },
 }
 
 
 @dataclass
 class RunConfig:
     sections: dict
-    path: str
 
     def get(self, section, key, default=None):
         return self.sections.get(section, {}).get(key, default)
@@ -86,7 +95,9 @@ class RunConfig:
         return key in self.sections.get(section, {})
 
 
-def load_config(path):
+def load_config(path, command=None):
+    """Read an INI file; a section or key that ``command`` does not read (with
+    no command: that no command reads) is a ``ConfigError``."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -94,21 +105,28 @@ def load_config(path):
         cp.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"unparseable config {path}: {exc}") from exc
+    if command is None:
+        allowed, where = {}, ""
+        for reads in _READS.values():
+            for sec, keys in reads.items():
+                allowed.setdefault(sec, set()).update(keys)
+    else:
+        allowed, where = _READS[command], f" for {command}"
     sections = {}
     for sec in cp.sections():
-        if sec not in _ALLOWED:
+        if sec not in allowed:
             raise ConfigError(
-                f"unknown section [{sec}]; allowed: {sorted(_ALLOWED)}"
+                f"unknown section [{sec}]{where}; allowed: {sorted(allowed)}"
             )
         body = {}
         for key, value in cp.items(sec):
-            if key not in _ALLOWED[sec]:
+            if key not in allowed[sec]:
                 raise ConfigError(
-                    f"unknown key {key!r} in [{sec}]; allowed: {sorted(_ALLOWED[sec])}"
+                    f"unknown key {key!r} in [{sec}]{where}; allowed: {sorted(allowed[sec])}"
                 )
             body[key] = value.strip()
         sections[sec] = body
-    return RunConfig(sections=sections, path=path)
+    return RunConfig(sections=sections)
 
 
 def _frac(cfg, section, key, default=None):
@@ -137,7 +155,7 @@ def _float(cfg, section, key, default=None):
         return default
     try:
         return float(Fraction(raw))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"[{section}] {key} must be numeric, got {raw!r}") from exc
 
 
@@ -194,20 +212,31 @@ def tolerances_from_config(cfg):
     return out
 
 
-def _run_setting(cfg, args, key, default, parse=None):
-    """A [run] setting; the command-line flag of the same name wins."""
-    flag = getattr(args, key)
-    if flag is not None:
-        return flag
-    if parse is None:
-        return cfg.get("run", key, default)
-    return parse(cfg, "run", key, default)
+def _ranged(cfg, section, key, parse, default, what, ok):
+    value = parse(cfg, section, key, default)
+    if not ok(value):
+        raise ConfigError(f"[{section}] {key} must be {what}, got {value!r}")
+    return value
 
 
-def _positive(what, n):
-    if n < 1:
-        raise ConfigError(f"{what} must be positive, got {n}")
-    return n
+_POSITIVE = ("positive", lambda v: v > 0)
+# [run] key: parser, default and the range its value must lie in
+_RUN = {
+    "seed": (_int, 0, "non-negative", lambda v: v >= 0),
+    "samples": (_int, 200, *_POSITIVE),
+    "workers": (_int, 1, *_POSITIVE),
+    "tolerance_scale": (_float, 1.0, *_POSITIVE),
+    "out": (RunConfig.get, "out", "non-empty", bool),
+}
+
+
+def _run_settings(cfg, command, flags):
+    """The [run] settings ``command`` reads, range-checked; a flag that was
+    given replaces the INI value before it is parsed."""
+    keys = _READS[command]["run"]
+    run = cfg.sections.setdefault("run", {})
+    run.update((k, flags[k].strip()) for k in keys if flags[k] is not None)
+    return {k: _ranged(cfg, "run", k, *_RUN[k]) for k in keys}
 
 
 # -- certify ----------------------------------------------------------------
@@ -298,9 +327,9 @@ def certify_params(params):
     }
 
 
-def cmd_certify(cfg, args):
+def cmd_certify(cfg, run):
     params = params_from_config(cfg)
-    out_dir = _run_setting(cfg, args, "out", "out")
+    out_dir = run["out"]
     cert = certify_params(params)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "certificate.json")
@@ -325,38 +354,28 @@ def cmd_certify(cfg, args):
 # -- construct-verify -------------------------------------------------------
 
 
-def write_effective_config(path, params, base, interval, seed, samples, ts,
-                           out_dir, tolerances):
+def write_effective_config(path, params, base, interval, run, tolerances):
     """Fully resolved configuration; reloading it reproduces the same run."""
     cp = configparser.ConfigParser()
-    cp["params"] = {
-        "m": str(params.m), "a": str(params.a), "c": str(params.c),
-        "k": str(params.k), "kappa": str(params.kappa), "lam": str(params.lam),
-        "c1": str(params.C1), "c2": str(params.C2), "b": str(params.b),
-        "sign_phi": str(params.sign_phi),
-    }
+    ini_key = {"lambda": "lam", "C1": "c1", "C2": "c2"}
+    cp["params"] = {ini_key.get(k, k): str(v) for k, v in params_dict(params).items()}
     cp["base"] = {"kind": base.kind, "s": str(base.s)}
     cp["interval"] = {"lo": f"{interval[0]:.17g}", "hi": f"{interval[1]:.17g}"}
-    cp["run"] = {
-        "seed": str(seed), "samples": str(samples),
-        "tolerance_scale": f"{ts:.17g}", "out": out_dir,
-    }
+    cp["run"] = {k: f"{v:.17g}" if isinstance(v, float) else str(v)
+                 for k, v in run.items()}
     if tolerances:
         cp["tolerances"] = {k: f"{v:.17g}" for k, v in tolerances.items()}
     with open(path, "w") as fh:
         cp.write(fh)
 
 
-def cmd_construct_verify(cfg, args):
+def cmd_construct_verify(cfg, run):
     params = params_from_config(cfg)
     base = base_from_config(cfg, params.m)
     if not cfg.has("params", "b"):
         params = dataclasses.replace(params, b=base.kahler_b(params.sign_phi))
     interval = interval_from_config(cfg)
-    seed = _run_setting(cfg, args, "seed", 0, _int)
-    samples = _positive("samples", _run_setting(cfg, args, "samples", 200, _int))
-    ts = _run_setting(cfg, args, "tolerance_scale", 1.0, _float)
-    out_dir = _run_setting(cfg, args, "out", "out")
+    seed, samples, out_dir = run["seed"], run["samples"], run["out"]
     tolerances = tolerances_from_config(cfg)
 
     if interval is None:
@@ -366,9 +385,8 @@ def cmd_construct_verify(cfg, args):
         f"chart: {skr.chart.name}  interval=({skr.warp.interval[0]:.6g}, "
         f"{skr.warp.interval[1]:.6g})  expected_kahler={expected_kahler(base, params, skr.warp.interval)}"
     )
-    report = run_suite(
-        skr, samples=samples, seed=seed, tolerance_scale=ts, tolerances=tolerances
-    )
+    report = run_suite(skr, samples=samples, seed=seed,
+                       tolerance_scale=run["tolerance_scale"], tolerances=tolerances)
     os.makedirs(out_dir, exist_ok=True)
     rpath = os.path.join(out_dir, "report.json")
     with open(rpath, "w") as fh:
@@ -381,10 +399,7 @@ def cmd_construct_verify(cfg, args):
         for row in skr.warp.csv_rows():
             writer.writerow([f"{x:.17g}" for x in row])
     epath = os.path.join(out_dir, "effective.ini")
-    write_effective_config(
-        epath, params, base, skr.warp.interval, seed, samples, ts,
-        out_dir, tolerances,
-    )
+    write_effective_config(epath, params, base, skr.warp.interval, run, tolerances)
     print("\n".join(report.summary_lines()))
     print(f"report: {rpath}  (sha256 {report.report_hash[:16]}...)")
     print(f"warp profile: {wpath}")
@@ -542,7 +557,7 @@ def _sweep_cell(index, m, a, c, C2, k, base_kind, s, samples, seed, ts):
     return row
 
 
-def cmd_sweep(cfg, args):
+def cmd_sweep(cfg, run):
     if "sweep" not in cfg.sections:
         raise ConfigError("sweep needs a [sweep] section")
     ms = _parse_list(cfg.get("sweep", "m", "2"), int, "m")
@@ -553,15 +568,12 @@ def cmd_sweep(cfg, args):
         cfg.get("sweep", "k", "branch"),
         lambda x: None if x == "branch" else as_fraction(x, "k"), "k",
     )
-    cell_samples = _positive("samples", _int(cfg, "sweep", "samples", 25))
+    cell_samples = _ranged(cfg, "sweep", "samples", _int, 25, *_POSITIVE)
     kind = cfg.get("base", "kind", "flat")
     if kind not in ("flat", "fubini-study"):
         raise ConfigError(f"unknown base kind {kind!r}")
     s = _frac(cfg, "base", "s", Fraction(1))
-    seed = _run_setting(cfg, args, "seed", 0, _int)
-    workers = _positive("workers", _run_setting(cfg, args, "workers", 1, _int))
-    ts = _run_setting(cfg, args, "tolerance_scale", 1.0, _float)
-    out_dir = _run_setting(cfg, args, "out", "out")
+    seed, workers, out_dir = run["seed"], run["workers"], run["out"]
 
     cells = list(itertools.product(ms, a_list, c_list, C2_list, k_list))
     print(f"sweep: {len(cells)} cells, {workers} worker(s)")
@@ -570,7 +582,7 @@ def cmd_sweep(cfg, args):
             pool.map(
                 lambda ic: _sweep_cell(
                     ic[0], *ic[1], base_kind=kind, s=s,
-                    samples=cell_samples, seed=seed, ts=ts,
+                    samples=cell_samples, seed=seed, ts=run["tolerance_scale"],
                 ),
                 enumerate(cells),
             )
@@ -600,18 +612,13 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # each command takes only the [run] overrides it reads
-    for name, fn, flags in (
-        ("certify", cmd_certify, {}),
-        ("construct-verify", cmd_construct_verify,
-         {"--seed": int, "--samples": int, "--tolerance-scale": float}),
-        ("sweep", cmd_sweep, {"--seed": int, "--workers": int, "--tolerance-scale": float}),
-    ):
+    for name, fn in (("certify", cmd_certify),
+                     ("construct-verify", cmd_construct_verify),
+                     ("sweep", cmd_sweep)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI configuration file")
-        p.add_argument("--out", default=None, help="output directory")
-        for flag, kind in flags.items():
-            p.add_argument(flag, type=kind, default=None)
+        for key in _READS[name]["run"]:
+            p.add_argument("--" + key.replace("_", "-"), help=f"overrides [run] {key}")
         p.set_defaults(fn=fn)
     return parser
 
@@ -619,8 +626,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        return args.fn(cfg, args)
+        cfg = load_config(args.config, args.command)
+        return args.fn(cfg, _run_settings(cfg, args.command, vars(args)))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

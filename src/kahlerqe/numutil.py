@@ -158,6 +158,8 @@ def halton_points(dim, count, seed=0, skip=64):
     those indices; the digits are summed least significant first, so the
     points equal scipy's ``qmc.Halton(scramble=False)`` bit for bit.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     start = skip + seed * 100003
     out = np.zeros((count, dim))
     for j, base in enumerate(_first_primes(dim)):

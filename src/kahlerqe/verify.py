@@ -35,7 +35,6 @@ DEFAULT_TOLERANCES = {
     "laplacian-identity": 1e-8,
     "c-recovery": 1e-9,
     "hessian-eigenvalue": 1e-8,
-    "positive-definite": 0.0,
 }
 
 
@@ -67,7 +66,7 @@ class CheckRecord:
         }
 
 
-def _finish(name, residuals, tol, geos, extra=None, scale=1.0):
+def _finish(name, residuals, tol, geos, extra=None):
     """Record for per-point residuals; ``geos[i]`` is where ``residuals[i]``
     was measured, and ``extra`` gains the sample index and tau of the worst."""
     arr = np.asarray(residuals, dtype=float)
@@ -80,11 +79,11 @@ def _finish(name, residuals, tol, geos, extra=None, scale=1.0):
         extra["worst_tau"] = worst.tau
     return CheckRecord(
         name=name,
-        passed=bool(mx <= tol * scale),
+        passed=bool(mx <= tol),
         samples=int(arr.size),
         max_abs=mx,
         mean_abs=mn,
-        tolerance=tol * scale,
+        tolerance=tol,
         extra=extra,
     )
 
@@ -128,22 +127,21 @@ def check_positive_definite(skr, geos):
                    {"indefinite_points": bad})
 
 
-def check_kahler(skr, geos, tol=DEFAULT_TOLERANCES["kahler"], tolerance_scale=1.0):
+def check_kahler(skr, geos, tol=DEFAULT_TOLERANCES["kahler"]):
     res = [geo.kahler_residual for geo in geos]
-    return _finish("kahler", res, tol, geos, scale=tolerance_scale)
+    return _finish("kahler", res, tol, geos)
 
 
-def check_killing(skr, geos, tol=DEFAULT_TOLERANCES["killing"], tolerance_scale=1.0):
+def check_killing(skr, geos, tol=DEFAULT_TOLERANCES["killing"]):
     res = [geo.killing_residual for geo in geos]
-    return _finish("killing", res, tol, geos, scale=tolerance_scale)
+    return _finish("killing", res, tol, geos)
 
 
 def _horizontal_block(S, hs):
     return np.array([[u @ S @ w for w in hs] for u in hs])
 
 
-def check_skr(skr, geos, tol=DEFAULT_TOLERANCES["skr-eigenstructure"],
-              tolerance_scale=1.0):
+def check_skr(skr, geos, tol=DEFAULT_TOLERANCES["skr-eigenstructure"]):
     """Eigenstructure of Hess(tau) and Ricci on the complement of
     {grad tau, J grad tau}: both must restrict to scalars there with no
     mixed terms."""
@@ -168,13 +166,13 @@ def check_skr(skr, geos, tol=DEFAULT_TOLERANCES["skr-eigenstructure"],
     extra = {
         "phi_estimate_min": float(np.min(phi_hats)),
         "phi_estimate_max": float(np.max(phi_hats)),
-        "trivial_pair": bool(np.max(np.abs(phi_hats)) <= tol * tolerance_scale),
+        "trivial_pair": bool(np.max(np.abs(phi_hats)) <= tol),
     }
-    return _finish("skr-eigenstructure", res, tol, geos, extra, scale=tolerance_scale)
+    return _finish("skr-eigenstructure", res, tol, geos, extra)
 
 
 def check_ricci_hessian(skr, geos, tol=DEFAULT_TOLERANCES["ricci-hessian"],
-                        tolerance_scale=1.0, alpha=None, gamma=None):
+                        alpha=None, gamma=None):
     """alpha(tau) Hess(tau) + r = gamma(tau) g with the profile coefficients."""
     params = skr.params
     phi = skr.warp.phi
@@ -188,11 +186,10 @@ def check_ricci_hessian(skr, geos, tol=DEFAULT_TOLERANCES["ricci-hessian"],
         t = geo.tau
         res.append(float(np.max(np.abs(
             alpha(t) * geo.hess_tau + geo.ricci - gamma(t) * geo.g))))
-    return _finish("ricci-hessian", res, tol, geos, scale=tolerance_scale)
+    return _finish("ricci-hessian", res, tol, geos)
 
 
-def check_quasi_einstein(skr, geos, tol=DEFAULT_TOLERANCES["quasi-einstein"],
-                         tolerance_scale=1.0):
+def check_quasi_einstein(skr, geos, tol=DEFAULT_TOLERANCES["quasi-einstein"]):
     """(-a/f) Hess_ghat(f) + ricci(ghat) = lambda ghat for ghat = g / tau^2."""
     params = skr.params
     af, lamf = float(params.a), float(params.lam)
@@ -203,15 +200,11 @@ def check_quasi_einstein(skr, geos, tol=DEFAULT_TOLERANCES["quasi-einstein"],
         fmin = min(fmin, abs(fv))
         res.append(float(np.max(np.abs(
             (-af / fv) * geo.hess_f_hat + geo.ricci_hat - lamf * geo.g_hat))))
-    return _finish(
-        "quasi-einstein", res, tol, geos, {"min_abs_f": float(fmin)},
-        scale=tolerance_scale,
-    )
+    return _finish("quasi-einstein", res, tol, geos, {"min_abs_f": float(fmin)})
 
 
 def check_warped_einstein_constant(skr, geos,
-                                   tol=DEFAULT_TOLERANCES["warped-einstein-constant"],
-                                   tolerance_scale=1.0):
+                                   tol=DEFAULT_TOLERANCES["warped-einstein-constant"]):
     """Pointwise constancy of mu_F = f lap(f) + (a-1)|grad f|^2 + lambda f^2
     in the scaled metric; constancy is what makes the warped product with an
     a-dimensional Einstein fiber itself Einstein.  Skipped for fractional a
@@ -220,7 +213,7 @@ def check_warped_einstein_constant(skr, geos,
     if params.a.denominator != 1:
         return CheckRecord(
             name="warped-einstein-constant", passed=True, samples=0,
-            max_abs=0.0, mean_abs=0.0, tolerance=tol * tolerance_scale,
+            max_abs=0.0, mean_abs=0.0, tolerance=tol,
             status="skipped",
             extra={"reason": f"a = {params.a} is not an integer fiber dimension"},
         )
@@ -232,15 +225,11 @@ def check_warped_einstein_constant(skr, geos,
     mu_mean = float(np.mean(mus))
     spread = [abs(m - mu_mean) for m in mus]
     scale = max(1.0, abs(mu_mean))
-    return _finish(
-        "warped-einstein-constant", spread, tol, geos,
-        {"mu_mean": mu_mean, "scale": scale},
-        scale=tolerance_scale * scale,
-    )
+    return _finish("warped-einstein-constant", spread, tol * scale, geos,
+                   {"mu_mean": mu_mean, "scale": scale})
 
 
-def check_conformal_formulas(skr, geos, tol=DEFAULT_TOLERANCES["conformal-expansions"],
-                             tolerance_scale=1.0):
+def check_conformal_formulas(skr, geos, tol=DEFAULT_TOLERANCES["conformal-expansions"]):
     """Direct curvature of ghat = g/tau^2 against its expansion in g-terms,
     and likewise for the Hessian of f; both identities are exact, so the
     residual is pure differentiation noise."""
@@ -256,10 +245,10 @@ def check_conformal_formulas(skr, geos, tol=DEFAULT_TOLERANCES["conformal-expans
         expand_h = geo.hess_f + (np.outer(dt, df) + np.outer(df, dt) - cross * G) / tv
         e2 = float(np.max(np.abs(geo.hess_f_hat - expand_h)))
         res.append(max(e1, e2))
-    return _finish("conformal-expansions", res, tol, geos, scale=tolerance_scale)
+    return _finish("conformal-expansions", res, tol, geos)
 
 
-def check_profile_identities(skr, geos, tolerance_scale=1.0, tols=DEFAULT_TOLERANCES):
+def check_profile_identities(skr, geos, tols=DEFAULT_TOLERANCES):
     """The chart-level identities tying the construction to its profiles:
     |grad tau|^2 = Q(tau), lap tau = 2m phi + 2(tau-c) phi', recovery of the
     constant c, and phi as the horizontal Hessian eigenvalue."""
@@ -284,20 +273,8 @@ def check_profile_identities(skr, geos, tolerance_scale=1.0, tols=DEFAULT_TOLERA
         ("c-recovery", e_c),
         ("hessian-eigenvalue", e_eig),
     ):
-        out.append(_finish(name, errs, tols[name], geos, scale=tolerance_scale))
+        out.append(_finish(name, errs, tols[name], geos))
     return out
-
-
-SUITE_CHECKS = (
-    "positive-definite",
-    "kahler",
-    "killing",
-    "skr-eigenstructure",
-    "ricci-hessian",
-    "quasi-einstein",
-    "warped-einstein-constant",
-    "conformal-expansions",
-)
 
 
 @dataclass
@@ -371,22 +348,23 @@ def base_dict(base):
 def run_suite(skr, samples=200, seed=0, tolerance_scale=1.0, tolerances=None,
               include_profile_identities=True, label=""):
     """Run every check on one shared deterministic point set; ``tolerances``
-    overrides entries of ``DEFAULT_TOLERANCES``."""
-    tols = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+    overrides entries of ``DEFAULT_TOLERANCES``, and every tolerance is
+    multiplied by ``tolerance_scale`` here, once."""
+    tols = {name: tol * tolerance_scale
+            for name, tol in {**DEFAULT_TOLERANCES, **(tolerances or {})}.items()}
     geos, excluded = gather_points(skr, samples, seed=seed)
-    ts = tolerance_scale
     records = [
         check_positive_definite(skr, geos),
-        check_kahler(skr, geos, tols["kahler"], ts),
-        check_killing(skr, geos, tols["killing"], ts),
-        check_skr(skr, geos, tols["skr-eigenstructure"], ts),
-        check_ricci_hessian(skr, geos, tols["ricci-hessian"], ts),
-        check_quasi_einstein(skr, geos, tols["quasi-einstein"], ts),
-        check_warped_einstein_constant(skr, geos, tols["warped-einstein-constant"], ts),
-        check_conformal_formulas(skr, geos, tols["conformal-expansions"], ts),
+        check_kahler(skr, geos, tols["kahler"]),
+        check_killing(skr, geos, tols["killing"]),
+        check_skr(skr, geos, tols["skr-eigenstructure"]),
+        check_ricci_hessian(skr, geos, tols["ricci-hessian"]),
+        check_quasi_einstein(skr, geos, tols["quasi-einstein"]),
+        check_warped_einstein_constant(skr, geos, tols["warped-einstein-constant"]),
+        check_conformal_formulas(skr, geos, tols["conformal-expansions"]),
     ]
     if include_profile_identities:
-        records.extend(check_profile_identities(skr, geos, ts, tols))
+        records.extend(check_profile_identities(skr, geos, tols))
     return VerificationReport(
         label=label or skr.chart.name,
         params=params_dict(skr.params),

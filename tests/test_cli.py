@@ -12,7 +12,7 @@ import pytest
 from kahlerqe import cli
 
 
-FLAT_INI = """\
+FLAT_PARAMS = """\
 [params]
 m = 2
 a = 1
@@ -20,7 +20,9 @@ c = 1
 c2 = -1
 b = 1
 sign_phi = -1
+"""
 
+FLAT_INI = FLAT_PARAMS + """
 [base]
 kind = flat
 s = 1
@@ -72,7 +74,8 @@ def test_load_config_rejections(tmp_path):
 
 
 def test_certify_pass(tmp_path, capsys):
-    cfgp = write(tmp_path, "flat.ini", FLAT_INI)
+    # certify reads only [params] and [run] out
+    cfgp = write(tmp_path, "flat.ini", FLAT_PARAMS)
     out = str(tmp_path / "out")
     rc = cli.main(["certify", "--config", cfgp, "--out", out])
     assert rc == 0
@@ -309,3 +312,60 @@ def test_each_command_takes_only_its_flags(tmp_path, capsys):
             cli.main(argv + ["--config", cfgp])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_each_command_rejects_what_it_does_not_read(tmp_path, capsys):
+    sweep = "[sweep]\nm = 2\na = 1\nc = 1\nc2 = 1\n[base]\nkind = flat\n"
+    for command, text, named in (
+        ("certify", FLAT_INI, "[base]"),
+        ("construct-verify", FLAT_INI + "workers = 2\n", "'workers'"),
+        ("sweep", sweep + "[run]\nsamples = 3\n", "'samples'"),
+        ("sweep", sweep + "[tolerances]\nkahler = 1\n", "[tolerances]"),
+    ):
+        cfgp = write(tmp_path, "extra.ini", text)
+        assert cli.main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert named in err and f"for {command}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_flags_parse_like_ini_values(tmp_path, capsys):
+    # each fails before any construction: the flag is parsed and range-checked
+    # as the [run] value it overrides
+    cfgp = write(tmp_path, "flat.ini", FLAT_INI)
+    for flag, value, message in (
+        ("--seed", "-1", "[run] seed must be non-negative, got -1"),
+        ("--tolerance-scale", "inf", "[run] tolerance_scale must be numeric"),
+        ("--tolerance-scale", "0", "[run] tolerance_scale must be positive, got 0.0"),
+        ("--samples", "0", "[run] samples must be positive, got 0"),
+    ):
+        argv = ["construct-verify", "--config", cfgp, "--out", str(tmp_path / "o")]
+        assert cli.main(argv + [flag, value]) == 4
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # the INI value gives the same message as the flag
+    cfgp = write(tmp_path, "zero.ini", FLAT_INI.replace("samples = 8", "samples = 0"))
+    assert cli.main(["construct-verify", "--config", cfgp]) == 4
+    assert "config error: [run] samples must be positive, got 0\n" == capsys.readouterr().err
+    sweep = write(tmp_path, "sweep.ini", "[sweep]\nm = 2\n[base]\nkind = flat\n")
+    assert cli.main(["sweep", "--config", sweep, "--workers", "0"]) == 4
+    assert "[run] workers must be positive, got 0" in capsys.readouterr().err
+
+
+def test_readme_configs_load_under_their_commands(tmp_path):
+    # every ```ini block of the README belongs to the command named by the
+    # "### `kahlerqe <command> ..." heading above it
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        lines = fh.read().splitlines()
+    command, loaded = None, 0
+    for i, line in enumerate(lines):
+        if line.startswith("### `kahlerqe "):
+            command = line.split()[2]
+        elif line == "```ini":
+            end = lines.index("```", i + 1)
+            cfgp = write(tmp_path, f"readme{i}.ini", "\n".join(lines[i + 1:end]))
+            assert command in cli._READS
+            cli.load_config(cfgp, command)
+            loaded += 1
+    assert loaded == 3

@@ -42,6 +42,12 @@ def test_halton_points_match_scipy_bit_for_bit():
         assert np.array_equal(halton_points(dim, 50), direct.random(50))
 
 
+def test_halton_points_reject_negative_seed():
+    # a negative start index would never reach 0 under floor division
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        halton_points(2, 3, seed=-1)
+
+
 def test_cli_import_does_not_load_scipy():
     src = os.path.dirname(os.path.dirname(kahlerqe.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
