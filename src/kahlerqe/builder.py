@@ -19,10 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
-from kahlerqe.charts import ComplexStructure, MetricChart, ScalarField
+from kahlerqe.charts import MetricChart
 from kahlerqe.jets import CJet, Jet, log_
 from kahlerqe.numutil import (
     ConvergenceError,
@@ -111,7 +112,7 @@ def q_from_phi(params, phi):
     def d2(t):
         return 4.0 * phi.d1(t) + 2.0 * (t - c) * phi.d2(t)
 
-    return ScalarProfile(value=val, d1=d1, d2=d2, label="2(t-c)phi")
+    return ScalarProfile(value=val, d1=d1, d2=d2)
 
 
 def positivity_intervals(profile, lo, hi, exclude=(), grid=4096):
@@ -121,7 +122,7 @@ def positivity_intervals(profile, lo, hi, exclude=(), grid=4096):
     and sign-change brackets are sharpened by bisection; fully
     deterministic.
     """
-    fn = profile.value if hasattr(profile, "value") else profile
+    fn = profile.value
     cuts = sorted(x for x in set(float(e) for e in exclude) if lo < x < hi)
     segments = []
     left = lo
@@ -330,12 +331,13 @@ def _standard_J(n):
 
 @dataclass
 class SKRChart:
-    """Assembled chart bundle: metric, scalar tau, profile f, and J."""
+    """Assembled chart bundle: metric, scalar tau, profile f, and J, each
+    a callable on coordinates."""
 
     chart: MetricChart
-    tau: ScalarField
-    f: ScalarField
-    J: ComplexStructure
+    tau: Callable
+    f: Callable
+    J: Callable
     params: SKRParams
     base: BaseModel
     warp: WarpProfile
@@ -451,9 +453,9 @@ def assemble_chart(base, warp):
     xb = 0.8 if base.kind == FLAT else 0.6
     return SKRChart(
         chart=chart,
-        tau=ScalarField(tau_fn, "tau"),
-        f=ScalarField(f_fn, "f"),
-        J=ComplexStructure(lambda coords: _standard_J(n), "J"),
+        tau=tau_fn,
+        f=f_fn,
+        J=lambda coords: _standard_J(n),
         params=params,
         base=base,
         warp=warp,

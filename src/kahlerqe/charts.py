@@ -48,20 +48,6 @@ class MetricChart:
     name: str = ""
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    fn: Callable
-    name: str = ""
-
-
-@dataclass(frozen=True)
-class ComplexStructure:
-    """Almost complex structure J^i_j as a callable on coordinates."""
-
-    fn: Callable
-    name: str = ""
-
-
 def check_point(chart, p):
     p = np.asarray(p, dtype=float)
     if p.shape != (chart.dim,):
@@ -95,10 +81,9 @@ def metric_jets(chart, p):
     return g, dg, d2g
 
 
-def scalar_jet(fieldlike, chart, p):
+def scalar_jet(fn, chart, p):
     """Scalar field value, gradient and coordinate Hessian: (v, dv[i], d2v[i,j])."""
     p = check_point(chart, p)
-    fn = fieldlike.fn if isinstance(fieldlike, ScalarField) else fieldlike
     out = fn(Jet.seed(p))
     if isinstance(out, Jet):
         return out.val, out.grad.copy(), out.hess.copy()
@@ -110,8 +95,7 @@ def matrix_jets(structure, chart, p):
     """Matrix-valued field with first derivatives: (M[i,j], dM[k,i,j])."""
     p = check_point(chart, p)
     n = chart.dim
-    fn = structure.fn if isinstance(structure, ComplexStructure) else structure
-    rows = fn(Jet.seed(p))
+    rows = structure(Jet.seed(p))
     M = np.empty((n, n))
     dM = np.empty((n, n, n))
     for i in range(n):
@@ -333,9 +317,8 @@ class PointGeometry:
         return _horizontal_frame(self.g, self.grad_tau, self.J @ self.grad_tau)
 
 
-def conformal_scale(chart, fieldlike):
+def conformal_scale(chart, fn):
     """Chart for g-hat = g / tau^2; domain excludes zeros of tau."""
-    fn = fieldlike.fn if isinstance(fieldlike, ScalarField) else fieldlike
 
     def components(coords):
         rows = chart.components(coords)

@@ -52,7 +52,7 @@ from kahlerqe.odes import (
     CONSTANTS_ADMITTED,
 )
 from kahlerqe.rational import RationalFunction
-from kahlerqe.verify import DEFAULT_TOLERANCES, params_dict, run_suite
+from kahlerqe.verify import params_dict, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -74,12 +74,11 @@ _READS = {
     "certify": {"params": _PARAMS, "run": ("out",)},
     "construct-verify": {
         "params": _PARAMS, "base": _BASE, "interval": ("lo", "hi"),
-        "run": ("seed", "samples", "tolerance_scale", "out"),
-        "tolerances": tuple(DEFAULT_TOLERANCES),
+        "run": ("seed", "samples", "out"),
     },
     "sweep": {
         "sweep": ("m", "a", "c", "c2", "k", "samples"), "base": _BASE,
-        "run": ("seed", "workers", "tolerance_scale", "out"),
+        "run": ("seed", "workers", "out"),
     },
 }
 
@@ -205,28 +204,25 @@ def interval_from_config(cfg):
     return None if lo is None else (lo, hi)
 
 
-def tolerances_from_config(cfg):
-    out = {}
-    for key in cfg.sections.get("tolerances", {}):
-        out[key] = _float(cfg, "tolerances", key)
-    return out
-
-
-def _ranged(cfg, section, key, parse, default, what, ok):
+def _ranged(cfg, section, key, parse, default, *rules):
     value = parse(cfg, section, key, default)
-    if not ok(value):
-        raise ConfigError(f"[{section}] {key} must be {what}, got {value!r}")
+    for what, ok in rules:
+        if not ok(value):
+            raise ConfigError(f"[{section}] {key} must be {what}, got {value!r}")
     return value
 
 
 _POSITIVE = ("positive", lambda v: v > 0)
-# [run] key: parser, default and the range its value must lie in
+# the sample stream of seed s starts at index 64 + 100003 s, which must stay
+# well inside int64
+_SEED_MAX = 10**12
+# [run] key: parser, default and the rules its value must meet
 _RUN = {
-    "seed": (_int, 0, "non-negative", lambda v: v >= 0),
-    "samples": (_int, 200, *_POSITIVE),
-    "workers": (_int, 1, *_POSITIVE),
-    "tolerance_scale": (_float, 1.0, *_POSITIVE),
-    "out": (RunConfig.get, "out", "non-empty", bool),
+    "seed": (_int, 0, ("non-negative", lambda v: v >= 0),
+             (f"at most {_SEED_MAX}", lambda v: v <= _SEED_MAX)),
+    "samples": (_int, 200, _POSITIVE),
+    "workers": (_int, 1, _POSITIVE),
+    "out": (RunConfig.get, "out", ("non-empty", bool)),
 }
 
 
@@ -354,17 +350,14 @@ def cmd_certify(cfg, run):
 # -- construct-verify -------------------------------------------------------
 
 
-def write_effective_config(path, params, base, interval, run, tolerances):
+def write_effective_config(path, params, base, interval, run):
     """Fully resolved configuration; reloading it reproduces the same run."""
     cp = configparser.ConfigParser()
     ini_key = {"lambda": "lam", "C1": "c1", "C2": "c2"}
     cp["params"] = {ini_key.get(k, k): str(v) for k, v in params_dict(params).items()}
     cp["base"] = {"kind": base.kind, "s": str(base.s)}
     cp["interval"] = {"lo": f"{interval[0]:.17g}", "hi": f"{interval[1]:.17g}"}
-    cp["run"] = {k: f"{v:.17g}" if isinstance(v, float) else str(v)
-                 for k, v in run.items()}
-    if tolerances:
-        cp["tolerances"] = {k: f"{v:.17g}" for k, v in tolerances.items()}
+    cp["run"] = {k: str(v) for k, v in run.items()}
     with open(path, "w") as fh:
         cp.write(fh)
 
@@ -376,7 +369,6 @@ def cmd_construct_verify(cfg, run):
         params = dataclasses.replace(params, b=base.kahler_b(params.sign_phi))
     interval = interval_from_config(cfg)
     seed, samples, out_dir = run["seed"], run["samples"], run["out"]
-    tolerances = tolerances_from_config(cfg)
 
     if interval is None:
         interval = select_window(params, base, side=params.sign_phi)
@@ -385,8 +377,7 @@ def cmd_construct_verify(cfg, run):
         f"chart: {skr.chart.name}  interval=({skr.warp.interval[0]:.6g}, "
         f"{skr.warp.interval[1]:.6g})  expected_kahler={expected_kahler(base, params, skr.warp.interval)}"
     )
-    report = run_suite(skr, samples=samples, seed=seed,
-                       tolerance_scale=run["tolerance_scale"], tolerances=tolerances)
+    report = run_suite(skr, samples=samples, seed=seed)
     os.makedirs(out_dir, exist_ok=True)
     rpath = os.path.join(out_dir, "report.json")
     with open(rpath, "w") as fh:
@@ -399,7 +390,7 @@ def cmd_construct_verify(cfg, run):
         for row in skr.warp.csv_rows():
             writer.writerow([f"{x:.17g}" for x in row])
     epath = os.path.join(out_dir, "effective.ini")
-    write_effective_config(epath, params, base, skr.warp.interval, run, tolerances)
+    write_effective_config(epath, params, base, skr.warp.interval, run)
     print("\n".join(report.summary_lines()))
     print(f"report: {rpath}  (sha256 {report.report_hash[:16]}...)")
     print(f"warp profile: {wpath}")
@@ -430,7 +421,7 @@ def _clamp_window(params, phi, iv, qcap=50.0, span_cap=6.0):
 
     Two failure modes bound the usable range: where Q is tiny the integral
     of b/Q makes log r diverge (exp overflows any sampling shell), and
-    where Q is huge the metric entries dwarf the absolute tolerances.
+    where Q is huge the metric entries dwarf each check's absolute tolerance.
     Center on the grid point with Q nearest 1, grow while Q <= qcap, then
     cap the log r span.
     """
@@ -494,7 +485,7 @@ def select_window(params, base, side=None):
     return _clamp_window(params, phi, candidates[0])
 
 
-def _sweep_cell(index, m, a, c, C2, k, base_kind, s, samples, seed, ts):
+def _sweep_cell(index, m, a, c, C2, k, base_kind, s, samples, seed):
     row = {
         "index": index, "m": m, "a": str(a), "c": str(c), "C2": str(C2),
         "k": "branch" if k is None else str(k),
@@ -533,7 +524,7 @@ def _sweep_cell(index, m, a, c, C2, k, base_kind, s, samples, seed, ts):
         # cell relative to the profile scale on its own window
         t0, t1 = skr.warp.work_interval
         qmax = max(skr.warp.q.value(t0 + (t1 - t0) * i / 64) for i in range(65))
-        cell_ts = ts * max(1.0, qmax)
+        cell_ts = max(1.0, qmax)
         report = run_suite(skr, samples=samples, seed=seed,
                            tolerance_scale=cell_ts,
                            include_profile_identities=False)
@@ -568,7 +559,7 @@ def cmd_sweep(cfg, run):
         cfg.get("sweep", "k", "branch"),
         lambda x: None if x == "branch" else as_fraction(x, "k"), "k",
     )
-    cell_samples = _ranged(cfg, "sweep", "samples", _int, 25, *_POSITIVE)
+    cell_samples = _ranged(cfg, "sweep", "samples", _int, 25, _POSITIVE)
     kind = cfg.get("base", "kind", "flat")
     if kind not in ("flat", "fubini-study"):
         raise ConfigError(f"unknown base kind {kind!r}")
@@ -582,7 +573,7 @@ def cmd_sweep(cfg, run):
             pool.map(
                 lambda ic: _sweep_cell(
                     ic[0], *ic[1], base_kind=kind, s=s,
-                    samples=cell_samples, seed=seed, ts=run["tolerance_scale"],
+                    samples=cell_samples, seed=seed,
                 ),
                 enumerate(cells),
             )

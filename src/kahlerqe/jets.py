@@ -205,6 +205,3 @@ class CJet:
 
     def times_i(self):
         return CJet(-1.0 * self.im, self.re)
-
-    def abs2(self):
-        return self.re * self.re + self.im * self.im

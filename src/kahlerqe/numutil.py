@@ -161,6 +161,8 @@ def halton_points(dim, count, seed=0, skip=64):
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     start = skip + seed * 100003
+    if start + count - 1 > np.iinfo(np.int64).max:
+        raise ValueError(f"seed {seed} puts the sample indices past int64")
     out = np.zeros((count, dim))
     for j, base in enumerate(_first_primes(dim)):
         index = np.arange(start, start + count, dtype=np.int64)

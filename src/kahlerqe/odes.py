@@ -113,7 +113,6 @@ class ScalarProfile:
     value: Callable
     d1: Callable
     d2: Callable
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -124,14 +123,6 @@ class LinearODE2:
     B: RationalFunction
     C: RationalFunction
     D: RationalFunction
-
-    def residual(self, profile, x):
-        return (
-            self.A(x) * profile.d2(x)
-            + self.B(x) * profile.d1(x)
-            + self.C(x) * profile.value(x)
-            - self.D(x)
-        )
 
     def render(self, var="t"):
         return (
@@ -389,8 +380,7 @@ def phi_closed_form(params):
         pt = pterm(tau)
         return C2f * (pt * pt - pterm_d(tau)) * psi(tau)
 
-    label = f"C1 + C2 (t-2c)^{1 - a} (t-c)^{-m} t^{2 * m - 1 + a}"
-    return ScalarProfile(value=val, d1=d1, d2=d2, label=label)
+    return ScalarProfile(value=val, d1=d1, d2=d2)
 
 
 def closed_form_certificate(params, ode):

@@ -251,11 +251,6 @@ class RationalFunction:
     def is_polynomial(self):
         return self.den.degree == 0
 
-    def as_polynomial(self):
-        if not self.is_polynomial:
-            raise ValueError(f"not a polynomial: {self.render()}")
-        return self.num
-
     def __eq__(self, other):
         other = _as_rational(other)
         if other is NotImplemented:

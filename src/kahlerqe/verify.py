@@ -345,13 +345,11 @@ def base_dict(base):
             "kappa": str(base.kappa)}
 
 
-def run_suite(skr, samples=200, seed=0, tolerance_scale=1.0, tolerances=None,
+def run_suite(skr, samples=200, seed=0, tolerance_scale=1.0,
               include_profile_identities=True, label=""):
-    """Run every check on one shared deterministic point set; ``tolerances``
-    overrides entries of ``DEFAULT_TOLERANCES``, and every tolerance is
-    multiplied by ``tolerance_scale`` here, once."""
-    tols = {name: tol * tolerance_scale
-            for name, tol in {**DEFAULT_TOLERANCES, **(tolerances or {})}.items()}
+    """Run every check on one shared deterministic point set; every tolerance
+    of ``DEFAULT_TOLERANCES`` is multiplied by ``tolerance_scale`` here, once."""
+    tols = {name: tol * tolerance_scale for name, tol in DEFAULT_TOLERANCES.items()}
     geos, excluded = gather_points(skr, samples, seed=seed)
     records = [
         check_positive_definite(skr, geos),

@@ -153,7 +153,6 @@ def constant_q_profile(Q0, c):
         value=lambda t: Q0 / (2.0 * (t - c)),
         d1=lambda t: -Q0 / (2.0 * (t - c) ** 2),
         d2=lambda t: Q0 / (t - c) ** 3,
-        label="const-Q",
     )
 
 
@@ -181,7 +180,7 @@ def test_constant_q_chart_vertical_block():
     assert lo < 0.0 < hi
     pt = np.array([0.0, 0.0, 1.0, 0.0])
     g = metric_jets(skr.chart, pt)[0]
-    tau = float(skr.tau.fn(pt))
+    tau = float(skr.tau(pt))
     # vertical block Q/(b|w|)^2 Re<.,.> = Q0 * I at |w| = 1
     npt.assert_allclose(g[2:, 2:], Q0 * np.eye(2), atol=1e-9)
     # base block 2|tau - c| h = 2(tau + 2) I at x = 0 (P-terms vanish there)
@@ -214,7 +213,7 @@ def test_sample_points_deterministic_and_in_domain():
     lo, hi = skr.warp.work_interval
     for p in pts:
         assert skr.chart.domain(p)
-        assert lo <= float(skr.tau.fn(p)) <= hi
+        assert lo <= float(skr.tau(p)) <= hi
 
 
 def test_expected_kahler_pinned():
@@ -235,9 +234,9 @@ def test_end_to_end_flat():
     assert skr.dim == 4
     kf = float(p.k)
     for pt in skr.sample_points(10, seed=1):
-        tau = float(skr.tau.fn(pt))
+        tau = float(skr.tau(pt))
         assert 0.35 < tau < 0.95
-        fval = float(np.asarray(skr.f.fn(pt)))
+        fval = float(np.asarray(skr.f(pt)))
         assert abs(fval - (1.0 / tau + kf)) < 1e-12
         assert is_positive_definite(metric_jets(skr.chart, pt)[0])
 
@@ -248,7 +247,7 @@ def test_end_to_end_fubini_study():
                         interval=(1.3, 1.9))
     assert skr.dim == 6
     pt = skr.sample_points(4, seed=0)[0]
-    assert 1.3 < float(skr.tau.fn(pt)) < 1.9
+    assert 1.3 < float(skr.tau(pt)) < 1.9
     assert is_positive_definite(metric_jets(skr.chart, pt)[0])
 
 

@@ -11,10 +11,8 @@ import pytest
 
 from kahlerqe.charts import (
     ChartDomainError,
-    ComplexStructure,
     MetricChart,
     PointGeometry,
-    ScalarField,
     SingularMetricError,
     christoffel,
     conformal_scale,
@@ -124,7 +122,7 @@ def test_fubini_study_line_is_kahler_einstein():
         return [[w, 0.0], [0.0, w]]
 
     ch = MetricChart(dim=2, components=comps, name="fs1")
-    J = ComplexStructure(lambda c: J2, "J")
+    J = lambda c: J2
     for p in (np.array([0.0, 0.0]), np.array([0.4, -0.3]), np.array([1.0, 0.5])):
         npt.assert_allclose(ricci(ch, p), 2.0 * metric_jets(ch, p)[0], atol=1e-10)
         assert _geometry(ch, p, J=J).kahler_residual < 1e-10
@@ -215,8 +213,8 @@ def test_ricci_matches_finite_differences():
 
 def test_hessian_fixtures():
     ch = flat_chart(2)
-    sq = ScalarField(lambda c: c[0] * c[0], "x^2")
-    lin = ScalarField(lambda c: 3.0 * c[0] - 2.0 * c[1], "linear")
+    sq = lambda c: c[0] * c[0]
+    lin = lambda c: 3.0 * c[0] - 2.0 * c[1]
     p = np.array([0.7, -0.2])
     npt.assert_allclose(hessian(ch, sq, p), [[2.0, 0.0], [0.0, 0.0]], atol=1e-14)
     npt.assert_allclose(hessian(ch, lin, p), 0.0, atol=1e-14)
@@ -226,7 +224,7 @@ def test_sphere_height_function_hessian():
     from kahlerqe.jets import cos_
 
     ch = sphere_chart()
-    height = ScalarField(lambda c: cos_(c[0]), "cos(theta)")
+    height = lambda c: cos_(c[0])
     for th in (0.5, 1.2, 2.0):
         p = np.array([th, 1.0])
         npt.assert_allclose(
@@ -238,23 +236,23 @@ def test_sphere_height_function_hessian():
 
 def test_gradient_laplacian_fixtures():
     ch = flat_chart(2)
-    rad = ScalarField(lambda c: c[0] * c[0] + c[1] * c[1], "r^2")
+    rad = lambda c: c[0] * c[0] + c[1] * c[1]
     p = np.array([0.6, -0.8])
     geo = _geometry(ch, p, tau=rad)
     assert abs(geo.grad_tau_sq - 4.0 * (0.6 ** 2 + 0.8 ** 2)) < 1e-13
     assert abs(geo.lap_tau - 4.0) < 1e-13
     npt.assert_allclose(geo.grad_tau, [1.2, -1.6], atol=1e-14)
-    const = _geometry(ch, p, tau=ScalarField(lambda c: 5.0, "const"))
+    const = _geometry(ch, p, tau=lambda c: 5.0)
     assert const.grad_tau_sq == 0.0
     assert const.lap_tau == 0.0
 
 
 def test_killing_fixtures():
     ch = flat_chart(2)
-    J = ComplexStructure(lambda c: J2, "J")
-    rot = ScalarField(lambda c: 0.5 * (c[0] * c[0] + c[1] * c[1]), "rotation")
-    trans = ScalarField(lambda c: c[0], "translation")
-    bad = ScalarField(lambda c: c[0] * c[0], "anisotropic")
+    J = lambda c: J2
+    rot = lambda c: 0.5 * (c[0] * c[0] + c[1] * c[1])
+    trans = lambda c: c[0]
+    bad = lambda c: c[0] * c[0]
     p = np.array([0.9, 0.4])
     assert _geometry(ch, p, tau=rot, J=J).killing_residual < 1e-13
     assert _geometry(ch, p, tau=trans, J=J).killing_residual < 1e-13
@@ -264,7 +262,7 @@ def test_killing_fixtures():
 def test_kahler_fixtures():
     ch = flat_chart(4)
     J4 = np.kron(np.eye(2), J2)
-    J = ComplexStructure(lambda c: J4, "J")
+    J = lambda c: J4
     p = np.array([0.3, -0.4, 0.8, 0.1])
     assert _geometry(ch, p, J=J).kahler_residual < 1e-14
 
@@ -288,7 +286,7 @@ def test_kahler_fixtures():
 
 def test_conformal_scale_constant_factor():
     ch = flat_chart(3)
-    tau = ScalarField(lambda c: 2.0, "two")
+    tau = lambda c: 2.0
     gh = conformal_scale(ch, tau)
     p = np.array([0.1, 0.2, 0.3])
     npt.assert_allclose(metric_jets(gh, p)[0], np.eye(3) / 4.0, atol=1e-15)
@@ -298,7 +296,7 @@ def test_conformal_scale_constant_factor():
 def test_conformal_scale_gives_hyperbolic():
     """Flat plane scaled by 1/y^2 (potential tau = y) is the hyperbolic plane."""
     ch = flat_chart(2)
-    tau = ScalarField(lambda c: c[1], "y")
+    tau = lambda c: c[1]
     gh = conformal_scale(ch, tau)
     for p in (np.array([0.0, 1.0]), np.array([0.5, 0.7]), np.array([-1.0, 2.0])):
         npt.assert_allclose(ricci(gh, p), -metric_jets(gh, p)[0], atol=1e-9)

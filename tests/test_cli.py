@@ -5,6 +5,7 @@ round trip."""
 import csv
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -175,8 +176,10 @@ def test_effective_config_roundtrip(tmp_path):
 
 
 def test_construct_verify_failure_exit(tmp_path):
-    strict = FLAT_INI + "\n[tolerances]\nkahler = 1e-18\n"
-    cfgp = write(tmp_path, "strict.ini", strict)
+    # b = -1 is not the Kahler value on the sign_phi = -1 side: the pinned
+    # kahler check fails (max about 8.5 against 1e-8)
+    wrong_b = FLAT_INI.replace("b = 1\n", "b = -1\n")
+    cfgp = write(tmp_path, "wrong_b.ini", wrong_b)
     rc = cli.main(["construct-verify", "--config", cfgp, "--out", str(tmp_path / "o")])
     assert rc == 2
 
@@ -307,7 +310,9 @@ def test_each_command_takes_only_its_flags(tmp_path, capsys):
     cfgp = write(tmp_path, "flat.ini", FLAT_INI)
     for argv in (["certify", "--samples", "5"],
                  ["construct-verify", "--workers", "2"],
-                 ["sweep", "--samples", "5"]):
+                 ["construct-verify", "--tolerance-scale", "1e10"],
+                 ["sweep", "--samples", "5"],
+                 ["sweep", "--tolerance-scale", "2"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + ["--config", cfgp])
         assert exc.value.code == 2
@@ -321,6 +326,10 @@ def test_each_command_rejects_what_it_does_not_read(tmp_path, capsys):
         ("construct-verify", FLAT_INI + "workers = 2\n", "'workers'"),
         ("sweep", sweep + "[run]\nsamples = 3\n", "'samples'"),
         ("sweep", sweep + "[tolerances]\nkahler = 1\n", "[tolerances]"),
+        # no setting can loosen a pinned tolerance
+        ("construct-verify", FLAT_INI + "[tolerances]\nkahler = 1e300\n", "[tolerances]"),
+        ("construct-verify", FLAT_INI + "tolerance_scale = 2\n", "'tolerance_scale'"),
+        ("sweep", sweep + "[run]\ntolerance_scale = 2\n", "'tolerance_scale'"),
     ):
         cfgp = write(tmp_path, "extra.ini", text)
         assert cli.main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == 4
@@ -335,8 +344,7 @@ def test_flags_parse_like_ini_values(tmp_path, capsys):
     cfgp = write(tmp_path, "flat.ini", FLAT_INI)
     for flag, value, message in (
         ("--seed", "-1", "[run] seed must be non-negative, got -1"),
-        ("--tolerance-scale", "inf", "[run] tolerance_scale must be numeric"),
-        ("--tolerance-scale", "0", "[run] tolerance_scale must be positive, got 0.0"),
+        ("--seed", str(10**20), f"[run] seed must be at most {10**12}, got {10**20}"),
         ("--samples", "0", "[run] samples must be positive, got 0"),
     ):
         argv = ["construct-verify", "--config", cfgp, "--out", str(tmp_path / "o")]
@@ -350,14 +358,59 @@ def test_flags_parse_like_ini_values(tmp_path, capsys):
     sweep = write(tmp_path, "sweep.ini", "[sweep]\nm = 2\n[base]\nkind = flat\n")
     assert cli.main(["sweep", "--config", sweep, "--workers", "0"]) == 4
     assert "[run] workers must be positive, got 0" in capsys.readouterr().err
+    # a seed whose sample stream would start past int64, for both commands
+    big = f"[run]\nseed = {10**20}\n"
+    for command, text in (("construct-verify", FLAT_INI.replace("[run]\nseed = 0\n", big)),
+                          ("sweep", "[sweep]\nm = 2\n[base]\nkind = flat\n" + big)):
+        cfgp = write(tmp_path, "big.ini", text)
+        assert cli.main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == 4
+        assert (f"config error: [run] seed must be at most {10**12}, got {10**20}\n"
+                == capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def _readme_lines():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        return fh.read().splitlines()
+
+
+def _ticked(text):
+    return re.findall(r"`([^`]*)`", text)
+
+
+def test_readme_settings_table_matches_reads():
+    # the "sections and keys it reads" table and the key list under it name
+    # exactly what cli._READS accepts, command by command
+    lines = _readme_lines()
+    head = lines.index("| command | sections and keys it reads | `[run]` keys, each also a flag |")
+    table = {}
+    for line in lines[head + 2:]:
+        if not line.startswith("|"):
+            break
+        command, sections, run = (cell.strip() for cell in line.strip("|").split("|"))
+        (command,) = _ticked(command)
+        table[command] = ({sec.strip("[]") for sec in _ticked(sections)} | {"run"},
+                          tuple(_ticked(run)))
+    start = next(i for i, line in enumerate(lines[head:], head)
+                 if line.startswith("The keys are"))
+    paragraph = " ".join(lines[start:lines.index("", start)])
+    keys = {sec: tuple(k.strip() for k in ks.split(","))
+            for ks, sec in re.findall(r"`([^`]*)` in `\[(\w+)\]`", paragraph)}
+    assert sorted(table) == sorted(cli._READS)
+    for command, reads in cli._READS.items():
+        sections, run = table[command]
+        assert sections == set(reads), command
+        for sec, want in reads.items():
+            assert (run if sec == "run" else keys[sec]) == want, (command, sec)
+    read = {sec for reads in cli._READS.values() for sec in reads}
+    assert set(keys) <= read
 
 
 def test_readme_configs_load_under_their_commands(tmp_path):
     # every ```ini block of the README belongs to the command named by the
     # "### `kahlerqe <command> ..." heading above it
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme) as fh:
-        lines = fh.read().splitlines()
+    lines = _readme_lines()
     command, loaded = None, 0
     for i, line in enumerate(lines):
         if line.startswith("### `kahlerqe "):

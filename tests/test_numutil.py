@@ -48,6 +48,14 @@ def test_halton_points_reject_negative_seed():
         halton_points(2, 3, seed=-1)
 
 
+def test_halton_points_reject_indices_past_int64():
+    # the last index of the stretch must fit the int64 digit arithmetic
+    with pytest.raises(ValueError, match="past int64"):
+        halton_points(2, 3, seed=10**20)
+    top = (np.iinfo(np.int64).max - 64 - 2) // 100003
+    assert np.all(np.isfinite(halton_points(2, 3, seed=top)))
+
+
 def test_cli_import_does_not_load_scipy():
     src = os.path.dirname(os.path.dirname(kahlerqe.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

@@ -18,10 +18,8 @@ from kahlerqe.builder import (
     end_to_end,
 )
 from kahlerqe.charts import (
-    ComplexStructure,
     MetricChart,
     PointGeometry,
-    ScalarField,
     conformal_jets,
     conformal_scale,
     metric_jets,
@@ -194,8 +192,8 @@ def _product_double_fixture(Q0=3.0, tau0=2.0):
     )
     return SimpleNamespace(
         chart=chart,
-        tau=ScalarField(tau_fn, "tau"),
-        J=ComplexStructure(lambda c: J4, "J"),
+        tau=tau_fn,
+        J=lambda c: J4,
         dim=4,
     )
 
@@ -222,7 +220,7 @@ def test_horizontal_frame_uses_J_at_the_sample_point():
         wsq = c[2] * c[2] + c[3] * c[3]
         return [[float(J4[i, j]) * wsq for j in range(4)] for i in range(4)]
 
-    ns.J = ComplexStructure(J_fn, "|w|^2 J")
+    ns.J = J_fn
     pts = [
         np.array([0.3, -0.2, 0.6, 0.8]),
         np.array([-0.5, 0.1, 0.8, -0.6]),
@@ -238,9 +236,9 @@ def test_generic_kahler_chart_fails_skr_check():
         return np.eye(4).tolist()
 
     chart = MetricChart(dim=4, components=comps, name="flat4")
-    tau = ScalarField(lambda c: c[0] * c[0] + c[2] * c[2], "x0^2+u^2")
+    tau = lambda c: c[0] * c[0] + c[2] * c[2]
     ns = SimpleNamespace(
-        chart=chart, tau=tau, J=ComplexStructure(lambda c: J4, "J"), dim=4
+        chart=chart, tau=tau, J=lambda c: J4, dim=4
     )
     pts = [np.array([0.3, 0.7, 0.5, 0.2]), np.array([-0.4, 0.1, 0.9, -0.3])]
     rec = check_skr(ns, _geometries(ns, pts))
@@ -273,7 +271,7 @@ def test_einstein_product_alpha_zero():
     )
     ns = SimpleNamespace(
         chart=chart,
-        tau=ScalarField(cos1, "cos(theta1)"),
+        tau=cos1,
         params=None,
         warp=SimpleNamespace(phi=None),
         dim=4,
@@ -302,8 +300,8 @@ def test_constant_f_makes_fiber_constant_exact():
                         domain=lambda p: p[1] > 0.1, name="h2")
     ns = SimpleNamespace(
         chart=chart,
-        tau=ScalarField(lambda c: 1.0, "one"),
-        f=ScalarField(lambda c: 3.0, "three"),
+        tau=lambda c: 1.0,
+        f=lambda c: 3.0,
         params=SKRParams(m=2, a=2, c=1, k=0, lam=5),
     )
     pts = [np.array([0.1, 0.5]), np.array([-0.7, 1.2]), np.array([0.4, 2.0])]
@@ -336,7 +334,7 @@ def test_gather_points_counts_and_degeneracy(flat_skr):
     pts, excluded = gather_points(skr, 15, seed=2)
     assert len(pts) == 15
     assert excluded == 0
-    degenerate = replace(skr, tau=ScalarField(lambda c: 1.0, "const"))
+    degenerate = replace(skr, tau=lambda c: 1.0)
     with pytest.raises(RuntimeError, match="usable"):
         gather_points(degenerate, 5, seed=0)
 
