@@ -10,8 +10,16 @@ integral dl/dtau = b/Q(tau), and the metric is
     g = 2|tau - c| h   on Chern-horizontal vectors,
     g = Q/(b |w|)^2 * Re<.,.>   on vertical vectors,
 
-where Q = 2 (tau - c) phi.  Everything is written with jet-friendly
-arithmetic so curvature comes out of automatic differentiation.
+where Q = 2 (tau - c) phi.  With the real covectors alpha, beta of
+alpha + i beta = 2 d'rho - dw/w (up to sign, the Chern connection form of
+e^(-2 rho), so it vanishes exactly on Chern-horizontal vectors), this is
+the one formula
+
+    g = 2|tau - c| h + (Q/b^2)(alpha (x) alpha + beta (x) beta),
+
+with h the base metric, zero on the fiber rows and columns.  Everything is
+written with jet-friendly arithmetic so curvature comes out of automatic
+differentiation.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from kahlerqe.charts import MetricChart
-from kahlerqe.jets import CJet, Jet, log_
+from kahlerqe.jets import Jet, log_
 from kahlerqe.numutil import (
     ConvergenceError,
     PanelAntiderivative,
@@ -264,61 +272,15 @@ class WarpProfile:
 
 
 def _rho_terms(base, xs, s):
-    """(rho, [P_i]) for the bundle metric e^(-2 rho): P_i = d rho / d z at e_i."""
-    d = base.dim_c
+    """(rho, k) for the bundle metric e^(-2 rho): d rho = k x.dx, with k = s
+    (flat) or s/(1+|x|^2) (Fubini-Study)."""
     sum_sq = None
     for x in xs:
         sum_sq = x * x if sum_sq is None else sum_sq + x * x
     if base.kind == FLAT:
-        rho = 0.5 * s * sum_sq
-        scale = 0.5 * s
-        P = []
-        for j in range(d):
-            pj = CJet(scale * xs[2 * j], -scale * xs[2 * j + 1])
-            P.append(pj)
-            P.append(pj.times_i())
-        return rho, P
+        return 0.5 * s * sum_sq, s
     denom = 1.0 + sum_sq
-    rho = 0.5 * s * log_(denom)
-    inv = 1.0 / denom
-    P = []
-    for j in range(d):
-        pj = CJet(0.5 * s * xs[2 * j] * inv, -0.5 * s * xs[2 * j + 1] * inv)
-        P.append(pj)
-        P.append(pj.times_i())
-    return rho, P
-
-
-def _base_metric_entries(base, xs):
-    """Real components of the fixed-normalization base metric h."""
-    d = base.dim_c
-    n = 2 * d
-    if base.kind == FLAT:
-        return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    sum_sq = None
-    for x in xs:
-        sum_sq = x * x if sum_sq is None else sum_sq + x * x
-    denom = 1.0 + sum_sq
-    inv = 1.0 / denom
-    inv2 = inv * inv
-    # h_jk-bar = delta_jk / denom - zbar_j z_k / denom^2
-    z = [CJet(xs[2 * j], xs[2 * j + 1]) for j in range(d)]
-    H = [[None] * n for _ in range(n)]
-    for j in range(d):
-        for k in range(d):
-            hjk = z[j].conj() * z[k] * (-inv2)
-            if j == k:
-                hjk = CJet(hjk.re + inv, hjk.im)
-            # entries over the four real pairings; dz^j(e_{2j+1}) = i
-            for aa in range(2):
-                for bb in range(2):
-                    m1 = hjk
-                    if aa:
-                        m1 = m1.times_i()
-                    if bb:
-                        m1 = CJet(m1.im, -1.0 * m1.re)  # times -i
-                    H[2 * j + aa][2 * k + bb] = 2.0 * m1.re
-    return H
+    return 0.5 * s * log_(denom), s / denom
 
 
 def _standard_J(n):
@@ -389,34 +351,31 @@ def assemble_chart(base, warp):
     def components(coords):
         xs = list(coords[: 2 * d])
         u, v = coords[2 * d], coords[2 * d + 1]
-        rho, P = _rho_terms(base, xs, s)
+        rho, k = _rho_terms(base, xs, s)
         wsq = u * u + v * v
-        ell = 0.5 * log_(wsq) - rho
-        tau = warp.tau_jet(ell)
-        Q = warp.q_jet(tau)
+        tau = warp.tau_jet(0.5 * log_(wsq) - rho)
         hfac = 2.0 * sign_tc * (tau - cf)
-        vcoef = Q * inv_b2
-        wfac = 1.0 / wsq
-        H = _base_metric_entries(base, xs)
+        vcoef = warp.q_jet(tau) * inv_b2
+        # alpha + i beta = 2 d'rho - dw/w
+        alpha, beta = [], []
+        for j in range(d):
+            kx, ky = k * xs[2 * j], k * xs[2 * j + 1]
+            alpha += [kx, ky]
+            beta += [-ky, kx]
+        au, av = -u / wsq, -v / wsq
+        alpha += [au, av]
+        beta += [-av, au]
+        # base block of h: I (flat), (2k/s) I - (2/s^2)(alpha alpha + beta beta) (FS)
+        if base.kind == FLAT:
+            hdiag, hcoef = hfac, vcoef
+        else:
+            hdiag, hcoef = (2.0 / s) * k * hfac, vcoef - (2.0 / (s * s)) * hfac
         g = [[None] * n for _ in range(n)]
-        for i in range(2 * d):
-            for j in range(i, 2 * d):
-                vert = P[i] * P[j].conj()
-                g[i][j] = hfac * H[i][j] + 4.0 * vcoef * vert.re
-                if j != i:
-                    g[j][i] = g[i][j]
-        w = CJet(u, v)
-        two_vw = 2.0 * vcoef * wfac
-        for i in range(2 * d):
-            pw = P[i] * w
-            g[i][2 * d] = -1.0 * two_vw * pw.re
-            g[2 * d][i] = g[i][2 * d]
-            g[i][2 * d + 1] = -1.0 * two_vw * pw.im
-            g[2 * d + 1][i] = g[i][2 * d + 1]
-        g[2 * d][2 * d] = vcoef * wfac
-        g[2 * d + 1][2 * d + 1] = vcoef * wfac
-        g[2 * d][2 * d + 1] = 0.0
-        g[2 * d + 1][2 * d] = 0.0
+        for i in range(n):
+            for j in range(i, n):
+                coef = hcoef if j < 2 * d else vcoef
+                gij = coef * (alpha[i] * alpha[j] + beta[i] * beta[j])
+                g[i][j] = g[j][i] = gij + hdiag if i == j < 2 * d else gij
         return g
 
     lo_ell, hi_ell = warp.ell_range

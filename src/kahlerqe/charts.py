@@ -316,6 +316,16 @@ class PointGeometry:
         with J taken at this point."""
         return _horizontal_frame(self.g, self.grad_tau, self.J @ self.grad_tau)
 
+    def horizontal_block(self, S):
+        """The (n-2)x(n-2) block of a 2-tensor S on the ``horizontal`` frame."""
+        hs = self.horizontal
+        return np.array([[u @ S @ w for w in hs] for u in hs])
+
+    @cached_property
+    def hess_tau_horizontal(self):
+        """Hess tau on the ``horizontal`` frame, built once for every check."""
+        return self.horizontal_block(self.hess_tau)
+
 
 def conformal_scale(chart, fn):
     """Chart for g-hat = g / tau^2; domain excludes zeros of tau."""

@@ -185,8 +185,10 @@ def params_from_config(cfg):
         raise ConfigError(f"invalid [params]: {exc}") from exc
 
 
-def base_from_config(cfg, m):
-    kind = cfg.get("base", "kind")
+def base_from_config(cfg, m, kind=None):
+    """``[base]`` as a BaseModel of complex dimension m - 1; ``kind`` stands in
+    for a missing ``[base] kind`` (None: the key is required)."""
+    kind = cfg.get("base", "kind", kind)
     if kind is None:
         raise ConfigError("[base] kind is required (flat or fubini-study)")
     s = _frac(cfg, "base", "s", Fraction(1))
@@ -485,7 +487,7 @@ def select_window(params, base, side=None):
     return _clamp_window(params, phi, candidates[0])
 
 
-def _sweep_cell(index, m, a, c, C2, k, base_kind, s, samples, seed):
+def _sweep_cell(index, m, a, c, C2, k, base, samples, seed):
     row = {
         "index": index, "m": m, "a": str(a), "c": str(c), "C2": str(C2),
         "k": "branch" if k is None else str(k),
@@ -496,7 +498,7 @@ def _sweep_cell(index, m, a, c, C2, k, base_kind, s, samples, seed):
     }
     try:
         try:
-            base = BaseModel(kind=base_kind, dim_c=m - 1, s=s)
+            base = dataclasses.replace(base, dim_c=m - 1)
             if k is not None:
                 probe = SKRParams(m=m, a=a, c=c, k=k, kappa=base.kappa, C2=C2)
                 if nonexistence_decision(probe) != CONSTANTS_ADMITTED:
@@ -560,10 +562,8 @@ def cmd_sweep(cfg, run):
         lambda x: None if x == "branch" else as_fraction(x, "k"), "k",
     )
     cell_samples = _ranged(cfg, "sweep", "samples", _int, 25, _POSITIVE)
-    kind = cfg.get("base", "kind", "flat")
-    if kind not in ("flat", "fubini-study"):
-        raise ConfigError(f"unknown base kind {kind!r}")
-    s = _frac(cfg, "base", "s", Fraction(1))
+    # checked once, before any cell; each cell sets its own dim_c = m - 1
+    base = base_from_config(cfg, 2, kind="flat")
     seed, workers, out_dir = run["seed"], run["workers"], run["out"]
 
     cells = list(itertools.product(ms, a_list, c_list, C2_list, k_list))
@@ -572,8 +572,7 @@ def cmd_sweep(cfg, run):
         rows = list(
             pool.map(
                 lambda ic: _sweep_cell(
-                    ic[0], *ic[1], base_kind=kind, s=s,
-                    samples=cell_samples, seed=seed,
+                    ic[0], *ic[1], base=base, samples=cell_samples, seed=seed,
                 ),
                 enumerate(cells),
             )

@@ -170,38 +170,3 @@ def cos_(x):
         return x.compose(c, -s, -c)
     return math.cos(x)
 
-
-class CJet:
-    """Complex scalar whose real and imaginary parts are floats or Jets.
-
-    Only the small algebra needed for Hermitian metric components is
-    provided: +, -, *, conjugation and multiplication by i.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re = re
-        self.im = im
-
-    def __add__(self, other):
-        return CJet(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return CJet(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        if isinstance(other, CJet):
-            return CJet(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return CJet(self.re * other, self.im * other)
-
-    __rmul__ = __mul__
-
-    def conj(self):
-        return CJet(self.re, -1.0 * self.im)
-
-    def times_i(self):
-        return CJet(-1.0 * self.im, self.re)

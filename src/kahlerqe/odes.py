@@ -337,9 +337,10 @@ def phi_closed_form(params):
     C1f, C2f = float(params.C1), float(params.C2)
     cf = float(c)
     a_int = a.denominator == 1
-    # factors psi = prod (tau - root)^e, zero exponents dropped
+    # factors psi = prod (tau - root)^e, zero exponents dropped; a float
+    # power with an integral exponent is bitwise the int power
     factors = [
-        (e, root)
+        (float(e), root)
         for e, root in ((1 - a, 2 * cf), (Fraction(-m), cf), (2 * m - 1 + a, 0.0))
         if e != 0
     ]
@@ -356,16 +357,15 @@ def phi_closed_form(params):
     def psi(tau):
         out = 1.0
         for e, root in factors:
-            base = tau - root
-            out *= base ** int(e) if e.denominator == 1 else base ** float(e)
+            out *= (tau - root) ** e
         return out
 
     # psi'/psi = sum e/(tau-root) = -p
     def pterm(tau):
-        return -sum(float(e) / (tau - root) for e, root in factors)
+        return -sum(e / (tau - root) for e, root in factors)
 
     def pterm_d(tau):
-        return sum(float(e) / (tau - root) ** 2 for e, root in factors)
+        return sum(e / (tau - root) ** 2 for e, root in factors)
 
     def val(tau):
         _check(tau)

@@ -137,10 +137,6 @@ def check_killing(skr, geos, tol=DEFAULT_TOLERANCES["killing"]):
     return _finish("killing", res, tol, geos)
 
 
-def _horizontal_block(S, hs):
-    return np.array([[u @ S @ w for w in hs] for u in hs])
-
-
 def check_skr(skr, geos, tol=DEFAULT_TOLERANCES["skr-eigenstructure"]):
     """Eigenstructure of Hess(tau) and Ricci on the complement of
     {grad tau, J grad tau}: both must restrict to scalars there with no
@@ -153,8 +149,8 @@ def check_skr(skr, geos, tol=DEFAULT_TOLERANCES["skr-eigenstructure"]):
         v2 = geo.J @ v1
         hs = geo.horizontal
         worst = 0.0
-        for S, keep in ((geo.hess_tau, True), (geo.ricci, False)):
-            block = _horizontal_block(S, hs)
+        for S, block, keep in ((geo.hess_tau, geo.hess_tau_horizontal, True),
+                               (geo.ricci, geo.horizontal_block(geo.ricci), False)):
             lam = np.trace(block) / (n - 2)
             worst = max(worst, float(np.max(np.abs(block - lam * np.eye(n - 2)))))
             for vv in (v1, v2):
@@ -264,7 +260,7 @@ def check_profile_identities(skr, geos, tols=DEFAULT_TOLERANCES):
         e_grad.append(abs(geo.grad_tau_sq - q.value(t)))
         e_lap.append(abs(geo.lap_tau - (2 * m * phi.value(t) + 2 * (t - cf) * phi.d1(t))))
         e_c.append(abs((t - q.value(t) / (2 * phi.value(t))) - cf))
-        lam = np.trace(_horizontal_block(geo.hess_tau, geo.horizontal)) / (n - 2)
+        lam = np.trace(geo.hess_tau_horizontal) / (n - 2)
         e_eig.append(abs(lam - phi.value(t)))
     out = []
     for name, errs in (
@@ -346,7 +342,7 @@ def base_dict(base):
 
 
 def run_suite(skr, samples=200, seed=0, tolerance_scale=1.0,
-              include_profile_identities=True, label=""):
+              include_profile_identities=True):
     """Run every check on one shared deterministic point set; every tolerance
     of ``DEFAULT_TOLERANCES`` is multiplied by ``tolerance_scale`` here, once."""
     tols = {name: tol * tolerance_scale for name, tol in DEFAULT_TOLERANCES.items()}
@@ -364,7 +360,7 @@ def run_suite(skr, samples=200, seed=0, tolerance_scale=1.0,
     if include_profile_identities:
         records.extend(check_profile_identities(skr, geos, tols))
     return VerificationReport(
-        label=label or skr.chart.name,
+        label=skr.chart.name,
         params=params_dict(skr.params),
         base=base_dict(skr.base),
         interval=skr.warp.interval,

@@ -234,7 +234,7 @@ def verified_charts():
         skr, _ = end_to_end(params, base, interval=interval)
         t0 = time.perf_counter()
         report = run_suite(skr, samples=200, seed=0,
-                           include_profile_identities=False, label=label)
+                           include_profile_identities=False)
         elapsed = time.perf_counter() - t0
         out.append((label, skr, report, elapsed))
     return out

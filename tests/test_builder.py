@@ -183,10 +183,55 @@ def test_constant_q_chart_vertical_block():
     tau = float(skr.tau(pt))
     # vertical block Q/(b|w|)^2 Re<.,.> = Q0 * I at |w| = 1
     npt.assert_allclose(g[2:, 2:], Q0 * np.eye(2), atol=1e-9)
-    # base block 2|tau - c| h = 2(tau + 2) I at x = 0 (P-terms vanish there)
+    # base block 2|tau - c| h = 2(tau + 2) I at x = 0 (connection terms vanish there)
     npt.assert_allclose(g[:2, :2], 2.0 * (tau + 2.0) * np.eye(2), atol=1e-9)
     npt.assert_allclose(g[:2, 2:], 0.0, atol=1e-12)
     assert is_positive_definite(g)
+
+
+@pytest.mark.parametrize("params, kind, dim_c, interval", (
+    (flat_params(), FLAT, 1, (0.35, 0.95)),
+    (fs_params(a=2, C2=Fraction(-1, 100)), FUBINI_STUDY, 2, (1.3, 1.9)),
+), ids=("flat-a1", "fs-a2"))
+def test_metric_blocks_on_chern_horizontal_lifts(params, kind, dim_c, interval):
+    # the defining blocks of g away from x = 0, where the connection terms
+    # do not vanish: 2|tau - c| h on the horizontal lifts X_a of e_a,
+    # Q/(b|w|)^2 I on the vertical (d_u, d_v), and nothing between them
+    skr, _ = end_to_end(params, BaseModel(kind=kind, dim_c=dim_c, s=1), interval)
+    nb = 2 * dim_c
+    c, b = float(params.c), float(params.b)
+    for pt in skr.sample_points(10, seed=0):
+        assert skr.chart.domain(pt)
+        x, (u, v) = pt[:nb], pt[nb:]
+        D = 1.0 + x @ x
+        # d rho = k x.dx for rho = |x|^2/2 (flat) or log(1 + |x|^2)/2
+        k = 1.0 if kind == FLAT else 1.0 / D
+        Jx = np.empty(nb)
+        Jx[0::2], Jx[1::2] = -x[1::2], x[0::2]
+        wsq = u * u + v * v
+        # alpha + i beta = 2 d'rho - dw/w; X_a = e_a + lam d_u + mu d_v
+        # has alpha(X_a) = beta(X_a) = 0
+        fiber = np.array([[-u, -v], [v, -u]]) / wsq
+        lam_mu = np.linalg.solve(fiber, -np.array([k * x, k * Jx]))
+        X = np.hstack([np.eye(nb), lam_mu.T])
+        V = np.hstack([np.zeros((2, nb)), np.eye(2)])
+        # h_jk = delta_jk (flat), d d-bar log(1 + |z|^2) (Fubini-Study)
+        if kind == FLAT:
+            h = np.eye(nb)
+        else:
+            xi = np.eye(nb)[:, 0::2] + 1j * np.eye(nb)[:, 1::2]  # dz^j(e_a)
+            zbar_xi = xi @ (x[0::2] - 1j * x[1::2])
+            h = 2.0 * np.real(xi @ xi.conj().T / D
+                              - np.outer(zbar_xi, zbar_xi.conj()) / D**2)
+        g = metric_jets(skr.chart, pt)[0]
+        tau = float(skr.tau(pt))
+        q = skr.warp.q.value(tau)
+        scale = np.max(np.abs(g))
+        npt.assert_allclose(X @ g @ X.T / scale, 2.0 * abs(tau - c) * h / scale,
+                            rtol=0, atol=1e-13)
+        npt.assert_allclose(X @ g @ V.T / scale, 0.0, rtol=0, atol=1e-13)
+        npt.assert_allclose(V @ g @ V.T / scale, q / (b * b * wsq) * np.eye(2) / scale,
+                            rtol=0, atol=1e-13)
 
 
 def test_assemble_chart_rejections():

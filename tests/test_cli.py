@@ -270,10 +270,14 @@ kind = fubini-study
 
 
 def test_sweep_config_rejections(tmp_path, capsys):
-    grid = "[sweep]\nm = 2\na = 1\nc = 1\nc2 = 1\n{extra}\n[base]\nkind = flat\n"
-    for extra, message in (("k =", "empty k list"),
-                           ("samples = 0", "samples must be positive, got 0")):
-        cfgp = write(tmp_path, "bad.ini", grid.format(extra=extra))
+    grid = "[sweep]\nm = 2\na = 1\nc = 1\nc2 = 1\n{extra}\n[base]\n{base}\n"
+    for extra, base, message in (
+            ("k =", "kind = flat", "empty k list"),
+            ("samples = 0", "kind = flat", "samples must be positive, got 0"),
+            # [base] is checked as construct-verify checks it, before any cell
+            ("", "kind = flat\ns = 0", "config error: invalid [base]: s must be nonzero"),
+            ("", "kind = round", "config error: invalid [base]: unknown base kind 'round'")):
+        cfgp = write(tmp_path, "bad.ini", grid.format(extra=extra, base=base))
         assert cli.main(["sweep", "--config", cfgp, "--out", str(tmp_path / "o")]) == 4
         assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 
-from kahlerqe.jets import CJet, Jet, cos_, exp_, log_, sin_, sqrt_, value
+from kahlerqe.jets import Jet, cos_, exp_, log_, sin_, sqrt_, value
 
 
 def _fd_grad_hess(fn, x, h=1e-5):
@@ -117,28 +117,3 @@ def test_value_passthrough():
     (x,) = Jet.seed(np.array([1.25]))
     assert value(x) == 1.25
 
-
-def test_cjet_algebra():
-    x, y = Jet.seed(np.array([0.3, -0.8]))
-    z = CJet(x, y)
-    w = CJet(y * y, x + 1.0)
-    prod = z * w
-    zc = complex(0.3, -0.8)
-    wc = complex(0.64, 1.3)
-    assert math.isclose(value(prod.re), (zc * wc).real, rel_tol=1e-14)
-    assert math.isclose(value(prod.im), (zc * wc).imag, rel_tol=1e-14)
-    assert math.isclose(value((z * z.conj()).re), abs(zc) ** 2, rel_tol=1e-14)
-    conj = z.conj()
-    assert value(conj.im) == 0.8
-    ii = z.times_i().times_i()
-    assert math.isclose(value(ii.re), -0.3, rel_tol=1e-14)
-    assert math.isclose(value(ii.im), 0.8, rel_tol=1e-14)
-
-
-def test_cjet_derivatives_flow_through():
-    x, y = Jet.seed(np.array([0.5, 0.25]))
-    z = CJet(x, y)
-    a = z * z.conj()  # |z|^2 = x^2 + y^2 as a real jet in .re
-    npt.assert_allclose(a.re.grad, [1.0, 0.5], atol=1e-15)
-    npt.assert_allclose(a.re.hess, 2 * np.eye(2), atol=1e-15)
-    assert abs(value(a.im)) < 1e-16

@@ -342,7 +342,6 @@ def test_gather_points_counts_and_degeneracy(flat_skr):
 def test_tolerance_scale_and_label(flat_skr):
     skr, _ = flat_skr
     report = run_suite(skr, samples=6, seed=0, tolerance_scale=10.0,
-                       label="scaled-run", include_profile_identities=False)
-    assert report.label == "scaled-run"
+                       include_profile_identities=False)
     kah = next(r for r in report.records if r.name == "kahler")
     assert abs(kah.tolerance - 10.0 * DEFAULT_TOLERANCES["kahler"]) < 1e-18
