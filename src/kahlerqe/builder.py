@@ -25,7 +25,7 @@ differentiation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -126,11 +126,11 @@ def q_from_phi(params, phi):
 def positivity_intervals(profile, lo, hi, exclude=(), grid=4096):
     """Maximal open subintervals of (lo, hi) where the profile is positive.
 
-    The range is split at the excluded points, scanned on a uniform grid,
-    and sign-change brackets are sharpened by bisection; fully
-    deterministic.
+    The range is split at the excluded points and scanned on a uniform
+    grid; each sign change is solved by ``invert_monotone`` with the
+    profile's derivative.  Fully deterministic.
     """
-    fn = profile.value
+    fn, d1 = profile.value, profile.d1
     cuts = sorted(x for x in set(float(e) for e in exclude) if lo < x < hi)
     segments = []
     left = lo
@@ -152,27 +152,13 @@ def positivity_intervals(profile, lo, hi, exclude=(), grid=4096):
                 run_start = i
             if (v <= 0.0 or i == len(vals) - 1) and run_start is not None:
                 i_end = i if v <= 0.0 else i + 1
-                left_edge = a if run_start == 0 else _root(fn, xs[run_start - 1], xs[run_start])
-                right_edge = b if i_end == len(vals) else _root(fn, xs[i_end - 1], xs[i_end])
+                left_edge = a if run_start == 0 else invert_monotone(
+                    fn, d1, 0.0, xs[run_start - 1], xs[run_start])
+                right_edge = b if i_end == len(vals) else invert_monotone(
+                    fn, d1, 0.0, xs[i_end - 1], xs[i_end])
                 out.append((float(left_edge), float(right_edge)))
                 run_start = None
     return out
-
-
-def _root(fn, a, b):
-    fa = fn(a)
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (fa > 0.0) == (fm > 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
-        if b - a <= 1e-14 * (abs(a) + abs(b) + 1.0):
-            break
-    return 0.5 * (a + b)
 
 
 @dataclass
@@ -186,7 +172,6 @@ class WarpProfile:
     work_interval: tuple
     tau0: float
     antiderivative: PanelAntiderivative
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, params, phi, interval, margin=0.04):
@@ -231,20 +216,9 @@ class WarpProfile:
         return (a, b) if a < b else (b, a)
 
     def tau_of_logr(self, ell):
-        hit = self._cache.get(ell)
-        if hit is not None:
-            return hit
-        bf = float(self.params.b)
-        out = invert_monotone(
-            self.antiderivative,
-            lambda t: bf / self.q.value(t),
-            ell,
-            self.work_interval[0],
-            self.work_interval[1],
-        )
-        if len(self._cache) < 65536:
-            self._cache[ell] = out
-        return out
+        """Invert log r = l(tau); dl/dtau = b/Q is the integrand of the panels."""
+        anti = self.antiderivative
+        return invert_monotone(anti, anti.fn, ell, *self.work_interval)
 
     def tau_jet(self, ell):
         """tau as a function of log r, with dtau/dl = Q/b propagated to jets."""

@@ -528,8 +528,7 @@ def _sweep_cell(index, m, a, c, C2, k, base, samples, seed):
         qmax = max(skr.warp.q.value(t0 + (t1 - t0) * i / 64) for i in range(65))
         cell_ts = max(1.0, qmax)
         report = run_suite(skr, samples=samples, seed=seed,
-                           tolerance_scale=cell_ts,
-                           include_profile_identities=False)
+                           tolerance_scale=cell_ts)
         by_name = {r.name: r for r in report.records}
         row["status"] = "ok"
         row["interval_lo"] = f"{iv[0]:.9g}"

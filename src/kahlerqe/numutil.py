@@ -6,11 +6,16 @@ through jet composition), so we integrate on a frozen panel decomposition
 with fixed-order Gauss-Legendre rules instead of an adaptive black box:
 panels are refined once while building and never change afterwards, making
 every evaluation reproducible bit for bit.
+
+One root finder, ``invert_monotone`` (safeguarded Newton), inverts the warp
+integral and finds the ends of Q's positivity intervals.  Like the panel
+build, it raises ConvergenceError instead of returning a best effort.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -94,12 +99,19 @@ class PanelAntiderivative:
         return self._raw(x) - self.anchor_value
 
 
-def invert_monotone(fn, dfn, target, lo, hi, bisect_steps=80, newton_steps=2):
-    """Solve fn(x) = target for strictly monotone fn on [lo, hi].
+def invert_monotone(fn, dfn, target, lo, hi, steps=100):
+    """Solve fn(x) = target on [lo, hi], where fn - target changes sign.
 
-    Plain bisection to ~1e-12 of the bracket, then a couple of Newton
-    polishing steps with the supplied derivative.  Raises ConvergenceError
-    when ``bisect_steps`` halvings leave the bracket wider than that.
+    Safeguarded Newton with the derivative ``dfn`` (rtsafe; Press et al.,
+    Numerical Recipes, 3rd ed., 9.4), from the secant point of the bracket.
+    Each iteration evaluates fn once, narrows the bracket by the sign of
+    fn - target, and takes a Newton step; the bracket's midpoint replaces
+    a step that would leave the bracket or exceed half the step before
+    last (Newton creeps where rounding makes fn a staircase).  It stops
+    when a step moves x by at most 1e-14 (|x| + 1), or the bracket is that
+    narrow.  Only the sign change is needed, not monotonicity.  Raises
+    ConvergenceError after ``steps`` iterations, ValueError when the
+    target is not bracketed.
     """
     flo, fhi = fn(lo) - target, fn(hi) - target
     if flo == 0.0:
@@ -109,33 +121,27 @@ def invert_monotone(fn, dfn, target, lo, hi, bisect_steps=80, newton_steps=2):
     if flo * fhi > 0.0:
         raise ValueError(f"target {target} not bracketed on [{lo}, {hi}]")
     a, b = lo, hi
-    for _ in range(bisect_steps):
-        mid = 0.5 * (a + b)
-        fm = fn(mid) - target
-        if fm == 0.0:
-            a = b = mid
-            break
-        if flo * fm <= 0.0:
-            b = mid
+    x = min(hi, lo + (hi - lo) * (flo / (flo - fhi)))
+    last = before = hi - lo
+    for _ in range(steps):
+        fx = fn(x) - target
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (flo > 0.0):
+            a = x
         else:
-            a, flo = mid, fm
-        if b - a <= 1e-13 * (abs(a) + abs(b) + 1.0):
-            break
-    else:
-        raise ConvergenceError(
-            f"bisection for target {target} on [{lo}, {hi}] left the bracket "
-            f"[{a}, {b}] after {bisect_steps} steps"
-        )
-    x = 0.5 * (a + b)
-    for _ in range(newton_steps):
+            b = x
         d = dfn(x)
-        if d == 0.0:
-            break
-        step = (fn(x) - target) / d
-        y = x - step
-        if lo <= y <= hi:
-            x = y
-    return x
+        y = x - fx / d if d != 0.0 else math.nan
+        if not (a <= y <= b and abs(y - x) <= 0.5 * before):  # also a NaN step
+            y = 0.5 * (a + b)
+        before, last = last, abs(y - x)
+        tol = 1e-14 * (abs(y) + 1.0)
+        if last <= tol or b - a <= tol:
+            return y
+        x = y
+    raise ConvergenceError(f"Newton for target {target} on [{lo}, {hi}] left the "
+                           f"bracket [{a}, {b}] after {steps} steps")
 
 
 def _first_primes(count):

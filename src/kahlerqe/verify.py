@@ -167,21 +167,16 @@ def check_skr(skr, geos, tol=DEFAULT_TOLERANCES["skr-eigenstructure"]):
     return _finish("skr-eigenstructure", res, tol, geos, extra)
 
 
-def check_ricci_hessian(skr, geos, tol=DEFAULT_TOLERANCES["ricci-hessian"],
-                        alpha=None, gamma=None):
+def check_ricci_hessian(skr, geos, tol=DEFAULT_TOLERANCES["ricci-hessian"]):
     """alpha(tau) Hess(tau) + r = gamma(tau) g with the profile coefficients."""
     params = skr.params
-    phi = skr.warp.phi
-    if alpha is None:
-        arf = alpha_profile(params)
-        alpha = lambda t: arf(t)
-    if gamma is None:
-        gamma = lambda t: gamma_from_phi(params, phi, alpha, t)
+    alpha = alpha_profile(params)
     res = []
     for geo in geos:
         t = geo.tau
+        gamma = gamma_from_phi(params, skr.warp.phi, alpha, t)
         res.append(float(np.max(np.abs(
-            alpha(t) * geo.hess_tau + geo.ricci - gamma(t) * geo.g))))
+            alpha(t) * geo.hess_tau + geo.ricci - gamma * geo.g))))
     return _finish("ricci-hessian", res, tol, geos)
 
 
@@ -341,8 +336,7 @@ def base_dict(base):
             "kappa": str(base.kappa)}
 
 
-def run_suite(skr, samples=200, seed=0, tolerance_scale=1.0,
-              include_profile_identities=True):
+def run_suite(skr, samples=200, seed=0, tolerance_scale=1.0):
     """Run every check on one shared deterministic point set; every tolerance
     of ``DEFAULT_TOLERANCES`` is multiplied by ``tolerance_scale`` here, once."""
     tols = {name: tol * tolerance_scale for name, tol in DEFAULT_TOLERANCES.items()}
@@ -356,9 +350,8 @@ def run_suite(skr, samples=200, seed=0, tolerance_scale=1.0,
         check_quasi_einstein(skr, geos, tols["quasi-einstein"]),
         check_warped_einstein_constant(skr, geos, tols["warped-einstein-constant"]),
         check_conformal_formulas(skr, geos, tols["conformal-expansions"]),
+        *check_profile_identities(skr, geos, tols),
     ]
-    if include_profile_identities:
-        records.extend(check_profile_identities(skr, geos, tols))
     return VerificationReport(
         label=skr.chart.name,
         params=params_dict(skr.params),

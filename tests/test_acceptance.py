@@ -233,8 +233,7 @@ def verified_charts():
         base = BaseModel(kind=kind, dim_c=dim_c, s=1)
         skr, _ = end_to_end(params, base, interval=interval)
         t0 = time.perf_counter()
-        report = run_suite(skr, samples=200, seed=0,
-                           include_profile_identities=False)
+        report = run_suite(skr, samples=200, seed=0)
         elapsed = time.perf_counter() - t0
         out.append((label, skr, report, elapsed))
     return out

@@ -1,6 +1,7 @@
 """Construction layer: base models, the Q profile and its positivity
-intervals, the warp (tau <-> log r) correspondence, chart assembly, and the
-end-to-end refusal logic."""
+intervals, the warp (tau <-> log r) correspondence and its inversion
+against an mpmath oracle, chart assembly, and the end-to-end refusal
+logic."""
 
 import math
 from fractions import Fraction
@@ -145,6 +146,46 @@ def test_warp_tau_jet_derivatives():
         warp.tau_of_logr(ell0 + h) - 2 * t0 + warp.tau_of_logr(ell0 - h)
     ) / h**2
     assert abs(jet.hess[0, 0] - fd2) < 1e-4
+
+
+def _mp_q(params):
+    """Q = 2 (tau - c) phi of the closed form, in mpmath arithmetic."""
+    mp = pytest.importorskip("mpmath").mp
+    fr = lambda x: mp.mpf(x.numerator) / x.denominator
+    m, a, c, C1, C2 = params.m, fr(params.a), fr(params.c), fr(params.C1), fr(params.C2)
+    return lambda t: 2 * (t - c) * (
+        C1 + C2 * (t - 2 * c) ** (1 - a) * (t - c) ** (-m) * t ** (2 * m - 1 + a))
+
+
+@pytest.mark.parametrize("params, interval", (
+    (flat_params(), (0.35, 0.95)),
+    (fs_params(a=2, C2=Fraction(-1, 100)), (1.3, 1.9)),
+    (SKRParams.section6(m=3, a=2, c=-1, C2=-1, kappa=0, b=1, sign_phi=-1), (-2.0, -1.0)),
+), ids=("flat-a1", "fs-a2", "sweep-flat-cell30"))
+def test_tau_of_logr_matches_mpmath(params, interval):
+    mp = pytest.importorskip("mpmath").mp
+    warp = build_warp(params, phi_closed_form(params), interval)
+    q, b, tau0 = _mp_q(params), mp.mpf(float(params.b)), mp.mpf(warp.tau0)
+    lo, hi = warp.ell_range
+    for i in range(1, 8):
+        ell = lo + (hi - lo) * i / 8
+        with mp.workdps(30):
+            ref = mp.findroot(lambda t: mp.quad(lambda x: b / q(x), [tau0, t]) - ell,
+                              tuple(mp.mpf(t) for t in warp.work_interval),
+                              solver="anderson")
+        tau = warp.tau_of_logr(ell)
+        assert abs(tau - float(ref)) <= 1e-14 * (1.0 + abs(tau)), (ell, tau, ref)
+
+
+def test_positivity_interval_ends_are_roots_of_q():
+    mp = pytest.importorskip("mpmath").mp
+    params = fs_params(a=2, C2=Fraction(-1, 100))
+    ivs = positivity_intervals(q_from_phi(params, phi_closed_form(params)),
+                               -5.0, 7.0, {0.0, 1.0, 2.0})
+    root = ivs[0][0]
+    with mp.workdps(30):
+        ref = float(mp.findroot(_mp_q(params), mp.mpf(root)))
+    assert abs(root - ref) <= 4 * np.spacing(ref), (root, ref)
 
 
 def constant_q_profile(Q0, c):

@@ -1,6 +1,7 @@
 """Numerical helpers: the Halton sample points against an independent
-reference, loud failure of the quadrature and the monotone inversion, and
-the import cost of the package."""
+reference, loud failure of the quadrature and the root finder, the root
+finder on a bracket where Newton alone fails, and the import cost of the
+package."""
 
 import os
 import subprocess
@@ -77,5 +78,26 @@ def test_panel_build_raises_at_max_depth():
 def test_invert_monotone_raises_when_bisection_stops_early():
     fn, dfn = (lambda x: x ** 3), (lambda x: 3 * x * x)
     with pytest.raises(ConvergenceError, match="after 5 steps"):
-        invert_monotone(fn, dfn, 0.2, 0.0, 1.0, bisect_steps=5)
+        invert_monotone(fn, dfn, 0.2, 0.0, 1.0, steps=5)
     assert abs(invert_monotone(fn, dfn, 0.2, 0.0, 1.0) - 0.2 ** (1 / 3)) < 1e-14
+
+
+def test_invert_monotone_needs_only_a_sign_change():
+    # x^3 - x changes sign on [0.5, 2], but its derivative vanishes at
+    # 1/sqrt(3) inside the bracket: Newton steps from there leave it
+    fn, dfn = (lambda x: x ** 3 - x), (lambda x: 3 * x * x - 1)
+    assert abs(invert_monotone(fn, dfn, 0.0, 0.5, 2.0) - 1.0) < 1e-15
+
+
+def test_invert_monotone_bisects_where_newton_creeps():
+    # rounding makes fn a staircase of step q = 2^-12; on the stair just
+    # below the target, Newton steps of 1e-9 would creep across it
+    fn = lambda x: (x + 2.0 ** 40) - 2.0 ** 40
+    q, level = 2.0 ** -12, 1229 * 2.0 ** -12
+    x = invert_monotone(fn, lambda x: 1.0, level + 1e-9, 0.0, 1.0)
+    assert abs(x - (level + 0.5 * q)) < 1e-13
+
+
+def test_invert_monotone_ignores_noise_the_derivative_misses():
+    fn = lambda x: x + 1e-12 * np.sin(1e9 * x)
+    assert abs(invert_monotone(fn, lambda x: 1.0, 0.3, 0.0, 1.0) - 0.3) < 1e-11

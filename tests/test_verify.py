@@ -27,7 +27,7 @@ from kahlerqe.charts import (
     scalar_jet,
 )
 from kahlerqe.jets import log_, sin_
-from kahlerqe.odes import SKRParams, alpha_profile, gamma_from_phi, phi_closed_form
+from kahlerqe.odes import SKRParams, phi_closed_form
 from kahlerqe.verify import (
     DEFAULT_TOLERANCES,
     check_positive_definite,
@@ -155,10 +155,9 @@ def test_gamma_mismatch_fails_ricci_hessian(flat_skr):
         m=2, a=1, c=1, C2=-2, kappa=0, b=1, sign_phi=-1
     )
     wrong_phi = phi_closed_form(wrong_params)
-    aprof = alpha_profile(skr.params)
-    alpha = lambda t: float(aprof(t))
-    gamma = lambda t: gamma_from_phi(skr.params, wrong_phi, alpha, t)
-    rec = check_ricci_hessian(skr, points, alpha=alpha, gamma=gamma)
+    # gamma from the wrong phi, evaluated on the true chart's points
+    bad = replace(skr, warp=replace(skr.warp, phi=wrong_phi))
+    rec = check_ricci_hessian(bad, points)
     assert not rec.passed
     good = check_ricci_hessian(skr, points)
     assert good.passed
@@ -269,23 +268,15 @@ def test_einstein_product_alpha_zero():
         and 0.05 < p[2] < math.pi - 0.05,
         name="s2xs2",
     )
-    ns = SimpleNamespace(
-        chart=chart,
-        tau=cos1,
-        params=None,
-        warp=SimpleNamespace(phi=None),
-        dim=4,
-    )
+    ns = SimpleNamespace(chart=chart, tau=cos1, dim=4)
     pts = [
         np.array([0.7, 0.3, 1.1, -0.4]),
         np.array([1.4, -0.8, 2.0, 0.9]),
         np.array([2.2, 0.0, 0.6, 0.5]),
     ]
-    rec = check_ricci_hessian(
-        ns, _geometries(ns, pts), alpha=lambda t: 0.0, gamma=lambda t: 1.0
-    )
-    assert rec.passed
-    assert rec.max_abs < 1e-9
+    worst = max(float(np.max(np.abs(geo.ricci - geo.g)))
+                for geo in _geometries(ns, pts))
+    assert worst < 1e-9
 
 
 def test_constant_f_makes_fiber_constant_exact():
@@ -341,7 +332,6 @@ def test_gather_points_counts_and_degeneracy(flat_skr):
 
 def test_tolerance_scale_and_label(flat_skr):
     skr, _ = flat_skr
-    report = run_suite(skr, samples=6, seed=0, tolerance_scale=10.0,
-                       include_profile_identities=False)
+    report = run_suite(skr, samples=6, seed=0, tolerance_scale=10.0)
     kah = next(r for r in report.records if r.name == "kahler")
     assert abs(kah.tolerance - 10.0 * DEFAULT_TOLERANCES["kahler"]) < 1e-18
