@@ -267,13 +267,12 @@ def _standard_J(n):
 
 @dataclass
 class SKRChart:
-    """Assembled chart bundle: metric, scalar tau, profile f, and J, each
-    a callable on coordinates."""
+    """Assembled chart bundle: the metric chart, and ``fields``, one callable
+    on coordinates that returns the metric rows g, the scalar tau, the
+    profile f and the complex structure J together, from one evaluation."""
 
     chart: MetricChart
-    tau: Callable
-    f: Callable
-    J: Callable
+    fields: Callable
     params: SKRParams
     base: BaseModel
     warp: WarpProfile
@@ -321,8 +320,10 @@ def assemble_chart(base, warp):
     if not (warp.work_interval[0] > cf or warp.work_interval[1] < cf):
         raise ConstructionError("working interval must avoid tau = c")
     inv_b2 = 1.0 / (bf * bf)
+    kf = float(params.k)
+    J = _standard_J(n)
 
-    def components(coords):
+    def fields(coords):
         xs = list(coords[: 2 * d])
         u, v = coords[2 * d], coords[2 * d + 1]
         rho, k = _rho_terms(base, xs, s)
@@ -350,7 +351,8 @@ def assemble_chart(base, warp):
                 coef = hcoef if j < 2 * d else vcoef
                 gij = coef * (alpha[i] * alpha[j] + beta[i] * beta[j])
                 g[i][j] = g[j][i] = gij + hdiag if i == j < 2 * d else gij
-        return g
+        # f = K / tau + L with K = 1, L = k: affine in 1/tau, from the same jet
+        return g, tau, 1.0 / tau + kf, J
 
     lo_ell, hi_ell = warp.ell_range
     guard = 1e-9 * (hi_ell - lo_ell)
@@ -368,27 +370,14 @@ def assemble_chart(base, warp):
         ell = 0.5 * math.log(wsq) - base.rho(x2)
         return lo_ell + guard <= ell <= hi_ell - guard
 
-    def tau_fn(coords):
-        xs = list(coords[: 2 * d])
-        u, v = coords[2 * d], coords[2 * d + 1]
-        rho, _ = _rho_terms(base, xs, s)
-        return warp.tau_jet(0.5 * log_(u * u + v * v) - rho)
-
-    kf = float(params.k)
-
-    def f_fn(coords):
-        return 1.0 / tau_fn(coords) + kf
-
     chart = MetricChart(
-        dim=n, components=components, domain=domain,
+        dim=n, components=lambda c: fields(c)[0], domain=domain,
         name=f"{base.kind}-bundle-m{params.m}",
     )
     xb = 0.8 if base.kind == FLAT else 0.6
     return SKRChart(
         chart=chart,
-        tau=tau_fn,
-        f=f_fn,
-        J=lambda coords: _standard_J(n),
+        fields=fields,
         params=params,
         base=base,
         warp=warp,
@@ -435,7 +424,9 @@ def end_to_end(params, base, interval):
     """Build the warp on a tau-window and assemble the chart.
 
     After the refusals of ``admitted_phi``, refuses a window off the
-    sgn(tau - c) = sign_phi side, where Q = 2 (tau - c) phi cannot be positive.
+    sgn(tau - c) = sign_phi side, where Q = 2 (tau - c) phi cannot be
+    positive, and for fractional a a window that reaches below
+    tau = max(0, 2c), where phi is not real.
     """
     phi = admitted_phi(params, base)
     interval = (float(interval[0]), float(interval[1]))
@@ -444,6 +435,12 @@ def end_to_end(params, base, interval):
         raise ConstructionError(
             f"interval {interval} lies on the sgn(tau - c) = {sgn} side, "
             f"inconsistent with sign_phi = {params.sign_phi}"
+        )
+    floor = max(0.0, 2.0 * float(params.c))
+    if params.a.denominator != 1 and interval[0] < floor:
+        raise ConstructionError(
+            f"fractional a = {params.a} needs tau > max(0, 2c) = {floor:g} across "
+            f"the whole window, but interval {interval} starts below it"
         )
     warp = build_warp(params, phi, interval)
     skr = assemble_chart(base, warp)

@@ -7,9 +7,10 @@ derivatives of every component.  All curvature operators below consume
 those derivative arrays; nothing here uses finite differences.
 
 The chart-level operators (``christoffel``, ``ricci``, ``hessian``, ...)
-evaluate the metric afresh on every call.  ``PointGeometry`` evaluates it
-once per point and derives everything the verification suite needs from
-that one evaluation.
+evaluate the metric afresh on every call.  ``PointGeometry`` makes one
+evaluation per point, of a ``fields`` callable that returns the metric's
+rows together with tau, f and J, and derives everything the verification
+suite needs from that one evaluation.
 
 Sign conventions: Ricci of the unit round sphere is +g, of the hyperbolic
 plane -g.
@@ -59,55 +60,34 @@ def check_point(chart, p):
     return p
 
 
+def _scalar_arrays(e, n):
+    """(value, gradient, Hessian) of a Jet, or of a constant with zero derivatives."""
+    if isinstance(e, Jet):
+        return e.val, e.grad, e.hess
+    return float(e), np.zeros(n), np.zeros((n, n))
+
+
+def _row_arrays(rows, n):
+    """Arrays (M[i,j], dM[k,i,j], d2M[k,l,i,j]) of n x n rows of Jets and constants."""
+    M = np.empty((n, n))
+    dM = np.empty((n, n, n))
+    d2M = np.empty((n, n, n, n))
+    for i in range(n):
+        for j in range(n):
+            M[i, j], dM[:, i, j], d2M[:, :, i, j] = _scalar_arrays(rows[i][j], n)
+    return M, dM, d2M
+
+
 def metric_jets(chart, p):
     """Metric with derivatives: (g[i,j], dg[k,i,j]=d_k g_ij, d2g[k,l,i,j])."""
     p = check_point(chart, p)
-    n = chart.dim
-    rows = chart.components(Jet.seed(p))
-    g = np.empty((n, n))
-    dg = np.empty((n, n, n))
-    d2g = np.empty((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            e = rows[i][j]
-            if isinstance(e, Jet):
-                g[i, j] = e.val
-                dg[:, i, j] = e.grad
-                d2g[:, :, i, j] = e.hess
-            else:
-                g[i, j] = float(e)
-                dg[:, i, j] = 0.0
-                d2g[:, :, i, j] = 0.0
-    return g, dg, d2g
+    return _row_arrays(chart.components(Jet.seed(p)), chart.dim)
 
 
 def scalar_jet(fn, chart, p):
     """Scalar field value, gradient and coordinate Hessian: (v, dv[i], d2v[i,j])."""
     p = check_point(chart, p)
-    out = fn(Jet.seed(p))
-    if isinstance(out, Jet):
-        return out.val, out.grad.copy(), out.hess.copy()
-    n = chart.dim
-    return float(out), np.zeros(n), np.zeros((n, n))
-
-
-def matrix_jets(structure, chart, p):
-    """Matrix-valued field with first derivatives: (M[i,j], dM[k,i,j])."""
-    p = check_point(chart, p)
-    n = chart.dim
-    rows = structure(Jet.seed(p))
-    M = np.empty((n, n))
-    dM = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            e = rows[i][j]
-            if isinstance(e, Jet):
-                M[i, j] = e.val
-                dM[:, i, j] = e.grad
-            else:
-                M[i, j] = float(e)
-                dM[:, i, j] = 0.0
-    return M, dM
+    return _scalar_arrays(fn(Jet.seed(p)), chart.dim)
 
 
 def inverse_metric(g):
@@ -251,17 +231,19 @@ def _horizontal_frame(G, v1, v2, drop_tol=1e-8):
 class PointGeometry:
     """Everything the verification suite reads at one sample point.
 
-    Built from one evaluation each of the chart's components, tau, f and J
-    at ``p`` on seeded jets; every derived quantity is formed once, here.
+    Built from one call of ``skr.fields`` at ``p`` on seeded jets, which
+    returns the metric's rows together with tau, f and J; every derived
+    quantity is formed once, here.
     The jets of ghat = g / tau^2 come from those of g and tau by the
     product rule (``conformal_jets``), and ghat's curvature is computed
     from them directly, not from its expansion in g-terms.  Arrays with
     n^4 entries (second derivatives of the metrics, dGamma, Riemann) are
     contracted to Ricci during construction and not kept.
 
-    ``skr`` needs ``chart``; its ``tau``, ``f`` and ``J`` are optional, and
-    the quantities that need a missing field are not set.  ``index`` is
-    the point's position in the sample stream it came from.
+    ``skr`` needs ``chart`` and ``fields``; ``fields(coords)`` returns
+    ``(g, tau, f, J)`` with None for an absent tau, f or J, and the
+    quantities that need a missing field are not set.  ``index`` is the
+    point's position in the sample stream it came from.
 
     Attributes: ``g``, ``ginv``, ``ricci``; with tau: ``tau`` (its value,
     else None), ``dtau``, ``grad_tau`` (contravariant), ``grad_tau_sq``,
@@ -273,16 +255,16 @@ class PointGeometry:
     """
 
     def __init__(self, skr, p, index=None):
-        chart = skr.chart
+        n = skr.chart.dim
         self.index = index
-        self.p = p = check_point(chart, p)
-        g, dg, d2g = metric_jets(chart, p)
+        self.p = p = check_point(skr.chart, p)
+        rows, tau, f, J = skr.fields(Jet.seed(p))
+        g, dg, d2g = _row_arrays(rows, n)
         self.g = g
         self.ginv, gamma, self.ricci = _levi_civita(g, dg, d2g)
         self.tau = None
-        tau, f, J = (getattr(skr, name, None) for name in ("tau", "f", "J"))
         if tau is not None:
-            tau_jet = scalar_jet(tau, chart, p)
+            tau_jet = _scalar_arrays(tau, n)
             self.tau, self.dtau, d2tau = tau_jet
             self.grad_tau = np.linalg.solve(g, self.dtau)
             self.grad_tau_sq = float(self.dtau @ self.ginv @ self.dtau)
@@ -292,14 +274,14 @@ class PointGeometry:
             self.g_hat = g_hat
             ginv_hat, gamma_hat, self.ricci_hat = _levi_civita(g_hat, dg_hat, d2g_hat)
         if f is not None:
-            self.f, self.df, d2f = scalar_jet(f, chart, p)
+            self.f, self.df, d2f = _scalar_arrays(f, n)
             self.hess_f = _covariant_hessian(gamma, self.df, d2f)
             if tau is not None:
                 self.hess_f_hat = _covariant_hessian(gamma_hat, self.df, d2f)
                 self.lap_f_hat = float(np.einsum("ij,ij->", ginv_hat, self.hess_f_hat))
                 self.grad_f_hat_sq = float(self.df @ ginv_hat @ self.df)
         if J is not None:
-            self.J, dJ = matrix_jets(J, chart, p)
+            self.J, dJ = _row_arrays(J, n)[:2]
             nabla_J = (
                 dJ
                 + np.einsum("jil,lk->ijk", gamma, self.J)

@@ -284,10 +284,11 @@ def test_criterion_6_fiber_constant(verified_charts):
 
 def _constant_tau_fixture():
     chart = MetricChart(dim=4, components=lambda c: np.eye(4).tolist(), name="flat4")
+    tau = lambda c: 2.0
+    f = lambda c: exp_(c[0]) + c[1] * c[1] + 1.0
     return SimpleNamespace(
         chart=chart,
-        tau=lambda c: 2.0,
-        f=lambda c: exp_(c[0]) + c[1] * c[1] + 1.0,
+        fields=lambda c: (chart.components(c), tau(c), f(c), None),
         dim=4,
     ), [np.array([0.2, -0.4, 0.7, 0.1]), np.array([-0.3, 0.5, 0.0, 0.9]),
         np.array([0.8, 0.1, -0.6, -0.2])]
@@ -296,10 +297,11 @@ def _constant_tau_fixture():
 def _hyperbolic_from_flat_fixture():
     chart = MetricChart(dim=2, components=lambda c: np.eye(2).tolist(),
                         domain=lambda p: p[1] > 0.05, name="flat2")
+    tau = lambda c: c[1]
+    f = lambda c: 1.0 / c[1] + 0.3
     return SimpleNamespace(
         chart=chart,
-        tau=lambda c: c[1],
-        f=lambda c: 1.0 / c[1] + 0.3,
+        fields=lambda c: (chart.components(c), tau(c), f(c), None),
         dim=2,
     ), [np.array([0.0, 1.0]), np.array([0.6, 0.4]), np.array([-1.2, 2.5])]
 

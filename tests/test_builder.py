@@ -221,7 +221,7 @@ def test_constant_q_chart_vertical_block():
     assert lo < 0.0 < hi
     pt = np.array([0.0, 0.0, 1.0, 0.0])
     g = metric_jets(skr.chart, pt)[0]
-    tau = float(skr.tau(pt))
+    tau = float(skr.fields(pt)[1])
     # vertical block Q/(b|w|)^2 Re<.,.> = Q0 * I at |w| = 1
     npt.assert_allclose(g[2:, 2:], Q0 * np.eye(2), atol=1e-9)
     # base block 2|tau - c| h = 2(tau + 2) I at x = 0 (connection terms vanish there)
@@ -265,7 +265,7 @@ def test_metric_blocks_on_chern_horizontal_lifts(params, kind, dim_c, interval):
             h = 2.0 * np.real(xi @ xi.conj().T / D
                               - np.outer(zbar_xi, zbar_xi.conj()) / D**2)
         g = metric_jets(skr.chart, pt)[0]
-        tau = float(skr.tau(pt))
+        tau = float(skr.fields(pt)[1])
         q = skr.warp.q.value(tau)
         scale = np.max(np.abs(g))
         npt.assert_allclose(X @ g @ X.T / scale, 2.0 * abs(tau - c) * h / scale,
@@ -299,7 +299,7 @@ def test_sample_points_deterministic_and_in_domain():
     lo, hi = skr.warp.work_interval
     for p in pts:
         assert skr.chart.domain(p)
-        assert lo <= float(skr.tau(p)) <= hi
+        assert lo <= float(skr.fields(p)[1]) <= hi
 
 
 def test_expected_kahler_pinned():
@@ -320,9 +320,8 @@ def test_end_to_end_flat():
     assert skr.dim == 4
     kf = float(p.k)
     for pt in skr.sample_points(10, seed=1):
-        tau = float(skr.tau(pt))
+        _, tau, fval, _ = skr.fields(pt)
         assert 0.35 < tau < 0.95
-        fval = float(np.asarray(skr.f(pt)))
         assert abs(fval - (1.0 / tau + kf)) < 1e-12
         assert is_positive_definite(metric_jets(skr.chart, pt)[0])
 
@@ -333,7 +332,7 @@ def test_end_to_end_fubini_study():
                         interval=(1.3, 1.9))
     assert skr.dim == 6
     pt = skr.sample_points(4, seed=0)[0]
-    assert 1.3 < float(skr.tau(pt)) < 1.9
+    assert 1.3 < float(skr.fields(pt)[1]) < 1.9
     assert is_positive_definite(metric_jets(skr.chart, pt)[0])
 
 

@@ -27,9 +27,14 @@ from kahlerqe.charts import (
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def _geometry(chart, p, **fields):
-    """PointGeometry of ``chart`` at ``p`` carrying the given tau / f / J."""
-    return PointGeometry(SimpleNamespace(chart=chart, **fields), p)
+def _geometry(chart, p, tau=None, J=None):
+    """PointGeometry of ``chart`` at ``p`` carrying the given tau and J; no f."""
+
+    def fields(c):
+        return (chart.components(c), None if tau is None else tau(c), None,
+                None if J is None else J(c))
+
+    return PointGeometry(SimpleNamespace(chart=chart, fields=fields), p)
 
 
 def flat_chart(n):

@@ -203,6 +203,36 @@ kind = flat
     assert "obstruction a(2ck+1)" in err
 
 
+def test_fractional_a_window_below_two_c_is_refused(tmp_path, capsys):
+    # phi has the factor (tau - 2c)^(1 - a): for a = 7/2 it is real only for
+    # tau > max(0, 2c) = 2, and the given window reaches down to 1.5
+    frac = """\
+[params]
+m = 2
+a = 7/2
+c = 1
+c2 = 1
+sign_phi = 1
+
+[base]
+kind = flat
+
+[interval]
+lo = 1.5
+hi = 2.5
+
+[run]
+samples = 4
+"""
+    cfgp = write(tmp_path, "frac.ini", frac)
+    rc = cli.main(["construct-verify", "--config", cfgp, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "construction error: fractional a = 7/2 needs tau > max(0, 2c) = 2" in err
+    assert "across the whole window" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_error_exit(tmp_path, capsys):
     bad = write(tmp_path, "bad.ini", "[params]\nm = 2\nq = 1\n")
     assert cli.main(["certify", "--config", bad, "--out", str(tmp_path / "o")]) == 4

@@ -11,10 +11,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from kahlerqe import verify
 from kahlerqe.builder import (
     FLAT,
     FUBINI_STUDY,
     BaseModel,
+    WarpProfile,
     end_to_end,
 )
 from kahlerqe.charts import (
@@ -101,26 +103,62 @@ def test_worst_point_recorded(flat_skr, flat_report):
 
 
 def test_run_suite_evaluates_components_once_per_point(flat_skr, fs_skr):
+    """The components come from one call of ``fields`` per point, and the
+    chart's own ``components`` is not called at all."""
     for skr in (flat_skr[0], fs_skr):
-        calls = []
+        calls, component_calls = [], []
 
-        def counted(coords, components=skr.chart.components):
+        def counted(coords, fields=skr.fields):
             calls.append(coords)
+            return fields(coords)
+
+        def counted_components(coords, components=skr.chart.components):
+            component_calls.append(coords)
             return components(coords)
 
-        counted_skr = replace(skr, chart=replace(skr.chart, components=counted))
+        counted_skr = replace(skr, fields=counted,
+                              chart=replace(skr.chart, components=counted_components))
         report = run_suite(counted_skr, samples=6, seed=0)
         assert report.excluded_points == 0
         assert len(calls) == 6
+        assert component_calls == []
+
+
+def test_one_warp_inversion_per_sample_point(flat_skr, fs_skr, monkeypatch):
+    """g, tau and f at a point share one tau: ``tau_of_logr`` runs once per
+    evaluated point."""
+    inversions, evaluated = [], []
+    tau_of_logr, point_geometry = WarpProfile.tau_of_logr, verify.PointGeometry
+
+    def counted_tau(self, ell):
+        inversions.append(ell)
+        return tau_of_logr(self, ell)
+
+    def counted_geometry(*args):
+        evaluated.append(args)
+        return point_geometry(*args)
+
+    monkeypatch.setattr(WarpProfile, "tau_of_logr", counted_tau)
+    monkeypatch.setattr(verify, "PointGeometry", counted_geometry)
+    for skr in (flat_skr[0], fs_skr):
+        inversions.clear()
+        evaluated.clear()
+        geos, _ = gather_points(skr, 10, seed=0)
+        assert len(geos) == 10
+        assert len(evaluated) >= 10
+        assert len(inversions) == len(evaluated)
 
 
 def test_conformal_jets_match_rescaled_chart_bit_for_bit(flat_skr, fs_skr):
     for skr in (flat_skr[0], fs_skr):
-        ghat = conformal_scale(skr.chart, skr.tau)
+        def tau(c, fields=skr.fields):
+            return fields(c)[1]
+
+        ghat = conformal_scale(skr.chart, tau)
         geos, _ = gather_points(skr, 20, seed=0)
         for geo in geos:
             p = geo.p
-            got = conformal_jets(*metric_jets(skr.chart, p), scalar_jet(skr.tau, skr.chart, p))
+            got = conformal_jets(*metric_jets(skr.chart, p), scalar_jet(tau, skr.chart, p))
             want = metric_jets(ghat, p)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
@@ -163,12 +201,12 @@ def test_gamma_mismatch_fails_ricci_hessian(flat_skr):
     assert good.passed
 
 
-def _product_double_fixture(Q0=3.0, tau0=2.0):
+def _product_double_fixture(Q0=3.0, tau0=2.0, J_fn=lambda c: J4):
     """Flat R^2 times a rotationally symmetric fiber with |grad tau|^2 = Q0.
 
     tau = tau0 + Q0 log|w| depends only on the fiber, so the pair
     (Hess tau, r) restricts trivially to the horizontal complement: an
-    honest product, not a twisted bundle."""
+    honest product, not a twisted bundle.  No f."""
 
     def comps(c):
         u, v = c[2], c[3]
@@ -191,8 +229,7 @@ def _product_double_fixture(Q0=3.0, tau0=2.0):
     )
     return SimpleNamespace(
         chart=chart,
-        tau=tau_fn,
-        J=lambda c: J4,
+        fields=lambda c: (comps(c), tau_fn(c), None, J_fn(c)),
         dim=4,
     )
 
@@ -213,13 +250,12 @@ def test_product_double_flagged_trivial():
 def test_horizontal_frame_uses_J_at_the_sample_point():
     """J is the standard structure where |w| = 1, at every sample point,
     but vanishes at the coordinate origin."""
-    ns = _product_double_fixture()
 
     def J_fn(c):
         wsq = c[2] * c[2] + c[3] * c[3]
         return [[float(J4[i, j]) * wsq for j in range(4)] for i in range(4)]
 
-    ns.J = J_fn
+    ns = _product_double_fixture(J_fn=J_fn)
     pts = [
         np.array([0.3, -0.2, 0.6, 0.8]),
         np.array([-0.5, 0.1, 0.8, -0.6]),
@@ -236,8 +272,9 @@ def test_generic_kahler_chart_fails_skr_check():
 
     chart = MetricChart(dim=4, components=comps, name="flat4")
     tau = lambda c: c[0] * c[0] + c[2] * c[2]
+    J = lambda c: J4
     ns = SimpleNamespace(
-        chart=chart, tau=tau, J=lambda c: J4, dim=4
+        chart=chart, fields=lambda c: (comps(c), tau(c), None, J(c)), dim=4
     )
     pts = [np.array([0.3, 0.7, 0.5, 0.2]), np.array([-0.4, 0.1, 0.9, -0.3])]
     rec = check_skr(ns, _geometries(ns, pts))
@@ -268,7 +305,8 @@ def test_einstein_product_alpha_zero():
         and 0.05 < p[2] < math.pi - 0.05,
         name="s2xs2",
     )
-    ns = SimpleNamespace(chart=chart, tau=cos1, dim=4)
+    ns = SimpleNamespace(chart=chart, fields=lambda c: (comps(c), cos1(c), None, None),
+                         dim=4)
     pts = [
         np.array([0.7, 0.3, 1.1, -0.4]),
         np.array([1.4, -0.8, 2.0, 0.9]),
@@ -289,10 +327,11 @@ def test_constant_f_makes_fiber_constant_exact():
 
     chart = MetricChart(dim=2, components=comps,
                         domain=lambda p: p[1] > 0.1, name="h2")
+    tau = lambda c: 1.0
+    f = lambda c: 3.0
     ns = SimpleNamespace(
         chart=chart,
-        tau=lambda c: 1.0,
-        f=lambda c: 3.0,
+        fields=lambda c: (comps(c), tau(c), f(c), None),
         params=SKRParams(m=2, a=2, c=1, k=0, lam=5),
     )
     pts = [np.array([0.1, 0.5]), np.array([-0.7, 1.2]), np.array([0.4, 2.0])]
@@ -314,7 +353,8 @@ def test_fractional_fiber_dimension_skipped():
 def test_positive_definite_check_flags_bad_metric():
     chart = MetricChart(dim=2, components=lambda c: [[-1.0, 0.0], [0.0, 1.0]],
                         name="lorentz")
-    ns = SimpleNamespace(chart=chart)
+    ns = SimpleNamespace(chart=chart,
+                         fields=lambda c: (chart.components(c), None, None, None))
     rec = check_positive_definite(ns, _geometries(ns, [np.zeros(2)]))
     assert not rec.passed
     assert rec.extra["indefinite_points"] == 1
@@ -325,7 +365,12 @@ def test_gather_points_counts_and_degeneracy(flat_skr):
     pts, excluded = gather_points(skr, 15, seed=2)
     assert len(pts) == 15
     assert excluded == 0
-    degenerate = replace(skr, tau=lambda c: 1.0)
+
+    def constant_tau(c):
+        g, _, f, J = skr.fields(c)
+        return g, 1.0, f, J
+
+    degenerate = replace(skr, fields=constant_tau)
     with pytest.raises(RuntimeError, match="usable"):
         gather_points(degenerate, 5, seed=0)
 
