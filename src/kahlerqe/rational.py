@@ -8,7 +8,11 @@ iff their canonical representations coincide, so ``==`` is exact equality
 of functions.
 
 Coefficients must be exact (int, Fraction, or a string Fraction() accepts);
-floats are rejected to preserve exactness end to end.
+floats are rejected to preserve exactness end to end.  Only the public
+constructor checks them; arithmetic builds results from its own Fractions.
+Long division works in place on one coefficient list.  A gcd against a
+nonzero constant is 1 at once, so over a constant denominator scaling to a
+monic one alone reaches the same canonical form.
 """
 
 from __future__ import annotations
@@ -32,6 +36,15 @@ def _coeff(x):
     raise TypeError(
         f"exact coefficient required (int, Fraction, or string), got {type(x).__name__}"
     )
+
+
+def _poly(cs):
+    """A Polynomial on the list of Fractions ``cs``, trailing zeros stripped."""
+    while cs and not cs[-1]:
+        cs.pop()
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "coeffs", tuple(cs))
+    return p
 
 
 class Polynomial:
@@ -79,13 +92,14 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("Polynomial", self.coeffs))
+        # a constant hashes like its value: equal numbers hash equal
+        return hash(self.coeffs if self.degree > 0 else sum(self.coeffs))
 
     def __bool__(self):
         return not self.is_zero
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return _poly([-c for c in self.coeffs])
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -98,7 +112,7 @@ class Polynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Polynomial(out)
+        return _poly(out)
 
     __radd__ = __add__
 
@@ -114,16 +128,16 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Polynomial(tuple(c * other for c in self.coeffs))
+            return _poly([c * other for c in self.coeffs])
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.is_zero or other.is_zero:
-            return Polynomial()
+            return _poly([])
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
             for j, cj in enumerate(other.coeffs):
                 out[i + j] += ci * cj
-        return Polynomial(out)
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -140,20 +154,24 @@ class Polynomial:
         return out
 
     def __divmod__(self, other):
+        """(q, r) with self = q*other + r and deg r < deg other.
+
+        Long division in place on one coefficient list: each quotient term
+        costs one division and deg(other) multiply-subtracts.
+        """
         if isinstance(other, (int, Fraction)):
             other = Polynomial((other,))
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = Polynomial()
-        r = self
-        d, lc = other.degree, other.leading
-        while not r.is_zero and r.degree >= d:
-            shift = r.degree - d
-            coef = r.leading / lc
-            term = Polynomial([0] * shift + [coef])
-            q = q + term
-            r = r - term * other
-        return q, r
+        r, b = list(self.coeffs), other.coeffs
+        d, lc = len(b) - 1, b[-1]
+        q = [Fraction(0)] * max(len(r) - d, 0)
+        for shift in range(len(q) - 1, -1, -1):
+            coef = q[shift] = r[shift + d] / lc
+            if coef:
+                for j in range(d):
+                    r[shift + j] -= coef * b[j]
+        return _poly(q), _poly(r[:d])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -167,7 +185,12 @@ class Polynomial:
         return self * (1 / self.leading)
 
     def gcd(self, other):
-        """Monic greatest common divisor (Euclid)."""
+        """Monic greatest common divisor (Euclid); gcd(0, 0) = 0.
+
+        A nonzero constant operand makes it 1 at once, with no division.
+        """
+        if self.degree == 0 or other.degree == 0:
+            return _poly([Fraction(1)])
         a, b = self, other
         while not b.is_zero:
             a, b = b, a % b
@@ -223,8 +246,7 @@ class RationalFunction:
         if num.is_zero:
             num, den = Polynomial(), Polynomial((1,))
         else:
-            g = num.gcd(den)
-            if g.degree > 0:
+            if den.degree > 0 and (g := num.gcd(den)).degree > 0:
                 num, den = num // g, den // g
             lc = den.leading
             if lc != 1:
@@ -258,7 +280,7 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(("RationalFunction", self.num.coeffs, self.den.coeffs))
+        return hash(self.num if self.is_polynomial else (self.num.coeffs, self.den.coeffs))
 
     def __bool__(self):
         return not self.is_zero

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from kahlerqe import cli
+from kahlerqe.odes import SKRParams
 
 
 FLAT_PARAMS = """\
@@ -105,6 +106,25 @@ def test_certify_fractional_a(tmp_path, capsys):
                  if e["name"].startswith("closed-form-residual")}
     assert sorted(residuals) == ["closed-form-residual-1", "closed-form-residual-2"]
     assert all(e["equal"] for e in residuals.values())
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+GOLDEN_CELLS = {
+    # m, a, c, C2, kappa; the a = 7/3 cell has no radical certificate
+    "certificate_m3_a7-3.json": (3, Fraction(7, 3), 1, 1, 6),
+    "certificate_m4_a7-2.json": (4, Fraction(7, 2), 3, 2, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CELLS))
+def test_certificate_matches_golden(name):
+    # rendered by the term-by-term division kernel; the in-place kernel must
+    # reproduce them byte for byte, as cmd_certify writes certificate.json
+    m, a, c, C2, kappa = GOLDEN_CELLS[name]
+    params = SKRParams.section6(m=m, a=a, c=c, C2=C2, kappa=kappa)
+    text = json.dumps(cli.certify_params(params), sort_keys=True, indent=2) + "\n"
+    with open(os.path.join(GOLDEN, name)) as fh:
+        assert text == fh.read()
 
 
 def test_certify_detects_inconsistent_constants(tmp_path, capsys):

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kahlerqe.rational import PoleError, Polynomial, RationalFunction
 
@@ -77,6 +79,33 @@ def _int_exponent(node, text):
     raise RationalParseError(f"exponents must be integer literals in {text!r}")
 
 
+# -- term-by-term division and Euclid, the oracle of the in-place kernel --
+
+
+def oracle_divmod(a, b):
+    """Long division that builds a term polynomial for every quotient term."""
+    q, r = Polynomial(), a
+    d, lc = b.degree, b.leading
+    while not r.is_zero and r.degree >= d:
+        term = Polynomial([0] * (r.degree - d) + [r.leading / lc])
+        q = q + term
+        r = r - term * b
+    return q, r
+
+
+def oracle_gcd(a, b):
+    """Monic gcd by Euclid over oracle_divmod, with no constant short cut."""
+    while not b.is_zero:
+        a, b = b, oracle_divmod(a, b)[1]
+    return a.monic()
+
+
+_polys = st.lists(
+    st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=6
+).map(Polynomial)
+_nonzero_polys = _polys.filter(bool)
+
+
 def _random_poly(rng, max_deg=5, span=6):
     coeffs = [
         Fraction(rng.randint(-span, span), rng.randint(1, 4))
@@ -125,6 +154,74 @@ def test_gcd_monic_common_factor():
     g = Polynomial.gcd(2 * ((t - 1) * (t + 2)), 3 * ((t - 1) * (t + 3)))
     assert g == t - 1
     assert Polynomial.gcd(t + 1, t + 2) == Polynomial((1,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, _nonzero_polys)
+def test_divmod_property(a, b):
+    q, r = divmod(a, b)
+    assert q * b + r == a
+    assert r.degree < b.degree
+    assert (q, r) == oracle_divmod(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, _polys, _polys)
+def test_gcd_matches_euclid_oracle(p, q, h):
+    a, b = p * h, q * h
+    assert a.gcd(b) == oracle_gcd(a, b)
+    zero = Polynomial()
+    assert zero.gcd(zero).is_zero
+    assert p.gcd(zero) == p.monic() == oracle_gcd(p, zero)
+    for c in (Fraction(-3, 2), Fraction(1)):
+        assert Polynomial((c,)).gcd(p) == 1 == p.gcd(Polynomial((c,)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, _nonzero_polys, _nonzero_polys)
+def test_rational_canonical_form_property(n, d, h):
+    r = RationalFunction(n * h, d * h)
+    assert r == RationalFunction(n, d)
+    assert r.den.leading == 1
+    assert oracle_gcd(r.num, r.den) == 1
+
+
+def test_constant_denominators_and_products_skip_gcd(monkeypatch):
+    calls = []
+    real_gcd = Polynomial.gcd
+
+    def counting_gcd(self, other):
+        calls.append((self, other))
+        return real_gcd(self, other)
+
+    monkeypatch.setattr(Polynomial, "gcd", counting_gcd)
+    t = Polynomial.variable()
+    p, q = 3 * t * t - 1, t + Fraction(1, 2)
+    assert (p * q).degree == 3 and (p * Fraction(2, 3)).degree == 2
+    RationalFunction(p, Polynomial((4,)))
+    RationalFunction(p, Fraction(-5, 2))
+    RationalFunction.constant(7) * RationalFunction(q)
+    assert calls == []
+    RationalFunction(p, q)
+    assert len(calls) == 1
+
+
+def test_equal_values_hash_equal():
+    three = [
+        3, Fraction(3), Polynomial((3,)), RationalFunction.constant(3),
+        RationalFunction(Polynomial((6,)), Polynomial((2,))),
+    ]
+    half = [Fraction(1, 2), Polynomial((Fraction(1, 2),)), RationalFunction(1, 2)]
+    zero = [0, Fraction(0), Polynomial(), RationalFunction(Polynomial())]
+    for forms in (three, half, zero):
+        for x in forms:
+            assert all(x == y and hash(x) == hash(y) for y in forms)
+        assert len(set(forms)) == 1
+    t = Polynomial.variable()
+    p = t * t - 1
+    r = RationalFunction(p * (t + 2), t + 2)
+    assert p == r and r == p and hash(p) == hash(r)
+    assert len({p, r}) == 1
 
 
 def test_derivative_product_rule():
