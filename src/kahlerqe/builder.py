@@ -19,7 +19,8 @@ the one formula
 
 with h the base metric, zero on the fiber rows and columns.  Everything is
 written with jet-friendly arithmetic so curvature comes out of automatic
-differentiation.
+differentiation, and one call of ``fields`` evaluates a whole batch of
+points: one warp inversion and one pass of jet arithmetic for all of them.
 """
 
 from __future__ import annotations
@@ -127,8 +128,9 @@ def positivity_intervals(profile, lo, hi, exclude=(), grid=4096):
     """Maximal open subintervals of (lo, hi) where the profile is positive.
 
     The range is split at the excluded points and scanned on a uniform
-    grid; each sign change is solved by ``invert_monotone`` with the
-    profile's derivative.  Fully deterministic.
+    grid, with one call of the profile on the whole grid; each sign change
+    is solved by ``invert_monotone`` with the profile's derivative.  Fully
+    deterministic.
     """
     fn, d1 = profile.value, profile.d1
     cuts = sorted(x for x in set(float(e) for e in exclude) if lo < x < hi)
@@ -145,7 +147,7 @@ def positivity_intervals(profile, lo, hi, exclude=(), grid=4096):
             continue
         pad = 1e-9 * (b - a)
         xs = np.linspace(a + pad, b - pad, grid)
-        vals = np.array([fn(x) for x in xs])
+        vals = np.broadcast_to(fn(xs), xs.shape)  # a constant profile gives a float
         run_start = None
         for i, v in enumerate(vals):
             if v > 0.0 and run_start is None:
@@ -186,11 +188,12 @@ class WarpProfile:
         q = q_from_phi(params, phi)
         width = hi - lo
         wlo, whi = lo + margin * width, hi - margin * width
-        for t in np.linspace(wlo, whi, 257):
-            if q.value(t) <= 0.0:
-                raise ConstructionError(
-                    f"Q is not positive at tau={t} inside {interval}"
-                )
+        ts = np.linspace(wlo, whi, 257)
+        bad = q.value(ts) <= 0.0
+        if np.any(bad):
+            raise ConstructionError(
+                f"Q is not positive at tau={float(ts[np.argmax(bad)])} inside {interval}"
+            )
         bf = float(params.b)
         try:
             anti = PanelAntiderivative.build(
@@ -216,12 +219,14 @@ class WarpProfile:
         return (a, b) if a < b else (b, a)
 
     def tau_of_logr(self, ell):
-        """Invert log r = l(tau); dl/dtau = b/Q is the integrand of the panels."""
+        """Invert log r = l(tau), for a float or an array of log r values in
+        one call; dl/dtau = b/Q is the integrand of the panels."""
         anti = self.antiderivative
         return invert_monotone(anti, anti.fn, ell, *self.work_interval)
 
     def tau_jet(self, ell):
-        """tau as a function of log r, with dtau/dl = Q/b propagated to jets."""
+        """tau as a function of log r, with dtau/dl = Q/b propagated to jets;
+        all the points of a batch are inverted together."""
         if isinstance(ell, Jet):
             t0 = self.tau_of_logr(ell.val)
             bf = float(self.params.b)
@@ -237,12 +242,12 @@ class WarpProfile:
 
     def roundtrip_error(self, n=512):
         ts = np.linspace(self.work_interval[0], self.work_interval[1], n)
-        return max(abs(self.tau_of_logr(self.logr_of_tau(t)) - t) for t in ts)
+        return float(np.max(np.abs(self.tau_of_logr(self.logr_of_tau(ts)) - ts)))
 
     def csv_rows(self, n=200):
         """Rows (tau, log_r, Q) sampled uniformly over the working interval."""
         ts = np.linspace(self.work_interval[0], self.work_interval[1], n)
-        return [(t, self.logr_of_tau(t), self.q.value(t)) for t in ts]
+        return list(zip(ts, self.logr_of_tau(ts), self.q.value(ts)))
 
 
 def _rho_terms(base, xs, s):
@@ -268,8 +273,9 @@ def _standard_J(n):
 @dataclass
 class SKRChart:
     """Assembled chart bundle: the metric chart, and ``fields``, one callable
-    on coordinates that returns the metric rows g, the scalar tau, the
-    profile f and the complex structure J together, from one evaluation."""
+    on coordinates (the seeded jets of a batch of points, or plain floats)
+    that returns the metric rows g, the scalar tau, the profile f and the
+    complex structure J together, from one evaluation."""
 
     chart: MetricChart
     fields: Callable

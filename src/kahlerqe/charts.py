@@ -1,4 +1,4 @@
-"""Coordinate-chart tensor calculus from second-order jets.
+"""Coordinate-chart tensor calculus from second-order jets, on batches of points.
 
 A MetricChart supplies metric components as a callable on coordinates; the
 callable must be written with jet-friendly arithmetic (see kahlerqe.jets)
@@ -6,11 +6,18 @@ so that evaluating it on seeded jets yields exact first and second
 derivatives of every component.  All curvature operators below consume
 those derivative arrays; nothing here uses finite differences.
 
-The chart-level operators (``christoffel``, ``ricci``, ``hessian``, ...)
-evaluate the metric afresh on every call.  ``PointGeometry`` makes one
-evaluation per point, of a ``fields`` callable that returns the metric's
-rows together with tau, f and J, and derives everything the verification
-suite needs from that one evaluation.
+Every array carries a leading point axis.  ``PointGeometry`` evaluates a
+``fields`` callable, which returns the metric's rows together with tau, f
+and J, once on a whole batch of points, and derives everything the
+verification suite needs from that one evaluation.  The chart-level
+operators (``metric_jets``, ``christoffel``, ``ricci``, ``hessian``, ...)
+are the same kernels applied to a batch of one point, returned without the
+point axis.
+
+Contractions sum in a fixed order with elementwise operations only
+(``_esum``), so a point's geometry is bit for bit the same whichever batch
+it is evaluated in.  Ricci is formed from contractions of the second
+derivatives of g; neither dGamma nor the Riemann tensor is materialised.
 
 Sign conventions: Ricci of the unit round sphere is +g, of the hyperbolic
 plane -g.
@@ -18,8 +25,10 @@ plane -g.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -60,34 +69,75 @@ def check_point(chart, p):
     return p
 
 
-def _scalar_arrays(e, n):
-    """(value, gradient, Hessian) of a Jet, or of a constant with zero derivatives."""
+def _esum(spec, *ops):
+    """``np.einsum(spec)`` over a leading point axis, in a fixed order.
+
+    ``spec`` names the axes after the point axis, e.g. ``"ka,aij->kij"``.
+    The summed indices run in lexicographic order of their values, and each
+    term is the left-to-right product of its operands; a summed index may
+    repeat within an operand (a trace).  Every step is elementwise along
+    the point axis, so no result depends on the batch size.
+    """
+    ins, out = spec.split("->")
+    ins = ins.split(",")
+    dims = {}
+    for letters, op in zip(ins, ops):
+        dims.update(zip(letters, op.shape[1:]))
+    summed = sorted(set("".join(ins)) - set(out))
+    plans = []
+    for letters in ins:
+        free = [c for c in letters if c not in summed]
+        order = sorted(range(len(free)), key=lambda t: out.index(free[t]))
+        perm = (0,) + tuple(1 + t for t in order)
+        expand = (slice(None),) + tuple(slice(None) if c in free else None for c in out)
+        plans.append((letters, perm, expand))
+    acc = None
+    for values in itertools.product(*(range(dims[c]) for c in summed)):
+        fix = dict(zip(summed, values))
+        term = None
+        for (letters, perm, expand), op in zip(plans, ops):
+            v = op[(slice(None),) + tuple(fix.get(c, slice(None)) for c in letters)]
+            v = v.transpose(perm)[expand]
+            term = v if term is None else term * v
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _scalar_arrays(e, n, B):
+    """(value, gradient, Hessian) arrays of a Jet, or of a constant with zero derivatives."""
     if isinstance(e, Jet):
         return e.val, e.grad, e.hess
-    return float(e), np.zeros(n), np.zeros((n, n))
+    return np.full(B, float(e)), np.zeros((B, n)), np.zeros((B, n, n))
 
 
-def _row_arrays(rows, n):
-    """Arrays (M[i,j], dM[k,i,j], d2M[k,l,i,j]) of n x n rows of Jets and constants."""
-    M = np.empty((n, n))
-    dM = np.empty((n, n, n))
-    d2M = np.empty((n, n, n, n))
+def _row_arrays(rows, n, B, order=2):
+    """Arrays (M[b,i,j], dM[b,k,i,j], d2M[b,k,l,i,j]) of n x n rows of Jets
+    and constants, at B points; the first ``order`` derivatives only."""
+    out = [np.empty((B,) + (n,) * (2 + d)) for d in range(order + 1)]
     for i in range(n):
         for j in range(n):
-            M[i, j], dM[:, i, j], d2M[:, :, i, j] = _scalar_arrays(rows[i][j], n)
-    return M, dM, d2M
+            e = rows[i][j]
+            parts = (e.val, e.grad, e.hess) if isinstance(e, Jet) else (float(e), 0.0, 0.0)
+            for d in range(order + 1):
+                out[d][(slice(None),) + (slice(None),) * d + (i, j)] = parts[d]
+    return tuple(out)
+
+
+def _metric_batch(chart, p):
+    p = check_point(chart, p)
+    return _row_arrays(chart.components(Jet.seed(p)), chart.dim, 1)
 
 
 def metric_jets(chart, p):
     """Metric with derivatives: (g[i,j], dg[k,i,j]=d_k g_ij, d2g[k,l,i,j])."""
-    p = check_point(chart, p)
-    return _row_arrays(chart.components(Jet.seed(p)), chart.dim)
+    return tuple(a[0] for a in _metric_batch(chart, p))
 
 
 def scalar_jet(fn, chart, p):
     """Scalar field value, gradient and coordinate Hessian: (v, dv[i], d2v[i,j])."""
     p = check_point(chart, p)
-    return _scalar_arrays(fn(Jet.seed(p)), chart.dim)
+    v, dv, d2v = _scalar_arrays(fn(Jet.seed(p)), chart.dim, 1)
+    return float(v[0]), dv[0], d2v[0]
 
 
 def inverse_metric(g):
@@ -109,203 +159,273 @@ def is_positive_definite(g, tol=0.0):
         return False
 
 
-def _christoffel_with_derivative(g, dg, d2g):
+def _christoffel(g, dg):
+    """(ginv, T, Gamma) with T[a,i,j] = d_i g_aj + d_j g_ai - d_a g_ij and
+    Gamma[k,i,j] = Gamma^k_ij = ginv[k,a] T[a,i,j] / 2."""
     ginv = inverse_metric(g)
-    # T[a,i,j] = d_i g_aj + d_j g_ai - d_a g_ij
-    T = np.einsum("iaj->aij", dg) + np.einsum("jai->aij", dg) - dg
-    dT = (
-        np.einsum("miaj->maij", d2g)
-        + np.einsum("mjai->maij", d2g)
-        - np.einsum("maij->maij", d2g)
-    )
-    gamma = 0.5 * np.einsum("ka,aij->kij", ginv, T)
-    dginv = -np.einsum("mab,ka,bl->mkl", dg, ginv, ginv)
-    dgamma = 0.5 * np.einsum("mka,aij->mkij", dginv, T) + 0.5 * np.einsum(
-        "ka,maij->mkij", ginv, dT
-    )
-    return ginv, gamma, dgamma
+    T = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg
+    return ginv, T, 0.5 * _esum("ka,aij->kij", ginv, T)
 
 
-def _riemann(gamma, dgamma):
-    R = np.einsum("iljk->lkij", dgamma) - np.einsum("jlik->lkij", dgamma)
-    R += np.einsum("lia,ajk->lkij", gamma, gamma) - np.einsum(
-        "lja,aik->lkij", gamma, gamma
-    )
-    return R
+def _ricci(ginv, T, gamma, dg, d2g):
+    """r_kj = d_l Gamma^l_jk - d_j Gamma^l_lk + Gamma^l_la Gamma^a_jk
+    - Gamma^l_ja Gamma^a_lk, with both derivative terms contracted from d2g:
+
+        d_l Gamma^l_jk = (d_l g^la) T_ajk / 2 + g^la d_l T_ajk / 2,
+        d_j Gamma^l_lk = d_j d_k log sqrt(det g)
+                       = (d_j g^la) d_k g_al / 2 + g^la d_j d_k g_al / 2,
+
+    where d_j g^la = -(A_j)^l_q g^qa for A_j = g^-1 d_j g."""
+    A = _esum("lp,jpq->jlq", ginv, dg)
+    div_ginv = -_esum("llq,qa->a", A, ginv)  # d_l g^la
+    # g^la d_l T_ajk = g^la (d_l d_j g_ak + d_l d_k g_aj - d_l d_a g_jk); the
+    # second term is the first with j and k swapped
+    M = _esum("la,ljak->kj", ginv, d2g)
+    d_gamma = 0.5 * _esum("a,ajk->kj", div_ginv, T) + 0.5 * (
+        M + M.transpose(0, 2, 1) - _esum("la,lajk->kj", ginv, d2g))
+    d_log_det = 0.5 * (_esum("la,jkal->kj", ginv, d2g) - _esum("jlq,kql->kj", A, A))
+    return (d_gamma - d_log_det + _esum("lla,ajk->kj", gamma, gamma)
+            - _esum("lja,alk->kj", gamma, gamma))
 
 
 def _levi_civita(g, dg, d2g):
-    """(ginv, Gamma, Ricci) from the metric jets; dGamma and Riemann are dropped."""
-    ginv, gamma, dgamma = _christoffel_with_derivative(g, dg, d2g)
-    return ginv, gamma, np.einsum("lklj->kj", _riemann(gamma, dgamma))
+    """(ginv, Gamma, Ricci) from the metric jets of a batch."""
+    ginv, T, gamma = _christoffel(g, dg)
+    return ginv, gamma, _ricci(ginv, T, gamma, dg, d2g)
 
 
 def christoffel(chart, p):
     """Levi-Civita connection coefficients Gamma[k,i,j] = Gamma^k_ij."""
-    return _christoffel_with_derivative(*metric_jets(chart, p))[1]
-
-
-def riemann(chart, p):
-    """Curvature R[l,k,i,j] = R^l_{k i j}, i.e. R(e_i,e_j)e_k = R^l_{kij} e_l."""
-    _, gamma, dgamma = _christoffel_with_derivative(*metric_jets(chart, p))
-    return _riemann(gamma, dgamma)
+    g, dg, _ = _metric_batch(chart, p)
+    return _christoffel(g, dg)[2][0]
 
 
 def ricci(chart, p):
     """Ricci tensor r_ij; unit round sphere gives r = +g."""
-    return _levi_civita(*metric_jets(chart, p))[2]
+    return _levi_civita(*_metric_batch(chart, p))[2][0]
 
 
 def _covariant_hessian(gamma, dv, d2v):
-    return d2v - np.einsum("kij,k->ij", gamma, dv)
+    return d2v - _esum("kij,k->ij", gamma, dv)
 
 
 def hessian(chart, fieldlike, p):
     """Covariant Hessian (nabla d tau)_ij of a scalar field."""
     _, dv, d2v = scalar_jet(fieldlike, chart, p)
-    return _covariant_hessian(christoffel(chart, p), dv, d2v)
+    g, dg, _ = _metric_batch(chart, p)
+    return _covariant_hessian(_christoffel(g, dg)[2], dv[None], d2v[None])[0]
 
 
 def conformal_jets(g, dg, d2g, tau_jet):
     """Jets of g / tau^2 from the jets of g and of tau, by the product rule.
 
-    w = 1/tau^2 is formed with Jet arithmetic and each entry is multiplied
-    in the order of ``Jet.__mul__``, so the result equals
+    Takes a batch (leading point axis) or one point.  w = 1/tau^2 is formed
+    with Jet arithmetic and each entry is multiplied in the order of
+    ``Jet.__mul__``, so the result equals
     ``metric_jets(conformal_scale(chart, tau), p)`` bit for bit without
     evaluating the components again.
     """
+    one = np.ndim(g) == 2
+    if one:
+        g, dg, d2g = g[None], dg[None], d2g[None]
+        tau_jet = tuple(np.asarray(a)[None] for a in tau_jet)
     t = Jet(*tau_jet)
     w = 1.0 / (t * t)
-    cross = dg[:, None] * w.grad[None, :, None, None]
-    return (
-        g * w.val,
-        dg * w.val + w.grad[:, None, None] * g,
-        d2g * w.val + w.hess[:, :, None, None] * g + cross + cross.transpose(1, 0, 2, 3),
-    )
+    wv = w.val[:, None, None]
+    # the Hessians are summed in place, one (k, l) block at a time so that no
+    # second temporary of n^4 entries per point exists, in the order of
+    # ``Jet.__mul__``: then the cross term dg (x) dw and its transpose
+    d2 = d2g * wv[:, None, None]
+    n = g.shape[1]
+    for k in range(n):
+        for l in range(n):
+            d2[:, k, l] += w.hess[:, k, l, None, None] * g
+            d2[:, k, l] += dg[:, k] * w.grad[:, l, None, None]
+            d2[:, k, l] += dg[:, l] * w.grad[:, k, None, None]
+    out = (g * wv, dg * wv[:, None] + w.grad[:, :, None, None] * g[:, None], d2)
+    return tuple(a[0] for a in out) if one else out
+
+
+def _quad(a, S, b):
+    """a_i S_ij b_j at each point, as (a S) b."""
+    return _esum("j,j->", _esum("i,ij->j", a, S), b)
+
+
+def _unit(v, G):
+    """v / |v|_G at each point."""
+    return v / np.sqrt(_quad(v, G, v))[:, None]
 
 
 def _killing_residual(g, dg, ginv, gamma, dv, d2v, J, dJ):
     """Lie derivative (L_K g)_ij for K = J grad(tau); zero iff K is Killing."""
-    dginv = -np.einsum("mab,ia,bj->mij", dg, ginv, ginv)
-    grad_up = ginv @ dv
-    K_up = J @ grad_up
+    dginv = -_esum("ia,mab->mib", ginv, _esum("mab,bj->maj", dg, ginv))
+    grad_up = _esum("ij,j->i", ginv, dv)
+    K_up = _esum("ij,j->i", J, grad_up)
     # coordinate derivative of K^i
     dK_up = (
-        np.einsum("mil,l->mi", dJ, grad_up)
-        + np.einsum("il,mls,s->mi", J, dginv, dv)
-        + np.einsum("il,ls,ms->mi", J, ginv, d2v)
+        _esum("mil,l->mi", dJ, grad_up)
+        + _esum("il,ml->mi", J, _esum("mls,s->ml", dginv, dv))
+        + _esum("il,ml->mi", J, _esum("ls,ms->ml", ginv, d2v))
     )
-    K_low = g @ K_up
-    dK_low = np.einsum("mji,i->mj", dg, K_up) + np.einsum("ji,mi->mj", g, dK_up)
-    return dK_low + dK_low.T - 2.0 * np.einsum("lmj,l->mj", gamma, K_low)
+    K_low = _esum("ij,j->i", g, K_up)
+    dK_low = _esum("mji,i->mj", dg, K_up) + _esum("ji,mi->mj", g, dK_up)
+    return dK_low + dK_low.transpose(0, 2, 1) - 2.0 * _esum("lmj,l->mj", gamma, K_low)
+
+
+def _max_entry(x):
+    """Largest |entry| of each point's tensor."""
+    return np.max(np.abs(x).reshape(x.shape[0], -1), axis=1)
 
 
 def _horizontal_frame(G, v1, v2, drop_tol=1e-8):
-    """G-orthonormal frame of the complement of span{v1, v2}.
+    """G-orthonormal frames (B, dim-2, dim) of the complements of span{v1, v2}.
 
     Deterministic: projects the coordinate basis and runs modified
-    Gram-Schmidt in index order, skipping directions that collapse.
+    Gram-Schmidt in index order, skipping directions that collapse, at
+    every point at once.
     """
-    dim = G.shape[0]
-
-    def inner(a, b):
-        return float(a @ G @ b)
-
-    frame = [v / np.sqrt(inner(v, v)) for v in (v1, v2)]
-    out = []
+    B, dim = v1.shape
+    frame = [_unit(v, G) for v in (v1, v2)]
+    out = np.zeros((B, dim - 2, dim))
+    count = np.zeros(B, dtype=int)
     for i in range(dim):
-        w = np.zeros(dim)
-        w[i] = 1.0
-        for u in frame + out:
-            w = w - inner(w, u) * u
-        nw = inner(w, w)
-        if nw > drop_tol:
-            out.append(w / np.sqrt(nw))
-        if len(out) == dim - 2:
-            break
-    if len(out) != dim - 2:
+        w = np.zeros((B, dim))
+        w[:, i] = 1.0
+        for u in frame:
+            w = w - _quad(w, G, u)[:, None] * u
+        for s in range(dim - 2):
+            u = out[:, s]
+            w = np.where((s < count)[:, None], w - _quad(w, G, u)[:, None] * u, w)
+        nw = _quad(w, G, w)
+        take = (nw > drop_tol) & (count < dim - 2)
+        rows = np.nonzero(take)[0]
+        out[rows, count[rows]] = w[rows] / np.sqrt(nw[rows])[:, None]
+        count += take
+    if np.any(count != dim - 2):
         raise RuntimeError("failed to build a frame for the horizontal complement")
     return out
 
 
 class PointGeometry:
-    """Everything the verification suite reads at one sample point.
+    """Everything the verification suite reads, at a batch of points.
 
-    Built from one call of ``skr.fields`` at ``p`` on seeded jets, which
-    returns the metric's rows together with tau, f and J; every derived
-    quantity is formed once, here.
+    Built from one call of ``skr.fields`` on the seeded jets of all the
+    points (an array (B, n), or (n,) for one point), which returns the
+    metric's rows together with tau, f and J; every derived quantity is
+    formed once, here, as an array with a leading point axis.
     The jets of ghat = g / tau^2 come from those of g and tau by the
     product rule (``conformal_jets``), and ghat's curvature is computed
     from them directly, not from its expansion in g-terms.  Arrays with
-    n^4 entries (second derivatives of the metrics, dGamma, Riemann) are
+    n^4 entries per point (second derivatives of the metrics) are
     contracted to Ricci during construction and not kept.
 
     ``skr`` needs ``chart`` and ``fields``; ``fields(coords)`` returns
     ``(g, tau, f, J)`` with None for an absent tau, f or J, and the
-    quantities that need a missing field are not set.  ``index`` is the
-    point's position in the sample stream it came from.
+    quantities that need a missing field are not set.  ``index`` holds
+    each point's position in the sample stream it came from (default
+    0..B-1).  ``geo[i]`` is point i alone, with plain floats for its
+    scalars; ``select`` and ``join`` take and merge sub-batches.
 
-    Attributes: ``g``, ``ginv``, ``ricci``; with tau: ``tau`` (its value,
-    else None), ``dtau``, ``grad_tau`` (contravariant), ``grad_tau_sq``,
-    ``hess_tau``, ``lap_tau``, ``g_hat``, ``ricci_hat``; with f: ``f``,
-    ``df``, ``hess_f`` and, with tau too, ``hess_f_hat``, ``lap_f_hat``,
-    ``grad_f_hat_sq``; with J: ``J`` (its value at p), ``kahler_residual``
-    (max |nabla J| entry) and, with tau too, ``killing_residual`` (max
-    |L_K g| entry for K = J grad tau).
+    Attributes: ``p``, ``g``, ``ginv``, ``ricci``; with tau: ``tau`` (its
+    values, else None), ``dtau``, ``grad_tau`` (contravariant),
+    ``grad_tau_sq``, ``hess_tau``, ``lap_tau``, ``g_hat``, ``ricci_hat``;
+    with f: ``f``, ``df``, ``hess_f`` and, with tau too, ``hess_f_hat``,
+    ``lap_f_hat``, ``grad_f_hat_sq``; with J: ``J`` (its values),
+    ``kahler_residual`` (max |nabla J| entry) and, with tau too,
+    ``killing_residual`` (max |L_K g| entry for K = J grad tau).
     """
 
-    def __init__(self, skr, p, index=None):
+    def __init__(self, skr, points, index=None):
         n = skr.chart.dim
-        self.index = index
-        self.p = p = check_point(skr.chart, p)
-        rows, tau, f, J = skr.fields(Jet.seed(p))
-        g, dg, d2g = _row_arrays(rows, n)
+        self.p = np.atleast_2d(np.asarray(points, dtype=float))
+        B = self.p.shape[0]
+        self.index = np.arange(B) if index is None else np.asarray(index)
+        rows, tau, f, J = skr.fields(Jet.seed(self.p))
+        g, dg, d2g = _row_arrays(rows, n, B)
+        del rows
         self.g = g
         self.ginv, gamma, self.ricci = _levi_civita(g, dg, d2g)
         self.tau = None
         if tau is not None:
-            tau_jet = _scalar_arrays(tau, n)
+            tau_jet = _scalar_arrays(tau, n, B)
             self.tau, self.dtau, d2tau = tau_jet
-            self.grad_tau = np.linalg.solve(g, self.dtau)
-            self.grad_tau_sq = float(self.dtau @ self.ginv @ self.dtau)
+            self.grad_tau = np.linalg.solve(g, self.dtau[:, :, None])[:, :, 0]
+            self.grad_tau_sq = _quad(self.dtau, self.ginv, self.dtau)
             self.hess_tau = _covariant_hessian(gamma, self.dtau, d2tau)
-            self.lap_tau = float(np.einsum("ij,ij->", self.ginv, self.hess_tau))
+            self.lap_tau = _esum("ij,ij->", self.ginv, self.hess_tau)
             g_hat, dg_hat, d2g_hat = conformal_jets(g, dg, d2g, tau_jet)
+            del d2g
             self.g_hat = g_hat
             ginv_hat, gamma_hat, self.ricci_hat = _levi_civita(g_hat, dg_hat, d2g_hat)
+            del dg_hat, d2g_hat
         if f is not None:
-            self.f, self.df, d2f = _scalar_arrays(f, n)
+            self.f, self.df, d2f = _scalar_arrays(f, n, B)
             self.hess_f = _covariant_hessian(gamma, self.df, d2f)
             if tau is not None:
                 self.hess_f_hat = _covariant_hessian(gamma_hat, self.df, d2f)
-                self.lap_f_hat = float(np.einsum("ij,ij->", ginv_hat, self.hess_f_hat))
-                self.grad_f_hat_sq = float(self.df @ ginv_hat @ self.df)
+                self.lap_f_hat = _esum("ij,ij->", ginv_hat, self.hess_f_hat)
+                self.grad_f_hat_sq = _quad(self.df, ginv_hat, self.df)
         if J is not None:
-            self.J, dJ = _row_arrays(J, n)[:2]
+            self.J, dJ = _row_arrays(J, n, B, order=1)
             nabla_J = (
                 dJ
-                + np.einsum("jil,lk->ijk", gamma, self.J)
-                - np.einsum("lik,jl->ijk", gamma, self.J)
+                + _esum("jil,lk->ijk", gamma, self.J)
+                - _esum("lik,jl->ijk", gamma, self.J)
             )
-            self.kahler_residual = float(np.max(np.abs(nabla_J)))
+            self.kahler_residual = _max_entry(nabla_J)
             if tau is not None:
-                self.killing_residual = float(np.max(np.abs(_killing_residual(
-                    g, dg, self.ginv, gamma, self.dtau, d2tau, self.J, dJ))))
+                self.killing_residual = _max_entry(_killing_residual(
+                    g, dg, self.ginv, gamma, self.dtau, d2tau, self.J, dJ))
+
+    def __len__(self):
+        return self.p.shape[0]
+
+    def __getitem__(self, i):
+        """Point i of the batch: its arrays without the point axis, its
+        scalars as plain floats (index as int)."""
+        point = SimpleNamespace()
+        for key, val in vars(self).items():
+            if isinstance(val, np.ndarray):
+                val = val[i]
+                val = val.item() if val.ndim == 0 else val
+            setattr(point, key, val)
+        return point
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def select(self, rows):
+        """The sub-batch at ``rows`` (indices or a boolean mask)."""
+        out = object.__new__(PointGeometry)
+        for key, val in vars(self).items():
+            setattr(out, key, val[rows] if isinstance(val, np.ndarray) else val)
+        return out
+
+    @staticmethod
+    def join(parts):
+        """One batch from sub-batches, in the order given."""
+        out = object.__new__(PointGeometry)
+        for key, val in vars(parts[0]).items():
+            if isinstance(val, np.ndarray):
+                val = np.concatenate([vars(part)[key] for part in parts])
+            setattr(out, key, val)
+        return out
 
     @cached_property
     def horizontal(self):
-        """G-orthonormal frame of the complement of {grad tau, J grad tau},
-        with J taken at this point."""
-        return _horizontal_frame(self.g, self.grad_tau, self.J @ self.grad_tau)
+        """G-orthonormal frames (B, n-2, n) of the complements of
+        {grad tau, J grad tau}, with J taken at each point."""
+        return _horizontal_frame(self.g, self.grad_tau,
+                                 _esum("ij,j->i", self.J, self.grad_tau))
 
     def horizontal_block(self, S):
-        """The (n-2)x(n-2) block of a 2-tensor S on the ``horizontal`` frame."""
+        """The (n-2)x(n-2) blocks of a 2-tensor S on the ``horizontal`` frames."""
         hs = self.horizontal
-        return np.array([[u @ S @ w for w in hs] for u in hs])
+        return _esum("sj,tj->st", _esum("si,ij->sj", hs, S), hs)
 
     @cached_property
     def hess_tau_horizontal(self):
-        """Hess tau on the ``horizontal`` frame, built once for every check."""
+        """Hess tau on the ``horizontal`` frames, built once for every check."""
         return self.horizontal_block(self.hess_tau)
 
 

@@ -1,13 +1,20 @@
-"""Second-order forward-mode differentiation scalars.
+"""Second-order forward-mode differentiation on a batch of points.
 
-A Jet carries a value together with its gradient and Hessian with respect
-to a fixed set of n chart coordinates, i.e. a truncated second-order Taylor
-expansion.  Arithmetic propagates all three levels exactly (product and
-chain rules), so metric components written with these operations yield
-machine-precision first and second derivatives -- no finite differencing.
+A Jet carries, at each of B points, a value together with its gradient and
+Hessian with respect to a fixed set of n chart coordinates, i.e. a
+truncated second-order Taylor expansion: ``val`` has shape (B,), ``grad``
+(B, n) and ``hess`` (B, n, n).  One point is the batch B = 1.  Arithmetic
+propagates all three levels exactly (product and chain rules), so metric
+components written with these operations yield machine-precision first and
+second derivatives -- no finite differencing.  This is vector forward mode
+(Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 3
+and 13): one evaluation of a component carries every point of the batch.
 
-The helper functions (exp_, log_, sqrt_, ...) accept plain floats as well,
-so the same component code can be evaluated value-only.
+Every operation is elementwise along the point axis, so the jet of a point
+does not depend on the batch it is evaluated in, bit for bit.
+
+``log_`` accepts plain floats as well, so the same component code can be
+evaluated value-only.
 """
 
 from __future__ import annotations
@@ -18,46 +25,36 @@ import numpy as np
 
 
 class Jet:
-    """Value, gradient and Hessian of a scalar at a point."""
+    """Values, gradients and Hessians of a scalar at a batch of points."""
 
     __slots__ = ("val", "grad", "hess")
+    # numpy scalars and arrays on the left defer to the reflected operators
+    __array_ufunc__ = None
 
     def __init__(self, val, grad, hess):
-        self.val = float(val)
+        self.val = np.asarray(val, dtype=float)
         self.grad = np.asarray(grad, dtype=float)
         self.hess = np.asarray(hess, dtype=float)
 
-    @property
-    def nvars(self):
-        return self.grad.shape[0]
-
-    @classmethod
-    def constant(cls, value, nvars):
-        return cls(value, np.zeros(nvars), np.zeros((nvars, nvars)))
-
     @classmethod
     def seed(cls, coords):
-        """Independent-variable jets for a coordinate tuple."""
-        coords = np.asarray(coords, dtype=float)
-        n = coords.shape[0]
+        """Independent-variable jets for coordinates of shape (B, n), or (n,)
+        for one point (B = 1)."""
+        coords = np.atleast_2d(np.asarray(coords, dtype=float))
+        B, n = coords.shape
         eye = np.eye(n)
-        zero = np.zeros((n, n))
-        return [cls(coords[i], eye[i], zero) for i in range(n)]
+        zero = np.zeros((B, n, n))
+        return [cls(coords[:, i], np.broadcast_to(eye[i], (B, n)), zero) for i in range(n)]
 
     # -- arithmetic ------------------------------------------------------
-
-    def _lift(self, other):
-        if isinstance(other, Jet):
-            return other
-        if isinstance(other, (int, float)):
-            return Jet.constant(other, self.nvars)
-        return None
+    # A float operand is a constant: it scales or shifts the value only.
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.val + o.val, self.grad + o.grad, self.hess + o.hess)
+        if isinstance(other, Jet):
+            return Jet(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
+        if isinstance(other, (int, float)):
+            return Jet(self.val + other, self.grad, self.hess)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -65,108 +62,78 @@ class Jet:
         return Jet(-self.val, -self.grad, -self.hess)
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.val - o.val, self.grad - o.grad, self.hess - o.hess)
+        if isinstance(other, Jet):
+            return Jet(self.val - other.val, self.grad - other.grad, self.hess - other.hess)
+        if isinstance(other, (int, float)):
+            return Jet(self.val - other, self.grad, self.hess)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        cross = np.outer(self.grad, o.grad)
-        return Jet(
-            self.val * o.val,
-            self.grad * o.val + o.grad * self.val,
-            self.hess * o.val + o.hess * self.val + cross + cross.T,
-        )
+        if isinstance(other, Jet):
+            cross = self.grad[:, :, None] * other.grad[:, None, :]
+            return Jet(
+                self.val * other.val,
+                self.grad * other.val[:, None] + other.grad * self.val[:, None],
+                self.hess * other.val[:, None, None] + other.hess * self.val[:, None, None]
+                + cross + cross.transpose(0, 2, 1),
+            )
+        if isinstance(other, (int, float)):
+            return Jet(self.val * other, self.grad * other, self.hess * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o._reciprocal()
+        if isinstance(other, Jet):
+            return self * other._reciprocal()
+        if isinstance(other, (int, float)):
+            return self * (1.0 / other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self._reciprocal()
+        if isinstance(other, (int, float)):
+            return self._reciprocal() * other
+        return NotImplemented
 
     def _reciprocal(self):
         v = self.val
         return self.compose(1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
 
     def __pow__(self, e):
+        v = self.val
         if isinstance(e, int):
-            v = self.val
             if e == 0:
-                return Jet.constant(1.0, self.nvars)
-            d1 = e * v ** (e - 1)
-            d2 = e * (e - 1) * v ** (e - 2) if e != 1 else 0.0
-            return self.compose(v**e, d1, d2)
+                return Jet(np.ones_like(v), np.zeros_like(self.grad), np.zeros_like(self.hess))
+            d2 = e * (e - 1) * v ** (e - 2) if e != 1 else np.zeros_like(v)
+            return self.compose(v**e, e * v ** (e - 1), d2)
         if isinstance(e, float):
-            v = self.val
-            if v <= 0.0:
+            if np.any(v <= 0.0):
                 raise ValueError("fractional power of a nonpositive jet value")
             return self.compose(v**e, e * v ** (e - 1.0), e * (e - 1.0) * v ** (e - 2.0))
         return NotImplemented
 
     def compose(self, f0, f1, f2):
-        """Chain rule: apply a scalar function given (f, f', f'') at self.val."""
-        gg = np.outer(self.grad, self.grad)
-        return Jet(f0, f1 * self.grad, f1 * self.hess + f2 * gg)
+        """Chain rule: apply a scalar function given arrays (f, f', f'') at self.val."""
+        g = self.grad
+        gg = g[:, :, None] * g[:, None, :]
+        return Jet(f0, f1[:, None] * g, f1[:, None, None] * self.hess + f2[:, None, None] * gg)
 
     def __repr__(self):
         return f"Jet({self.val!r})"
 
 
 def value(x):
-    """Plain float value of a float or Jet."""
+    """Values of a Jet, or a plain float."""
     return x.val if isinstance(x, Jet) else float(x)
-
-
-def exp_(x):
-    if isinstance(x, Jet):
-        e = math.exp(x.val)
-        return x.compose(e, e, e)
-    return math.exp(x)
 
 
 def log_(x):
     if isinstance(x, Jet):
         v = x.val
-        if v <= 0.0:
+        if np.any(v <= 0.0):
             raise ValueError("log of a nonpositive jet value")
-        return x.compose(math.log(v), 1.0 / v, -1.0 / (v * v))
+        return x.compose(np.log(v), 1.0 / v, -1.0 / (v * v))
     return math.log(x)
-
-
-def sqrt_(x):
-    if isinstance(x, Jet):
-        v = x.val
-        if v <= 0.0:
-            raise ValueError("sqrt of a nonpositive jet value")
-        r = math.sqrt(v)
-        return x.compose(r, 0.5 / r, -0.25 / (r * v))
-    return math.sqrt(x)
-
-
-def sin_(x):
-    if isinstance(x, Jet):
-        s, c = math.sin(x.val), math.cos(x.val)
-        return x.compose(s, c, -s)
-    return math.sin(x)
-
-
-def cos_(x):
-    if isinstance(x, Jet):
-        s, c = math.sin(x.val), math.cos(x.val)
-        return x.compose(c, -s, -c)
-    return math.cos(x)
-

@@ -10,12 +10,13 @@ every evaluation reproducible bit for bit.
 One root finder, ``invert_monotone`` (safeguarded Newton), inverts the warp
 integral and finds the ends of Q's positivity intervals.  Like the panel
 build, it raises ConvergenceError instead of returning a best effort.
+Both the antiderivative and the root finder take arrays: a batch of sample
+points is inverted in one call, with every element's arithmetic the same
+as in a call with that element alone.
 """
 
 from __future__ import annotations
 
-import bisect
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,19 +32,38 @@ _GL15 = np.polynomial.legendre.leggauss(15)
 
 
 def _gl(fn, lo, hi, rule):
+    """Gauss-Legendre rule on [lo, hi], or on each [lo[i], hi[i]] of arrays.
+
+    ``fn`` is called once, on every node of every interval; the weighted
+    values are summed node by node in order, so each interval's result is
+    the same in any batch.
+    """
     nodes, weights = rule
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return half * sum(w * fn(mid + half * x) for x, w in zip(nodes, weights))
+    mid, half = np.asarray(0.5 * (lo + hi)), np.asarray(0.5 * (hi - lo))
+    at = mid[..., None] + half[..., None] * nodes
+    vals = np.broadcast_to(fn(at), at.shape)
+    acc = 0.0
+    for k, w in enumerate(weights):
+        acc = acc + w * vals[..., k]
+    return half * acc
 
 
 @dataclass(frozen=True)
 class PanelAntiderivative:
-    """F(x) = integral of fn from anchor to x on a frozen panel decomposition."""
+    """F(x) = integral of fn from anchor to x on a frozen panel decomposition.
+
+    ``cumulative`` holds F at each edge, summed outward from the anchor, and
+    F(x) integrates to x from the end of x's panel nearer the anchor (from
+    the anchor itself in its own panel).  Both terms then have the sign of
+    F(x), so F keeps full relative precision even where the panels far
+    from the anchor, near a zero of the integrand's denominator, carry
+    integrals many orders of magnitude larger than F(x).
+    """
 
     fn: Callable
     edges: tuple
-    cumulative: tuple  # integral from edges[0] to each edge
-    anchor_value: float
+    cumulative: tuple  # integral from anchor to each edge
+    anchor: float
 
     @classmethod
     def build(cls, fn, lo, hi, anchor, rtol=1e-13, max_depth=40):
@@ -60,8 +80,8 @@ class PanelAntiderivative:
         stack = [(lo, hi, 0)]
         while stack:
             a, b, depth = stack.pop()
-            coarse = _gl(fn, a, b, _GL7)
-            fine = _gl(fn, a, b, _GL15)
+            coarse = float(_gl(fn, a, b, _GL7))
+            fine = float(_gl(fn, a, b, _GL15))
             scale = abs(fine) + 1e-30
             if abs(fine - coarse) <= rtol * scale:
                 panels.append((a, b, fine))
@@ -76,31 +96,51 @@ class PanelAntiderivative:
                 stack.append((mid, b, depth + 1))
         panels.sort()
         edges = [panels[0][0]] + [p[1] for p in panels]
-        cum = [0.0]
-        for _, _, v in panels:
-            cum.append(cum[-1] + v)
-        out = cls(
-            fn=fn, edges=tuple(edges), cumulative=tuple(cum), anchor_value=0.0
-        )
-        object.__setattr__(out, "anchor_value", out._raw(anchor))
-        return out
+        p = min(int(np.searchsorted(edges, anchor, side="right")) - 1, len(panels) - 1)
+        cum = [0.0] * len(edges)
+        cum[p] = float(_gl(fn, anchor, edges[p], _GL15))
+        cum[p + 1] = float(_gl(fn, anchor, edges[p + 1], _GL15))
+        for j in range(p + 1, len(panels)):
+            cum[j + 1] = cum[j] + panels[j][2]
+        for j in range(p - 1, -1, -1):
+            cum[j] = cum[j + 1] - panels[j][2]
+        return cls(fn=fn, edges=tuple(edges), cumulative=tuple(cum), anchor=anchor)
 
-    def _raw(self, x):
-        i = bisect.bisect_right(self.edges, x) - 1
-        i = min(max(i, 0), len(self.edges) - 2)
-        return self.cumulative[i] + _gl(self.fn, self.edges[i], x, _GL15)
+    def __post_init__(self):
+        # per panel: where its integration starts, and F there
+        edges = np.array(self.edges)
+        cum = np.array(self.cumulative)
+        left, right = edges[:-1] >= self.anchor, edges[1:] <= self.anchor
+        start = np.where(left, edges[:-1], np.where(right, edges[1:], self.anchor))
+        base = np.where(left, cum[:-1], np.where(right, cum[1:], 0.0))
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_start", start)
+        object.__setattr__(self, "_base", base)
 
     def __call__(self, x):
-        if not self.edges[0] <= x <= self.edges[-1]:
+        """F at x, a float or an array of points in the integration range."""
+        arr = np.asarray(x, dtype=float)
+        xs = np.atleast_1d(arr)
+        outside = (xs < self._edges[0]) | (xs > self._edges[-1])
+        if np.any(outside):
             raise ValueError(
-                f"evaluation at {x} outside integration range "
-                f"[{self.edges[0]}, {self.edges[-1]}]"
+                f"evaluation at {float(xs[np.argmax(outside)])} outside integration "
+                f"range [{self.edges[0]}, {self.edges[-1]}]"
             )
-        return self._raw(x) - self.anchor_value
+        i = np.searchsorted(self._edges, xs, side="right") - 1
+        i = np.clip(i, 0, len(self.edges) - 2)
+        out = self._base[i] + _gl(self.fn, self._start[i], xs, _GL15)
+        return float(out[0]) if arr.ndim == 0 else out
 
 
 def invert_monotone(fn, dfn, target, lo, hi, steps=100):
     """Solve fn(x) = target on [lo, hi], where fn - target changes sign.
+
+    ``target`` (and ``lo``, ``hi``) may be arrays: every element runs its
+    own iteration, with its own stop, and fn and dfn are called on arrays
+    of the elements still running.  With fn elementwise, each element's
+    result is bit for bit that of a call with it alone; a float target
+    gives a float.
 
     Safeguarded Newton with the derivative ``dfn`` (rtsafe; Press et al.,
     Numerical Recipes, 3rd ed., 9.4), from the secant point of the bracket.
@@ -110,38 +150,49 @@ def invert_monotone(fn, dfn, target, lo, hi, steps=100):
     last (Newton creeps where rounding makes fn a staircase).  It stops
     when a step moves x by at most 1e-14 (|x| + 1), or the bracket is that
     narrow.  Only the sign change is needed, not monotonicity.  Raises
-    ConvergenceError after ``steps`` iterations, ValueError when the
-    target is not bracketed.
+    ConvergenceError naming the targets still running after ``steps``
+    iterations, ValueError naming the targets that are not bracketed.
     """
+    scalar = np.ndim(target) == 0
+    target = np.atleast_1d(np.asarray(target, dtype=float))
+    lo, hi = (np.broadcast_to(np.asarray(e, dtype=float), target.shape) for e in (lo, hi))
     flo, fhi = fn(lo) - target, fn(hi) - target
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ValueError(f"target {target} not bracketed on [{lo}, {hi}]")
-    a, b = lo, hi
-    x = min(hi, lo + (hi - lo) * (flo / (flo - fhi)))
-    last = before = hi - lo
+    out = np.where(flo == 0.0, lo, hi)
+    run = (flo != 0.0) & (fhi != 0.0)
+    unbracketed = run & (flo * fhi > 0.0)
+    if np.any(unbracketed):
+        k = np.nonzero(unbracketed)[0]
+        raise ValueError(f"target(s) {target[k].tolist()} not bracketed on "
+                         f"[{lo[k].tolist()}, {hi[k].tolist()}]")
+    k = np.nonzero(run)[0]
+    t, flo, a, b = target[k], flo[k], lo[k], hi[k]
+    x = np.minimum(b, a + (b - a) * (flo / (flo - fhi[k])))
+    last = before = b - a
     for _ in range(steps):
-        fx = fn(x) - target
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == (flo > 0.0):
-            a = x
-        else:
-            b = x
+        if not k.size:
+            break
+        fx = fn(x) - t
+        hit = fx == 0.0
+        out[k[hit]] = x[hit]
+        lower = (fx > 0.0) == (flo > 0.0)
+        a, b = np.where(lower, x, a), np.where(lower, b, x)
         d = dfn(x)
-        y = x - fx / d if d != 0.0 else math.nan
-        if not (a <= y <= b and abs(y - x) <= 0.5 * before):  # also a NaN step
-            y = 0.5 * (a + b)
-        before, last = last, abs(y - x)
-        tol = 1e-14 * (abs(y) + 1.0)
-        if last <= tol or b - a <= tol:
-            return y
-        x = y
-    raise ConvergenceError(f"Newton for target {target} on [{lo}, {hi}] left the "
-                           f"bracket [{a}, {b}] after {steps} steps")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = np.where(d != 0.0, x - fx / d, np.nan)
+        ok = (a <= y) & (y <= b) & (np.abs(y - x) <= 0.5 * before)  # False on a NaN step
+        y = np.where(ok, y, 0.5 * (a + b))
+        before, last = last, np.abs(y - x)
+        tol = 1e-14 * (np.abs(y) + 1.0)
+        done = (last <= tol) | (b - a <= tol)
+        out[k[done & ~hit]] = y[done & ~hit]
+        keep = ~(done | hit)
+        k, t, flo, a, b, x = k[keep], t[keep], flo[keep], a[keep], b[keep], y[keep]
+        last, before = last[keep], before[keep]
+    if k.size:
+        raise ConvergenceError(
+            f"Newton for target(s) {target[k].tolist()} left the brackets "
+            f"[{a.tolist()}, {b.tolist()}] after {steps} steps")
+    return float(out[0]) if scalar else out
 
 
 def _first_primes(count):

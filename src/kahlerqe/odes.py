@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from kahlerqe.rational import Polynomial, RationalFunction
 
 
@@ -108,7 +110,8 @@ class SKRParams:
 
 @dataclass(frozen=True)
 class ScalarProfile:
-    """A scalar function of one variable with two derivatives."""
+    """A scalar function of one variable with two derivatives; the profiles
+    built here take a float or an array of arguments."""
 
     value: Callable
     d1: Callable
@@ -143,7 +146,8 @@ class LinearODE1:
 
 
 def alpha_profile(params):
-    """alpha(tau) = (n - 2 + a/(1 + k tau)) / tau as an exact rational function."""
+    """alpha(tau) = (n - 2 + a/(1 + k tau)) / tau as an exact rational function
+    (which evaluates at a float or an array of tau values as well)."""
     t = RationalFunction.variable()
     return ((2 * params.m - 2) * (1 + params.k * t) + params.a) / (
         t * (1 + params.k * t)
@@ -169,7 +173,8 @@ def alpha_degeneracy_roots(params):
 
 
 def gamma_from_phi(params, phi, alpha, tau):
-    """gamma = alpha phi + (alpha (tau-c) - (m+1)) phi' - (tau-c) phi''."""
+    """gamma = alpha phi + (alpha (tau-c) - (m+1)) phi' - (tau-c) phi'', at a
+    float or an array of tau values."""
     c = float(params.c)
     al = alpha(tau)
     return (
@@ -331,6 +336,8 @@ def phi_closed_form(params):
     Integer a evaluates wherever no retained factor has a zero base (for
     a = 1 the first factor drops out entirely); fractional a additionally
     requires tau > 0 and tau > 2c so fractional powers have positive bases.
+    The profile takes a float or an array of tau values; an array with
+    an excluded value is refused, naming the first one.
     """
     m = params.m
     a, c = params.a, params.c
@@ -345,19 +352,28 @@ def phi_closed_form(params):
         if e != 0
     ]
 
+    def _first(tau, bad):
+        return float(np.ravel(tau)[np.argmax(np.ravel(bad))])
+
     def _check(tau):
-        if not a_int and (tau <= 0.0 or tau - 2 * cf <= 0.0):
-            raise ValueError(
-                f"fractional exponent (a={a}) needs tau > 0 and tau > 2c, got tau={tau}"
-            )
+        real = True if a_int else (tau > 0.0) & (tau - 2 * cf > 0.0)
+        ok = real
         for _, root in factors:
-            if tau == root:
-                raise ValueError(f"closed form evaluated at excluded value tau={tau}")
+            ok = ok & (tau != root)
+        if np.all(ok):
+            return
+        if not np.all(real):
+            raise ValueError(
+                f"fractional exponent (a={a}) needs tau > 0 and tau > 2c, "
+                f"got tau={_first(tau, np.logical_not(real))}"
+            )
+        raise ValueError(
+            f"closed form evaluated at excluded value tau={_first(tau, np.logical_not(ok))}")
 
     def psi(tau):
         out = 1.0
         for e, root in factors:
-            out *= (tau - root) ** e
+            out = out * (tau - root) ** e
         return out
 
     # psi'/psi = sum e/(tau-root) = -p

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 
 class PoleError(ZeroDivisionError):
     """Raised when a rational function is evaluated at a denominator root."""
@@ -200,9 +202,13 @@ class Polynomial:
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
     def __call__(self, x):
-        # Horner; exact for Fraction input, float otherwise.
-        acc = Fraction(0) if isinstance(x, (int, Fraction)) else 0.0
-        for c in reversed(self.coeffs):
+        # Horner; exact for int or Fraction input, else in floats (elementwise
+        # for an array), with the float of each coefficient.
+        if isinstance(x, (int, Fraction)):
+            acc, coeffs = Fraction(0), self.coeffs
+        else:
+            acc, coeffs = 0.0, [float(c) for c in self.coeffs]
+        for c in reversed(coeffs):
             acc = acc * x + c
         return acc
 
@@ -346,8 +352,9 @@ class RationalFunction:
 
     def __call__(self, x):
         dv = self.den(x)
-        if dv == 0:
-            raise PoleError(f"evaluation at pole x={x}")
+        pole = np.ravel(dv == 0)
+        if pole.any():
+            raise PoleError(f"evaluation at pole x={np.ravel(x)[pole.argmax()]}")
         return self.num(x) / dv
 
     def render(self, var="t"):

@@ -1,17 +1,18 @@
 """Numerical verification suite for assembled charts.
 
 The suite samples the chart at deterministic low-discrepancy points and
-evaluates each point once, into a ``charts.PointGeometry``; every check
-reads its tensor identity off those geometries and reports the worst
-absolute residual against a pinned tolerance, with the sample index and
-tau where it occurred.  Reports serialize to canonical JSON (sorted keys,
-no timestamps) so a rerun with the same seed is byte-identical, including
-its hash.
+evaluates all of them once, in one batch, into a ``charts.PointGeometry``;
+every check reads its tensor identity off that batch's arrays, at all
+points at once, and reports the worst absolute residual against a pinned
+tolerance, with the sample index and tau where it occurred.  Reports
+serialize to canonical JSON (sorted keys, no timestamps) so a rerun with
+the same seed is byte-identical, including its hash.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -19,7 +20,15 @@ import numpy as np
 
 # ``ricci`` is unused here, but perfbench's layer test expects the wrapped
 # name in this module's namespace.
-from kahlerqe.charts import PointGeometry, is_positive_definite, ricci  # noqa: F401
+from kahlerqe.charts import (  # noqa: F401
+    PointGeometry,
+    _esum,
+    _max_entry,
+    _quad,
+    _unit,
+    is_positive_definite,
+    ricci,
+)
 from kahlerqe.odes import alpha_profile, gamma_from_phi
 from kahlerqe.builder import q_from_phi
 
@@ -67,16 +76,17 @@ class CheckRecord:
 
 
 def _finish(name, residuals, tol, geos, extra=None):
-    """Record for per-point residuals; ``geos[i]`` is where ``residuals[i]``
-    was measured, and ``extra`` gains the sample index and tau of the worst."""
+    """Record for per-point residuals; ``residuals[i]`` was measured at point
+    i of the batch ``geos``, and ``extra`` gains the sample index and tau of
+    the worst."""
     arr = np.asarray(residuals, dtype=float)
     mx = float(np.max(arr)) if arr.size else 0.0
     mn = float(np.mean(arr)) if arr.size else 0.0
     extra = dict(extra or {})
     if arr.size:
-        worst = geos[int(np.argmax(arr))]
-        extra["worst_index"] = worst.index
-        extra["worst_tau"] = worst.tau
+        worst = int(np.argmax(arr))
+        extra["worst_index"] = int(geos.index[worst])
+        extra["worst_tau"] = None if geos.tau is None else float(geos.tau[worst])
     return CheckRecord(
         name=name,
         passed=bool(mx <= tol),
@@ -89,52 +99,52 @@ def _finish(name, residuals, tol, geos, extra=None):
 
 
 def gather_points(skr, samples, seed=0, grad_floor=1e-12):
-    """Geometries of the valid sample points, plus the count of deterministic
-    exclusions.
+    """Geometry of the valid sample points, as one ``PointGeometry`` batch,
+    plus the count of deterministic exclusions.
 
-    Each point is evaluated once, into a ``PointGeometry`` whose ``index``
-    is its position in ``skr.sample_points(2 * samples, seed)``.  Points
-    where the gradient of tau degenerates (never expected on a
-    margin-trimmed interval, but guarded anyway) are skipped and replaced
-    by later points of the same low-discrepancy stream.
+    The first ``samples`` points of ``skr.sample_points(2 * samples, seed)``
+    inside the chart domain are evaluated together, in one batch; ``index``
+    holds each one's position in that stream.  Points where the gradient
+    of tau degenerates (never expected on a margin-trimmed interval, but
+    guarded anyway) are dropped and replaced by the next points of the
+    stream, evaluated in a further batch.  A point's geometry does not
+    depend on its batch, so the result is that of evaluating the points
+    one at a time, in stream order, until ``samples`` are usable.
     """
     raw = skr.sample_points(2 * samples, seed=seed)
-    geos, excluded = [], 0
-    for index, p in enumerate(raw):
-        if len(geos) == samples:
+    inside = (i for i, p in enumerate(raw) if skr.chart.domain(p))
+    parts, usable = [], 0
+    while usable < samples:
+        batch = list(itertools.islice(inside, samples - usable))
+        if not batch:
             break
-        if not skr.chart.domain(p):
-            excluded += 1
-            continue
-        geo = PointGeometry(skr, p, index)
-        if geo.grad_tau_sq <= grad_floor:
-            excluded += 1
-            continue
-        geos.append(geo)
-    if len(geos) < samples:
+        geo = PointGeometry(skr, raw[batch], batch)
+        keep = geo.grad_tau_sq > grad_floor
+        parts.append(geo if keep.all() else geo.select(keep))
+        usable += int(keep.sum())
+    if usable < samples:
         raise RuntimeError(
-            f"only {len(geos)} of {samples} requested sample points were usable"
+            f"only {usable} of {samples} requested sample points were usable"
         )
-    return geos, excluded
+    geos = parts[0] if len(parts) == 1 else PointGeometry.join(parts)
+    # every point of the stream up to the last usable one was excluded or used
+    return geos, int(geos.index[-1]) + 1 - samples
 
 
 def check_positive_definite(skr, geos):
-    flags = [0.0 if is_positive_definite(geo.g) else 1.0 for geo in geos]
-    bad = int(sum(flags))
+    bad = np.array([not is_positive_definite(g) for g in geos.g])
     # one aggregate residual, the count; its point is the first indefinite one
-    worst = [geos[int(np.argmax(flags))]]
-    return _finish("positive-definite", [float(bad)], 0.0, worst,
-                   {"indefinite_points": bad})
+    return _finish("positive-definite", [float(bad.sum())], 0.0,
+                   geos.select([int(np.argmax(bad))]),
+                   {"indefinite_points": int(bad.sum())})
 
 
 def check_kahler(skr, geos, tol=DEFAULT_TOLERANCES["kahler"]):
-    res = [geo.kahler_residual for geo in geos]
-    return _finish("kahler", res, tol, geos)
+    return _finish("kahler", geos.kahler_residual, tol, geos)
 
 
 def check_killing(skr, geos, tol=DEFAULT_TOLERANCES["killing"]):
-    res = [geo.killing_residual for geo in geos]
-    return _finish("killing", res, tol, geos)
+    return _finish("killing", geos.killing_residual, tol, geos)
 
 
 def check_skr(skr, geos, tol=DEFAULT_TOLERANCES["skr-eigenstructure"]):
@@ -142,41 +152,35 @@ def check_skr(skr, geos, tol=DEFAULT_TOLERANCES["skr-eigenstructure"]):
     {grad tau, J grad tau}: both must restrict to scalars there with no
     mixed terms."""
     n = skr.dim
-    res = []
-    phi_hats = []
-    for geo in geos:
-        G, v1 = geo.g, geo.grad_tau
-        v2 = geo.J @ v1
-        hs = geo.horizontal
-        worst = 0.0
-        for S, block, keep in ((geo.hess_tau, geo.hess_tau_horizontal, True),
-                               (geo.ricci, geo.horizontal_block(geo.ricci), False)):
-            lam = np.trace(block) / (n - 2)
-            worst = max(worst, float(np.max(np.abs(block - lam * np.eye(n - 2)))))
-            for vv in (v1, v2):
-                vn = vv / np.sqrt(vv @ G @ vv)
-                worst = max(worst, float(np.max(np.abs([u @ S @ vn for u in hs]))))
-            if keep:
-                phi_hats.append(lam)
-        res.append(worst)
+    G, v1 = geos.g, geos.grad_tau
+    vns = [_unit(v, G) for v in (v1, _esum("ij,j->i", geos.J, v1))]
+    hs = geos.horizontal
+    worst = np.zeros(len(geos))
+    for S, block, keep in ((geos.hess_tau, geos.hess_tau_horizontal, True),
+                           (geos.ricci, geos.horizontal_block(geos.ricci), False)):
+        lam = _esum("ii->", block) / (n - 2)
+        worst = np.maximum(worst, _max_entry(block - lam[:, None, None] * np.eye(n - 2)))
+        hS = _esum("si,ij->sj", hs, S)
+        for vn in vns:
+            worst = np.maximum(worst, _max_entry(_esum("sj,j->s", hS, vn)))
+        if keep:
+            phi_hats = lam
     extra = {
         "phi_estimate_min": float(np.min(phi_hats)),
         "phi_estimate_max": float(np.max(phi_hats)),
         "trivial_pair": bool(np.max(np.abs(phi_hats)) <= tol),
     }
-    return _finish("skr-eigenstructure", res, tol, geos, extra)
+    return _finish("skr-eigenstructure", worst, tol, geos, extra)
 
 
 def check_ricci_hessian(skr, geos, tol=DEFAULT_TOLERANCES["ricci-hessian"]):
     """alpha(tau) Hess(tau) + r = gamma(tau) g with the profile coefficients."""
     params = skr.params
     alpha = alpha_profile(params)
-    res = []
-    for geo in geos:
-        t = geo.tau
-        gamma = gamma_from_phi(params, skr.warp.phi, alpha, t)
-        res.append(float(np.max(np.abs(
-            alpha(t) * geo.hess_tau + geo.ricci - gamma * geo.g))))
+    t = geos.tau
+    gamma = gamma_from_phi(params, skr.warp.phi, alpha, t)
+    res = _max_entry(alpha(t)[:, None, None] * geos.hess_tau + geos.ricci
+                     - gamma[:, None, None] * geos.g)
     return _finish("ricci-hessian", res, tol, geos)
 
 
@@ -184,14 +188,11 @@ def check_quasi_einstein(skr, geos, tol=DEFAULT_TOLERANCES["quasi-einstein"]):
     """(-a/f) Hess_ghat(f) + ricci(ghat) = lambda ghat for ghat = g / tau^2."""
     params = skr.params
     af, lamf = float(params.a), float(params.lam)
-    res = []
-    fmin = np.inf
-    for geo in geos:
-        fv = geo.f
-        fmin = min(fmin, abs(fv))
-        res.append(float(np.max(np.abs(
-            (-af / fv) * geo.hess_f_hat + geo.ricci_hat - lamf * geo.g_hat))))
-    return _finish("quasi-einstein", res, tol, geos, {"min_abs_f": float(fmin)})
+    fv = geos.f
+    res = _max_entry((-af / fv)[:, None, None] * geos.hess_f_hat + geos.ricci_hat
+                     - lamf * geos.g_hat)
+    return _finish("quasi-einstein", res, tol, geos,
+                   {"min_abs_f": float(np.min(np.abs(fv)))})
 
 
 def check_warped_einstein_constant(skr, geos,
@@ -209,14 +210,11 @@ def check_warped_einstein_constant(skr, geos,
             extra={"reason": f"a = {params.a} is not an integer fiber dimension"},
         )
     af, lamf = float(params.a), float(params.lam)
-    mus = []
-    for geo in geos:
-        fv = geo.f
-        mus.append(fv * geo.lap_f_hat + (af - 1.0) * geo.grad_f_hat_sq + lamf * fv * fv)
+    fv = geos.f
+    mus = fv * geos.lap_f_hat + (af - 1.0) * geos.grad_f_hat_sq + lamf * fv * fv
     mu_mean = float(np.mean(mus))
-    spread = [abs(m - mu_mean) for m in mus]
     scale = max(1.0, abs(mu_mean))
-    return _finish("warped-einstein-constant", spread, tol * scale, geos,
+    return _finish("warped-einstein-constant", np.abs(mus - mu_mean), tol * scale, geos,
                    {"mu_mean": mu_mean, "scale": scale})
 
 
@@ -225,18 +223,18 @@ def check_conformal_formulas(skr, geos, tol=DEFAULT_TOLERANCES["conformal-expans
     and likewise for the Hessian of f; both identities are exact, so the
     residual is pure differentiation noise."""
     n = skr.dim
-    res = []
-    for geo in geos:
-        G, tv, dt, df = geo.g, geo.tau, geo.dtau, geo.df
-        Ht, Q, lap = geo.hess_tau, geo.grad_tau_sq, geo.lap_tau
-        expand_r = geo.ricci + (n - 2) / tv * Ht + (lap / tv - (n - 1) * Q / tv**2) * G
-        e1 = float(np.max(np.abs(geo.ricci_hat - expand_r)))
+    G, dt, df = geos.g, geos.dtau, geos.df
+    tv = geos.tau[:, None, None]
+    Q, lap = geos.grad_tau_sq[:, None, None], geos.lap_tau[:, None, None]
+    expand_r = (geos.ricci + (n - 2) / tv * geos.hess_tau
+                + (lap / tv - (n - 1) * Q / tv**2) * G)
+    e1 = _max_entry(geos.ricci_hat - expand_r)
 
-        cross = float(dt @ geo.ginv @ df)
-        expand_h = geo.hess_f + (np.outer(dt, df) + np.outer(df, dt) - cross * G) / tv
-        e2 = float(np.max(np.abs(geo.hess_f_hat - expand_h)))
-        res.append(max(e1, e2))
-    return _finish("conformal-expansions", res, tol, geos)
+    cross = _quad(dt, geos.ginv, df)[:, None, None]
+    outer = dt[:, :, None] * df[:, None, :]
+    expand_h = geos.hess_f + (outer + outer.transpose(0, 2, 1) - cross * G) / tv
+    e2 = _max_entry(geos.hess_f_hat - expand_h)
+    return _finish("conformal-expansions", np.maximum(e1, e2), tol, geos)
 
 
 def check_profile_identities(skr, geos, tols=DEFAULT_TOLERANCES):
@@ -249,20 +247,15 @@ def check_profile_identities(skr, geos, tols=DEFAULT_TOLERANCES):
     cf = float(params.c)
     m = params.m
     n = skr.dim
-    e_grad, e_lap, e_c, e_eig = [], [], [], []
-    for geo in geos:
-        t = geo.tau
-        e_grad.append(abs(geo.grad_tau_sq - q.value(t)))
-        e_lap.append(abs(geo.lap_tau - (2 * m * phi.value(t) + 2 * (t - cf) * phi.d1(t))))
-        e_c.append(abs((t - q.value(t) / (2 * phi.value(t))) - cf))
-        lam = np.trace(geo.hess_tau_horizontal) / (n - 2)
-        e_eig.append(abs(lam - phi.value(t)))
+    t = geos.tau
+    qt, pt = q.value(t), phi.value(t)
+    lam = _esum("ii->", geos.hess_tau_horizontal) / (n - 2)
     out = []
     for name, errs in (
-        ("grad-norm-identity", e_grad),
-        ("laplacian-identity", e_lap),
-        ("c-recovery", e_c),
-        ("hessian-eigenvalue", e_eig),
+        ("grad-norm-identity", np.abs(geos.grad_tau_sq - qt)),
+        ("laplacian-identity", np.abs(geos.lap_tau - (2 * m * pt + 2 * (t - cf) * phi.d1(t)))),
+        ("c-recovery", np.abs((t - qt / (2 * pt)) - cf)),
+        ("hessian-eigenvalue", np.abs(lam - pt)),
     ):
         out.append(_finish(name, errs, tols[name], geos))
     return out

@@ -177,6 +177,31 @@ def test_tau_of_logr_matches_mpmath(params, interval):
         assert abs(tau - float(ref)) <= 1e-14 * (1.0 + abs(tau)), (ell, tau, ref)
 
 
+def test_log_r_keeps_full_precision_near_a_zero_of_q():
+    """On the positivity interval (0, 1) that the window search finds for flat
+    m=2, a=2, c=1, C2=1, the integral of b/Q from the work interval's left
+    end reaches 9e4 while log r is about -4.9 where Q = 0.012.  Summed from
+    there, log r was resolved only to 1.5e-11, and two tau 7.5e-14 apart
+    gave the same log r; summed outward from the anchor, each matches a
+    30-digit quadrature."""
+    mp = pytest.importorskip("mpmath").mp
+    params = SKRParams.section6(m=2, a=2, c=1, C2=1, kappa=0, b=1, sign_phi=-1)
+    phi = phi_closed_form(params)
+    assert positivity_intervals(q_from_phi(params, phi), -3.0, 5.0, {0.0, 1.0, 2.0})[0] \
+        == (0.0, 1.0)
+    warp = build_warp(params, phi, (0.0, 1.0))
+    assert warp.ell_range[0] < -3e4
+    q = _mp_q(params)
+    taus = (0.3625, 0.3625 + 7.5e-14)
+    assert abs(warp.q.value(taus[0]) - 0.012) < 1e-4
+    ells = [warp.logr_of_tau(t) for t in taus]
+    assert ells[0] != ells[1]
+    for tau, ell in zip(taus, ells):
+        with mp.workdps(30):
+            ref = float(mp.quad(lambda x: 1 / q(x), [mp.mpf(warp.tau0), mp.mpf(tau)]))
+        assert abs(ell - ref) <= 2 * np.spacing(abs(ref)), (tau, ell, ref)
+
+
 def test_positivity_interval_ends_are_roots_of_q():
     mp = pytest.importorskip("mpmath").mp
     params = fs_params(a=2, C2=Fraction(-1, 100))

@@ -1,6 +1,6 @@
 """Curvature operators on coordinate charts: pinned closed-form fixtures,
 symmetry properties on random metrics, and independence checks against
-finite differences."""
+finite differences and against the Riemann tensor built from dGamma."""
 
 import math
 from types import SimpleNamespace
@@ -21,20 +21,21 @@ from kahlerqe.charts import (
     is_positive_definite,
     metric_jets,
     ricci,
-    riemann,
 )
+from oracles import cos_, exp_, riemann, sin_
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def _geometry(chart, p, tau=None, J=None):
-    """PointGeometry of ``chart`` at ``p`` carrying the given tau and J; no f."""
+    """PointGeometry of ``chart`` at the one point ``p`` carrying the given
+    tau and J; no f."""
 
     def fields(c):
         return (chart.components(c), None if tau is None else tau(c), None,
                 None if J is None else J(c))
 
-    return PointGeometry(SimpleNamespace(chart=chart, fields=fields), p)
+    return PointGeometry(SimpleNamespace(chart=chart, fields=fields), p)[0]
 
 
 def flat_chart(n):
@@ -43,7 +44,6 @@ def flat_chart(n):
 
 def sphere_chart():
     """Unit round 2-sphere, polar coordinates (theta, phi)."""
-    from kahlerqe.jets import sin_
 
     def comps(c):
         th = c[0]
@@ -87,8 +87,6 @@ def test_sphere_christoffels_pinned():
 
 
 def test_conformal_flat_2d_christoffels_pinned():
-    from kahlerqe.jets import exp_
-
     def comps(c):
         w = exp_(2.0 * c[0])
         return [[w, 0.0], [0.0, w]]
@@ -169,6 +167,19 @@ def test_riemann_symmetries_random_metrics():
             npt.assert_allclose(Rl, np.transpose(Rl, (2, 3, 0, 1)), atol=1e-9)
 
 
+def test_contracted_ricci_matches_trace_of_riemann():
+    """Ricci from contracted second derivatives of g (no dGamma) against the
+    trace of the full tensor built from dGamma."""
+    for seed in (3, 4):
+        ch = _random_metric_chart(seed, eps=0.2)
+        rng = np.random.RandomState(200 + seed)
+        for _ in range(4):
+            p = rng.uniform(-0.8, 0.8, size=3)
+            want = np.einsum("lklj->kj", riemann(ch, p))
+            got = ricci(ch, p)
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
 def _fd_ricci(ch, p, h=1e-5):
     """Ricci built only from finite differences of the component oracle."""
     n = ch.dim
@@ -226,8 +237,6 @@ def test_hessian_fixtures():
 
 
 def test_sphere_height_function_hessian():
-    from kahlerqe.jets import cos_
-
     ch = sphere_chart()
     height = lambda c: cos_(c[0])
     for th in (0.5, 1.2, 2.0):
@@ -272,8 +281,6 @@ def test_kahler_fixtures():
     assert _geometry(ch, p, J=J).kahler_residual < 1e-14
 
     # Hermitian but non-Kahler: second complex direction scaled by e^{2x0}
-    from kahlerqe.jets import exp_
-
     def comps(c):
         w = exp_(2.0 * c[0])
         return [

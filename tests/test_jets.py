@@ -1,11 +1,13 @@
-"""Second-order forward-mode jets against closed forms and finite differences."""
+"""Second-order forward-mode jets against closed forms and finite differences,
+and batches of points against the same points one at a time."""
 
 import math
 
 import numpy as np
 import numpy.testing as npt
 
-from kahlerqe.jets import Jet, cos_, exp_, log_, sin_, sqrt_, value
+from kahlerqe.jets import Jet, log_, value
+from oracles import cos_, exp_, sin_, sqrt_
 
 
 def _fd_grad_hess(fn, x, h=1e-5):
@@ -28,30 +30,34 @@ def _fd_grad_hess(fn, x, h=1e-5):
 
 
 def test_seed_structure():
-    xs = Jet.seed(np.array([2.0, 3.0]))
-    assert xs[0].val == 2.0
-    npt.assert_array_equal(xs[0].grad, [1.0, 0.0])
-    npt.assert_array_equal(xs[1].grad, [0.0, 1.0])
-    npt.assert_array_equal(xs[0].hess, np.zeros((2, 2)))
+    xs = Jet.seed(np.array([2.0, 3.0]))  # one point is the batch B = 1
+    npt.assert_array_equal(xs[0].val, [2.0])
+    npt.assert_array_equal(xs[0].grad, [[1.0, 0.0]])
+    npt.assert_array_equal(xs[1].grad, [[0.0, 1.0]])
+    npt.assert_array_equal(xs[0].hess, np.zeros((1, 2, 2)))
+    xs = Jet.seed(np.array([[2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]))
+    npt.assert_array_equal(xs[1].val, [3.0, 5.0, 7.0])
+    npt.assert_array_equal(xs[0].grad, [[1.0, 0.0]] * 3)
+    assert xs[0].hess.shape == (3, 2, 2)
 
 
 def test_polynomial_jet_exact():
     x, y = Jet.seed(np.array([1.5, -0.5]))
     f = x * x * y + 3.0 * x - y
     # f = x^2 y + 3x - y: grad = (2xy + 3, x^2 - 1), hess = [[2y, 2x], [2x, 0]]
-    assert math.isclose(f.val, 1.5 ** 2 * (-0.5) + 4.5 + 0.5)
-    npt.assert_allclose(f.grad, [2 * 1.5 * -0.5 + 3, 1.5 ** 2 - 1], atol=1e-14)
-    npt.assert_allclose(f.hess, [[-1.0, 3.0], [3.0, 0.0]], atol=1e-14)
+    assert math.isclose(f.val[0], 1.5 ** 2 * (-0.5) + 4.5 + 0.5)
+    npt.assert_allclose(f.grad[0], [2 * 1.5 * -0.5 + 3, 1.5 ** 2 - 1], atol=1e-14)
+    npt.assert_allclose(f.hess[0], [[-1.0, 3.0], [3.0, 0.0]], atol=1e-14)
 
 
 def test_reciprocal_and_division():
     (x,) = Jet.seed(np.array([2.0]))
     r = 1.0 / x
-    npt.assert_allclose([r.val, r.grad[0], r.hess[0, 0]], [0.5, -0.25, 0.25],
+    npt.assert_allclose([r.val[0], r.grad[0, 0], r.hess[0, 0, 0]], [0.5, -0.25, 0.25],
                         atol=1e-15)
     s = (x * x) / (x + 1.0)
     # s(2) = 4/3; s' = (x^2 + 2x)/(x+1)^2 = 8/9; s'' = 2/(x+1)^3 = 2/27
-    npt.assert_allclose([s.val, s.grad[0], s.hess[0, 0]],
+    npt.assert_allclose([s.val[0], s.grad[0, 0], s.hess[0, 0, 0]],
                         [4 / 3, 8 / 9, 2 / 27], atol=1e-14)
 
 
@@ -66,10 +72,10 @@ def test_transcendental_closed_form():
     expect_gx = e * math.cos(0.7) * 1.3 + 2 * 0.7 * math.log(2.0)
     expect_gy = e * math.sin(0.7)
     expect_gz = 0.7 ** 2 / 2.0
-    npt.assert_allclose(f.grad, [expect_gx, expect_gy, expect_gz], rtol=1e-13)
+    npt.assert_allclose(f.grad[0], [expect_gx, expect_gy, expect_gz], rtol=1e-13)
     g_fd, H_fd = _fd_grad_hess(plain, np.array([0.7, 1.3, 2.0]))
-    npt.assert_allclose(f.grad, g_fd, rtol=1e-7)
-    npt.assert_allclose(f.hess, H_fd, rtol=2e-4, atol=1e-6)
+    npt.assert_allclose(f.grad[0], g_fd, rtol=1e-7)
+    npt.assert_allclose(f.hess[0], H_fd, rtol=2e-4, atol=1e-6)
 
 
 def test_mixed_composition_vs_fd():
@@ -85,20 +91,20 @@ def test_mixed_composition_vs_fd():
     for _ in range(10):
         p = rng.uniform(-1.0, 1.0, size=3)
         f = jet_fn(Jet.seed(p))
-        assert math.isclose(f.val, plain(p), rel_tol=1e-14)
+        assert math.isclose(f.val[0], plain(p), rel_tol=1e-14)
         g_fd, H_fd = _fd_grad_hess(plain, p)
-        npt.assert_allclose(f.grad, g_fd, rtol=1e-6, atol=1e-9)
-        npt.assert_allclose(f.hess, H_fd, rtol=1e-3, atol=1e-5)
+        npt.assert_allclose(f.grad[0], g_fd, rtol=1e-6, atol=1e-9)
+        npt.assert_allclose(f.hess[0], H_fd, rtol=1e-3, atol=1e-5)
 
 
 def test_float_power():
     (x,) = Jet.seed(np.array([3.0]))
     f = x ** 0.5
     g = sqrt_(x)
-    npt.assert_allclose([f.val, f.grad[0], f.hess[0, 0]],
-                        [g.val, g.grad[0], g.hess[0, 0]], rtol=1e-15)
+    npt.assert_allclose([f.val[0], f.grad[0, 0], f.hess[0, 0, 0]],
+                        [g.val[0], g.grad[0, 0], g.hess[0, 0, 0]], rtol=1e-15)
     h = x ** -2
-    npt.assert_allclose([h.val, h.grad[0], h.hess[0, 0]],
+    npt.assert_allclose([h.val[0], h.grad[0, 0], h.hess[0, 0, 0]],
                         [1 / 9, -2 / 27, 6 / 81], rtol=1e-14)
 
 
@@ -106,14 +112,33 @@ def test_compose_is_chain_rule():
     (x,) = Jet.seed(np.array([0.4]))
     inner = x * x + 1.0
     v = inner.val
-    f = inner.compose(math.log(v), 1.0 / v, -1.0 / v ** 2)
+    f = inner.compose(np.log(v), 1.0 / v, -1.0 / v ** 2)
     g = log_(inner)
-    npt.assert_allclose([f.val, f.grad[0], f.hess[0, 0]],
-                        [g.val, g.grad[0], g.hess[0, 0]], rtol=1e-15)
+    npt.assert_allclose([f.val[0], f.grad[0, 0], f.hess[0, 0, 0]],
+                        [g.val[0], g.grad[0, 0], g.hess[0, 0, 0]], rtol=1e-15)
 
 
 def test_value_passthrough():
     assert value(3.5) == 3.5
     (x,) = Jet.seed(np.array([1.25]))
-    assert value(x) == 1.25
+    npt.assert_array_equal(value(x), [1.25])
+
+
+def test_batch_equals_each_point_alone_bit_for_bit():
+    """Every operation is elementwise along the point axis: a point's jet is
+    the same in any batch, in any position."""
+
+    def jet_fn(coords):
+        x, y, z = coords
+        return (sqrt_(1.0 + x * x) * cos_(y) / (2.0 + sin_(z)) + exp_(x * y) * log_(z)
+                - (x - 2.0) ** 3 + (z + 1.0) ** 0.5 - 3.0 / (y - 4.0))
+
+    pts = np.random.RandomState(5).uniform(0.5, 1.5, size=(37, 3))
+    for order in (np.arange(37), np.random.RandomState(6).permutation(37)):
+        batch = jet_fn(Jet.seed(pts[order]))
+        for row, i in enumerate(order):
+            one = jet_fn(Jet.seed(pts[i]))
+            assert np.array_equal(batch.val[row], one.val[0])
+            assert np.array_equal(batch.grad[row], one.grad[0])
+            assert np.array_equal(batch.hess[row], one.hess[0])
 

@@ -101,3 +101,50 @@ def test_invert_monotone_bisects_where_newton_creeps():
 def test_invert_monotone_ignores_noise_the_derivative_misses():
     fn = lambda x: x + 1e-12 * np.sin(1e9 * x)
     assert abs(invert_monotone(fn, lambda x: 1.0, 0.3, 0.0, 1.0) - 0.3) < 1e-11
+
+
+def _acceptance_warps():
+    from fractions import Fraction
+
+    from kahlerqe.builder import build_warp
+    from kahlerqe.odes import SKRParams, phi_closed_form
+
+    flat = SKRParams.section6(m=2, a=1, c=1, C2=-1, kappa=0, b=1, sign_phi=-1)
+    fs = SKRParams.section6(m=3, a=2, c=1, C2=Fraction(-1, 100), kappa=3,
+                            b=Fraction(-1, 2), sign_phi=1)
+    return {"flat-a1": build_warp(flat, phi_closed_form(flat), (0.35, 0.95)),
+            "fs-a2": build_warp(fs, phi_closed_form(fs), (1.3, 1.9))}
+
+
+@pytest.mark.parametrize("label", ("flat-a1", "fs-a2"))
+def test_invert_monotone_batch_equals_scalar_calls_bit_for_bit(label):
+    warp = _acceptance_warps()[label]
+    lo, hi = warp.ell_range
+    ells = np.random.RandomState(4).permutation(np.linspace(lo, hi, 41)[1:-1])
+    batch = warp.tau_of_logr(ells)
+    assert batch.shape == ells.shape
+    for ell, tau in zip(ells, batch):
+        one = warp.tau_of_logr(float(ell))
+        assert type(one) is float
+        assert one == tau
+    # the antiderivative too: an array evaluates as its elements alone
+    taus = np.linspace(*warp.work_interval, 33)
+    anti = warp.antiderivative
+    assert [anti(float(t)) for t in taus] == list(anti(taus))
+
+
+def test_invert_monotone_names_the_element_that_does_not_converge():
+    # on the staircase of test_invert_monotone_bisects_where_newton_creeps
+    # the middle target needs more than 3 steps; the others are hit at once
+    fn = lambda x: (x + 2.0 ** 40) - 2.0 ** 40
+    slow = 1229 * 2.0 ** -12 + 1e-9
+    targets = np.array([0.25, slow, 0.5])
+    with pytest.raises(ConvergenceError, match="after 3 steps") as info:
+        invert_monotone(fn, lambda x: 1.0, targets, 0.0, 1.0, steps=3)
+    message = str(info.value)
+    assert f"[{slow!r}]" in message
+    assert "0.25" not in message
+    got = invert_monotone(fn, lambda x: 1.0, targets, 0.0, 1.0)
+    assert list(got) == [invert_monotone(fn, lambda x: 1.0, t, 0.0, 1.0) for t in targets]
+    with pytest.raises(ValueError, match=r"target\(s\) \[2\.0\] not bracketed"):
+        invert_monotone(fn, lambda x: 1.0, np.array([0.5, 2.0]), 0.0, 1.0)

@@ -7,6 +7,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import numpy.testing as npt
 import pytest
 
@@ -389,6 +390,29 @@ def test_phi_closed_form_exclusions():
     # a = 1 drops the (tau-2c) factor entirely, so tau = 2c is fine
     a1 = SKRParams.section6(m=2, a=1, c=1, C2=1)
     assert phi_closed_form(a1).value(2.0) == 16.0
+
+
+def test_phi_closed_form_on_arrays():
+    """An array of tau evaluates elementwise, and one excluded value inside
+    it refuses the whole array, naming that value."""
+    intp = SKRParams.section6(m=2, a=2, c=1, C2=1)
+    phi = phi_closed_form(intp)
+    taus = np.array([0.5, 1.5, 2.5, 3.0])
+    for prof in (phi.value, phi.d1, phi.d2):
+        got = prof(taus)
+        assert got.shape == taus.shape
+        npt.assert_allclose(got, [prof(float(t)) for t in taus], rtol=1e-14)
+    with pytest.raises(ValueError, match=r"excluded value tau=2\.0$"):
+        phi.value(np.array([0.5, 1.5, 2.0, 3.0]))
+    frac = SKRParams.section6(m=2, a=Fraction(7, 2), c=1, C2=1)
+    with pytest.raises(ValueError, match=r"got tau=1\.5$"):
+        phi_closed_form(frac).d1(np.array([2.5, 3.0, 1.5, 1.0]))
+    # alpha and gamma take the same arrays
+    alpha = alpha_profile(intp)
+    npt.assert_allclose(alpha(taus), [alpha(float(t)) for t in taus], rtol=0)
+    gam = gamma_from_phi(intp, phi, alpha, taus)
+    npt.assert_allclose(gam, [gamma_from_phi(intp, phi, alpha, float(t)) for t in taus],
+                        rtol=1e-14)
 
 
 def _certified(params):

@@ -28,7 +28,8 @@ from kahlerqe.charts import (
     ricci,
     scalar_jet,
 )
-from kahlerqe.jets import log_, sin_
+from kahlerqe.jets import Jet, log_
+from oracles import cos_, sin_
 from kahlerqe.odes import SKRParams, phi_closed_form
 from kahlerqe.verify import (
     DEFAULT_TOLERANCES,
@@ -46,7 +47,7 @@ J4 = np.kron(np.eye(2), J2)
 
 
 def _geometries(skr, pts):
-    return [PointGeometry(skr, p, i) for i, p in enumerate(pts)]
+    return PointGeometry(skr, np.array(pts))
 
 
 @pytest.fixture(scope="module")
@@ -103,13 +104,13 @@ def test_worst_point_recorded(flat_skr, flat_report):
 
 
 def test_run_suite_evaluates_components_once_per_point(flat_skr, fs_skr):
-    """The components come from one call of ``fields`` per point, and the
-    chart's own ``components`` is not called at all."""
+    """The components come from ``fields``, whose calls cover each point
+    once, and the chart's own ``components`` is not called at all."""
     for skr in (flat_skr[0], fs_skr):
         calls, component_calls = [], []
 
         def counted(coords, fields=skr.fields):
-            calls.append(coords)
+            calls.append(np.stack([c.val for c in coords], axis=1))
             return fields(coords)
 
         def counted_components(coords, components=skr.chart.components):
@@ -120,23 +121,25 @@ def test_run_suite_evaluates_components_once_per_point(flat_skr, fs_skr):
                               chart=replace(skr.chart, components=counted_components))
         report = run_suite(counted_skr, samples=6, seed=0)
         assert report.excluded_points == 0
-        assert len(calls) == 6
+        points = np.concatenate(calls)
+        assert len(points) == 6
+        assert len(np.unique(points, axis=0)) == 6
         assert component_calls == []
 
 
 def test_one_warp_inversion_per_sample_point(flat_skr, fs_skr, monkeypatch):
-    """g, tau and f at a point share one tau: ``tau_of_logr`` runs once per
-    evaluated point."""
+    """g, tau and f at a point share one tau: each evaluated point's log r is
+    inverted once, in one ``tau_of_logr`` call per batch."""
     inversions, evaluated = [], []
     tau_of_logr, point_geometry = WarpProfile.tau_of_logr, verify.PointGeometry
 
     def counted_tau(self, ell):
-        inversions.append(ell)
+        inversions.append(np.atleast_1d(ell))
         return tau_of_logr(self, ell)
 
-    def counted_geometry(*args):
-        evaluated.append(args)
-        return point_geometry(*args)
+    def counted_geometry(skr, points, index):
+        evaluated.append(len(points))
+        return point_geometry(skr, points, index)
 
     monkeypatch.setattr(WarpProfile, "tau_of_logr", counted_tau)
     monkeypatch.setattr(verify, "PointGeometry", counted_geometry)
@@ -145,8 +148,100 @@ def test_one_warp_inversion_per_sample_point(flat_skr, fs_skr, monkeypatch):
         evaluated.clear()
         geos, _ = gather_points(skr, 10, seed=0)
         assert len(geos) == 10
-        assert len(evaluated) >= 10
+        assert sum(evaluated) >= 10
         assert len(inversions) == len(evaluated)
+        assert [len(ell) for ell in inversions] == evaluated
+        assert len(np.unique(np.concatenate(inversions))) == sum(evaluated)
+
+
+def _sphere_fields_fixture():
+    """Unit round 2-sphere in polar coordinates with the height function
+    tau = 2 + cos(theta) and f = 1/tau + 0.3; no J."""
+
+    def comps(c):
+        s = sin_(c[0])
+        return [[1.0, 0.0], [0.0, s * s]]
+
+    def fields(c):
+        tau = cos_(c[0]) + 2.0
+        return comps(c), tau, 1.0 / tau + 0.3, None
+
+    chart = MetricChart(dim=2, components=comps,
+                        domain=lambda p: 0.05 < p[0] < math.pi - 0.05, name="sphere")
+    pts = np.column_stack([np.linspace(0.2, 2.9, 17), np.linspace(-1.0, 3.0, 17)])
+    return SimpleNamespace(chart=chart, fields=fields), pts
+
+
+def _assert_same_point(one, many):
+    names = set(vars(one)) | set(vars(many))
+    assert names == set(vars(one))
+    for name in names:
+        a, b = getattr(one, name), getattr(many, name)
+        if name == "index":
+            continue
+        assert np.array_equal(a, b), name
+
+
+def test_batch_geometry_equals_each_point_alone_bit_for_bit(flat_skr, fs_skr):
+    """A point's geometry does not depend on the batch it lands in, nor on
+    its position there: every array, the horizontal frame included, is bit
+    for bit that of the point evaluated alone."""
+    sphere, sphere_pts = _sphere_fields_fixture()
+    cases = [(sphere, sphere_pts)]
+    for skr in (flat_skr[0], fs_skr):
+        raw = skr.sample_points(24, seed=3)
+        cases.append((skr, raw[[skr.chart.domain(p) for p in raw]]))
+    for skr, pts in cases:
+        for order in (np.arange(len(pts)), np.random.RandomState(1).permutation(len(pts))):
+            batch = PointGeometry(skr, pts[order], order)
+            if hasattr(batch, "J"):
+                batch.hess_tau_horizontal  # noqa: B018 -- fill the cached frames
+            for row, i in enumerate(order):
+                alone = PointGeometry(skr, pts[i], [i])
+                if hasattr(alone, "J"):
+                    alone.hess_tau_horizontal  # noqa: B018
+                _assert_same_point(alone[0], batch[row])
+                assert batch[row].index == i
+
+
+def test_excluded_points_match_sequential_selection(flat_skr, monkeypatch):
+    """Points whose tau gradient degenerates are replaced by later points of
+    the stream, in further batches; the selection and the exclusion count
+    are those of taking the stream one point at a time."""
+    skr, _ = flat_skr
+
+    def degenerate_where_x0_is_large(coords):
+        g, tau, f, J = skr.fields(coords)
+        flat = (coords[0].val > 0.3)[:, None]
+        tau = Jet(tau.val, np.where(flat, 0.0, tau.grad), tau.hess)
+        return g, tau, f, J
+
+    bad = replace(skr, fields=degenerate_where_x0_is_large)
+    batches = []
+
+    class Counted(PointGeometry):
+        def __init__(self, skr_, points, index):
+            batches.append(len(points))
+            super().__init__(skr_, points, index)
+
+    samples = 12
+    raw = bad.sample_points(2 * samples, seed=0)
+    expected, examined = [], 0
+    for index, p in enumerate(raw):
+        if len(expected) == samples:
+            break
+        examined += 1
+        if bad.chart.domain(p):
+            geo = PointGeometry(bad, p, [index])[0]
+            if geo.grad_tau_sq > 1e-12:
+                expected.append(geo)
+    monkeypatch.setattr(verify, "PointGeometry", Counted)
+    geos, excluded = gather_points(bad, samples, seed=0)
+    assert len(batches) >= 2  # the floor forced a further batch
+    assert [geo.index for geo in geos] == [geo.index for geo in expected]
+    assert excluded == examined - samples > 0
+    for one, many in zip(expected, geos):
+        _assert_same_point(one, many)
 
 
 def test_conformal_jets_match_rescaled_chart_bit_for_bit(flat_skr, fs_skr):
@@ -285,7 +380,6 @@ def test_generic_kahler_chart_fails_skr_check():
 def test_einstein_product_alpha_zero():
     """S^2 x S^2 is Einstein (r = g): the equation holds with alpha = 0,
     gamma = 1 regardless of the potential."""
-    from kahlerqe.jets import cos_
 
     def comps(c):
         s1, s2 = sin_(c[0]), sin_(c[2])
