@@ -128,9 +128,10 @@ def positivity_intervals(profile, lo, hi, exclude=(), grid=4096):
     """Maximal open subintervals of (lo, hi) where the profile is positive.
 
     The range is split at the excluded points and scanned on a uniform
-    grid, with one call of the profile on the whole grid; each sign change
-    is solved by ``invert_monotone`` with the profile's derivative.  Fully
-    deterministic.
+    grid, with one call of the profile on the whole grid; the runs of
+    positive values (a NaN is not positive) are found with array operations,
+    and each sign change is solved by ``invert_monotone`` with the profile's
+    derivative.  Fully deterministic.
     """
     fn, d1 = profile.value, profile.d1
     cuts = sorted(x for x in set(float(e) for e in exclude) if lo < x < hi)
@@ -148,18 +149,15 @@ def positivity_intervals(profile, lo, hi, exclude=(), grid=4096):
         pad = 1e-9 * (b - a)
         xs = np.linspace(a + pad, b - pad, grid)
         vals = np.broadcast_to(fn(xs), xs.shape)  # a constant profile gives a float
-        run_start = None
-        for i, v in enumerate(vals):
-            if v > 0.0 and run_start is None:
-                run_start = i
-            if (v <= 0.0 or i == len(vals) - 1) and run_start is not None:
-                i_end = i if v <= 0.0 else i + 1
-                left_edge = a if run_start == 0 else invert_monotone(
-                    fn, d1, 0.0, xs[run_start - 1], xs[run_start])
-                right_edge = b if i_end == len(vals) else invert_monotone(
-                    fn, d1, 0.0, xs[i_end - 1], xs[i_end])
-                out.append((float(left_edge), float(right_edge)))
-                run_start = None
+        # runs of positive values [start, end): where the padded sign flips
+        pos = np.concatenate(([False], vals > 0.0, [False]))
+        flips = np.flatnonzero(pos[1:] != pos[:-1]).tolist()
+        for start, end in zip(flips[0::2], flips[1::2]):
+            left_edge = a if start == 0 else invert_monotone(
+                fn, d1, 0.0, xs[start - 1], xs[start])
+            right_edge = b if end == len(xs) else invert_monotone(
+                fn, d1, 0.0, xs[end - 1], xs[end])
+            out.append((float(left_edge), float(right_edge)))
     return out
 
 

@@ -224,6 +224,10 @@ def conformal_jets(g, dg, d2g, tau_jet):
     ``Jet.__mul__``, so the result equals
     ``metric_jets(conformal_scale(chart, tau), p)`` bit for bit without
     evaluating the components again.
+
+    Consumes ``d2g``: the Hessian of g / tau^2 is built in place over it,
+    so that only one array of n^4 entries per point exists.  A caller that
+    still needs d2g passes a copy.
     """
     one = np.ndim(g) == 2
     if one:
@@ -232,10 +236,11 @@ def conformal_jets(g, dg, d2g, tau_jet):
     t = Jet(*tau_jet)
     w = 1.0 / (t * t)
     wv = w.val[:, None, None]
-    # the Hessians are summed in place, one (k, l) block at a time so that no
-    # second temporary of n^4 entries per point exists, in the order of
-    # ``Jet.__mul__``: then the cross term dg (x) dw and its transpose
-    d2 = d2g * wv[:, None, None]
+    # the Hessians are summed in place over d2g, one (k, l) block at a time
+    # so that no second array of n^4 entries per point exists, in the order
+    # of ``Jet.__mul__``: then the cross term dg (x) dw and its transpose
+    d2 = d2g
+    d2 *= wv[:, None, None]
     n = g.shape[1]
     for k in range(n):
         for l in range(n):

@@ -25,6 +25,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from kahlerqe.builder import (
     BaseModel,
     ConstructionError,
@@ -431,7 +433,7 @@ def _clamp_window(params, phi, iv, qcap=50.0, span_cap=6.0):
     lo, hi = iv
     pad = 1e-4 * (hi - lo)
     grid = [lo + pad + (hi - lo - 2 * pad) * i / 512 for i in range(513)]
-    qs = [q.value(t) for t in grid]
+    qs = q.value(np.array(grid)).tolist()
     jstar = min(range(513), key=lambda j: abs(math.log(max(qs[j], 1e-300))))
     j0 = j1 = jstar
     while j0 > 0 and qs[j0 - 1] <= qcap:
@@ -448,7 +450,8 @@ def _clamp_window(params, phi, iv, qcap=50.0, span_cap=6.0):
     half = span_cap / 2.0
     t0, t1 = warp.work_interval
     wgrid = [t0 + (t1 - t0) * i / 256 for i in range(257)]
-    tstar = min(wgrid, key=lambda t: abs(math.log(max(warp.q.value(t), 1e-300))))
+    wqs = warp.q.value(np.array(wgrid)).tolist()
+    tstar = wgrid[min(range(257), key=lambda i: abs(math.log(max(wqs[i], 1e-300))))]
     lstar = warp.logr_of_tau(tstar)
     llo, lhi = lstar - half, lstar + half
     if llo < lo_l:
@@ -525,7 +528,8 @@ def _sweep_cell(index, m, a, c, C2, k, base, samples, seed):
         # absolute residuals grow with the metric's magnitude; grade each
         # cell relative to the profile scale on its own window
         t0, t1 = skr.warp.work_interval
-        qmax = max(skr.warp.q.value(t0 + (t1 - t0) * i / 64) for i in range(65))
+        ts = np.array([t0 + (t1 - t0) * i / 64 for i in range(65)])
+        qmax = max(skr.warp.q.value(ts).tolist())
         cell_ts = max(1.0, qmax)
         report = run_suite(skr, samples=samples, seed=seed,
                            tolerance_scale=cell_ts)

@@ -1,23 +1,31 @@
 """Exact univariate polynomial and rational-function arithmetic over Q.
 
-Polynomials are stored as tuples of ``fractions.Fraction`` coefficients in
-ascending degree order with no trailing zeros; the zero polynomial is the
-empty tuple.  Rational functions are kept in canonical form: numerator and
-denominator coprime, denominator monic.  Two rational functions are equal
-iff their canonical representations coincide, so ``==`` is exact equality
-of functions.
+A polynomial is stored fraction-free: a tuple of Python ``int`` numerators in
+ascending degree order, with no trailing zeros, over one positive ``int``
+denominator, in lowest terms (the gcd of the numerators' content and the
+denominator is 1).  The zero polynomial is the empty tuple over 1.  That
+form is canonical, so ``==`` and ``hash`` are exact equality; ``.coeffs``
+gives the coefficients as ``fractions.Fraction`` on demand.
+
+Sums, products and derivatives run on ints and pay one content gcd per
+result.  Division is pseudo-division in place on one integer list, scaled
+only by the factor each step needs and rescaled once at the end; ``gcd`` is
+Euclid on primitive integer parts (Geddes, Czapor & Labahn, *Algorithms for
+Computer Algebra*, 1992, ch. 2 and 7; Knuth, *TAOCP* vol. 2, §4.6.1).  A gcd
+against a nonzero constant is 1 at once.  Rational functions are kept in
+canonical form: numerator and denominator coprime, denominator monic.  Two
+rational functions are equal iff their canonical representations coincide.
 
 Coefficients must be exact (int, Fraction, or a string Fraction() accepts);
 floats are rejected to preserve exactness end to end.  Only the public
-constructor checks them; arithmetic builds results from its own Fractions.
-Long division works in place on one coefficient list.  A gcd against a
-nonzero constant is 1 at once, so over a constant denominator scaling to a
-monic one alone reaches the same canonical form.
+constructor checks them.  Float evaluation uses each coefficient's
+numerator / denominator, which equals ``float`` of its Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -40,25 +48,78 @@ def _coeff(x):
     )
 
 
-def _poly(cs):
-    """A Polynomial on the list of Fractions ``cs``, trailing zeros stripped."""
-    while cs and not cs[-1]:
-        cs.pop()
+def _make(nums, den):
+    """The Polynomial nums/den in lowest terms.
+
+    ``nums`` is a list of ints, which this may modify; ``den`` a nonzero int.
+    """
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return _ZERO
+    if den < 0:
+        nums, den = [-n for n in nums], -den
+    g = gcd(den, *nums)
+    if g != 1:
+        nums, den = [n // g for n in nums], den // g
     p = object.__new__(Polynomial)
-    object.__setattr__(p, "coeffs", tuple(cs))
+    object.__setattr__(p, "_num", tuple(nums))
+    object.__setattr__(p, "_den", den)
     return p
 
 
-class Polynomial:
-    """Univariate polynomial over Q, coefficients ascending."""
+def _pdiv(r, b, q):
+    """Pseudo-divide the ints ``r`` by ``b`` in place; return the scale s.
 
-    __slots__ = ("coeffs",)
+    ``b`` is a tuple of ints with len(b) <= len(r) and a positive leading
+    coefficient lc, so that every scale factor is positive too.  Afterwards
+    s*R = Q*B + r[:len(b) - 1], where R was ``r`` on entry and Q the list
+    ``q`` (len(r) - len(b) + 1 zeros on entry, or None when only the
+    remainder is wanted).  A step whose leading term ``top`` lc does not
+    divide first multiplies everything by lc / gcd(top, lc).
+    """
+    d, lc, s = len(b) - 1, b[-1], 1
+    for shift in range(len(r) - 1 - d, -1, -1):
+        top = r[shift + d]
+        if not top:
+            continue
+        g = gcd(top, lc)
+        if g != lc:
+            f = lc // g
+            s *= f
+            for i in range(shift + d):
+                r[i] *= f
+            if q is not None:
+                for i in range(shift + 1, len(q)):
+                    q[i] *= f
+        coef = top // g
+        if q is not None:
+            q[shift] = coef
+        for j in range(d):
+            r[shift + j] -= coef * b[j]
+    return s
+
+
+def _primitive(nums):
+    """The primitive part of nonzero ints ``nums``: content 1, leading > 0."""
+    g = gcd(*nums)
+    if nums[-1] < 0:
+        g = -g
+    return [n // g for n in nums] if g != 1 else list(nums)
+
+
+class Polynomial:
+    """Univariate polynomial over Q: int numerators, ascending, over one int."""
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
         cs = [_coeff(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        p = _make(nums, den)
+        object.__setattr__(self, "_num", p._num)
+        object.__setattr__(self, "_den", p._den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -72,49 +133,61 @@ class Polynomial:
         return cls((value,))
 
     @property
+    def coeffs(self):
+        """The coefficients, ascending, as Fractions."""
+        den = self._den
+        return tuple(Fraction(n, den) for n in self._num)
+
+    @property
     def degree(self):
         """Degree, with the convention deg 0 = -1."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self._num
 
     @property
     def leading(self):
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self == Polynomial((other,))
+            other = Polynomial((other,))
+        if isinstance(other, Polynomial):
+            return self._num == other._num and self._den == other._den
         return NotImplemented
 
     def __hash__(self):
         # a constant hashes like its value: equal numbers hash equal
-        return hash(self.coeffs if self.degree > 0 else sum(self.coeffs))
+        if self.degree > 0:
+            return hash((self._num, self._den))
+        return hash(Fraction(self._num[0], self._den) if self._num else 0)
 
     def __bool__(self):
         return not self.is_zero
 
     def __neg__(self):
-        return _poly([-c for c in self.coeffs])
+        return _make([-n for n in self._num], self._den)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial((other,))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b, da, db = self._num, other._num, self._den, other._den
+        if da != db:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            a, b, da = [n * fa for n in a], [n * fb for n in b], da * fa
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _poly(out)
+        for i, n in enumerate(b):
+            out[i] += n
+        return _make(out, da)
 
     __radd__ = __add__
 
@@ -129,24 +202,29 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _poly([c * other for c in self.coeffs])
         if not isinstance(other, Polynomial):
+            if isinstance(other, int):
+                return _make([n * other for n in self._num], self._den)
+            if isinstance(other, Fraction):
+                num = other.numerator
+                return _make([n * num for n in self._num], self._den * other.denominator)
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return _poly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] += ci * cj
-        return _poly(out)
+        a, b = self._num, other._num
+        if not a or not b:
+            return _ZERO
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _make(out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial power wants a nonnegative integer")
-        out = Polynomial((1,))
+        out = _ONE
         base = self
         while n:
             if n & 1:
@@ -158,22 +236,24 @@ class Polynomial:
     def __divmod__(self, other):
         """(q, r) with self = q*other + r and deg r < deg other.
 
-        Long division in place on one coefficient list: each quotient term
-        costs one division and deg(other) multiply-subtracts.
+        Pseudo-division in place on the integer numerators (``_pdiv``), then
+        one rescale of the quotient and one of the remainder.
         """
         if isinstance(other, (int, Fraction)):
             other = Polynomial((other,))
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        r, b = list(self.coeffs), other.coeffs
-        d, lc = len(b) - 1, b[-1]
-        q = [Fraction(0)] * max(len(r) - d, 0)
-        for shift in range(len(q) - 1, -1, -1):
-            coef = q[shift] = r[shift + d] / lc
-            if coef:
-                for j in range(d):
-                    r[shift + j] -= coef * b[j]
-        return _poly(q), _poly(r[:d])
+        b, db = other._num, other._den
+        if b[-1] < 0:
+            # the same divisor as (-b)/(-db), with a positive leading term
+            b, db = tuple(-n for n in b), -db
+        r, d = list(self._num), len(b) - 1
+        if len(r) <= d:
+            return _ZERO, self
+        q = [0] * (len(r) - d)
+        # s*A = Q*B + R, so A/da = (Q*db / (s*da)) * (B/db) + R / (s*da)
+        sd = _pdiv(r, b, q) * self._den
+        return _make([n * db for n in q], sd), _make(r[:d], sd)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -184,40 +264,66 @@ class Polynomial:
     def monic(self):
         if self.is_zero:
             return self
-        return self * (1 / self.leading)
+        return _make(list(self._num), self._num[-1])
 
     def gcd(self, other):
         """Monic greatest common divisor (Euclid); gcd(0, 0) = 0.
 
-        A nonzero constant operand makes it 1 at once, with no division.
+        Euclid runs on primitive integer parts, each remainder a
+        pseudo-remainder made primitive.  A nonzero constant operand, or a
+        nonzero constant remainder, makes it 1 at once.
         """
         if self.degree == 0 or other.degree == 0:
-            return _poly([Fraction(1)])
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
+            return _ONE
+        if other.is_zero:
+            return self.monic()
+        if self.is_zero:
+            return other.monic()
+        a, b = _primitive(self._num), _primitive(other._num)
+        if len(a) < len(b):
+            a, b = b, a
+        while True:
+            d = len(b) - 1
+            _pdiv(a, b, None)
+            r = a[:d]
+            while r and not r[-1]:
+                r.pop()
+            if not r:
+                return _make(b, b[-1])
+            if len(r) == 1:
+                return _ONE
+            a, b = b, _primitive(r)
 
     def derivative(self):
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+        return _make([i * n for i, n in enumerate(self._num)][1:], self._den)
 
     def __call__(self, x):
         # Horner; exact for int or Fraction input, else in floats (elementwise
         # for an array), with the float of each coefficient.
-        if isinstance(x, (int, Fraction)):
-            acc, coeffs = Fraction(0), self.coeffs
-        else:
-            acc, coeffs = 0.0, [float(c) for c in self.coeffs]
-        for c in reversed(coeffs):
+        nums, den = self._num, self._den
+        if isinstance(x, int):
+            acc = 0
+            for n in reversed(nums):
+                acc = acc * x + n
+            return Fraction(acc, den)
+        if isinstance(x, Fraction):
+            p, q = x.numerator, x.denominator
+            acc, scale = 0, 1
+            for n in reversed(nums):
+                acc, scale = acc * p + n * scale, scale * q
+            return Fraction(acc * q, den * scale)
+        acc = 0.0
+        for c in [n / den for n in reversed(nums)]:
             acc = acc * x + c
         return acc
 
     def render(self, var="t"):
         if self.is_zero:
             return "0"
+        coeffs = self.coeffs
         parts = []
         for d in range(self.degree, -1, -1):
-            c = self.coeffs[d]
+            c = coeffs[d]
             if c == 0:
                 continue
             if d == 0:
@@ -235,6 +341,12 @@ class Polynomial:
         return f"Polynomial({self.render()!r})"
 
 
+_ZERO = object.__new__(Polynomial)
+object.__setattr__(_ZERO, "_num", ())
+object.__setattr__(_ZERO, "_den", 1)
+_ONE = _make([1], 1)
+
+
 class RationalFunction:
     """Quotient of polynomials in canonical (coprime, monic-denominator) form."""
 
@@ -244,19 +356,21 @@ class RationalFunction:
         if not isinstance(num, Polynomial):
             num = Polynomial((num,)) if not isinstance(num, (list, tuple)) else Polynomial(num)
         if den is None:
-            den = Polynomial((1,))
+            den = _ONE
         elif not isinstance(den, Polynomial):
             den = Polynomial((den,)) if not isinstance(den, (list, tuple)) else Polynomial(den)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
-            num, den = Polynomial(), Polynomial((1,))
+            num, den = _ZERO, _ONE
         else:
             if den.degree > 0 and (g := num.gcd(den)).degree > 0:
                 num, den = num // g, den // g
-            lc = den.leading
-            if lc != 1:
-                num, den = num * (1 / lc), den * (1 / lc)
+            # den = D/dd is monic iff lc(D) == dd; else divide both by lc(D)/dd
+            lc, dd = den._num[-1], den._den
+            if lc != dd:
+                num = _make([n * dd for n in num._num], num._den * lc)
+                den = _make(list(den._num), lc)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -286,7 +400,7 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.num if self.is_polynomial else (self.num.coeffs, self.den.coeffs))
+        return hash(self.num if self.is_polynomial else (self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero

@@ -113,13 +113,16 @@ GOLDEN_CELLS = {
     # m, a, c, C2, kappa; the a = 7/3 cell has no radical certificate
     "certificate_m3_a7-3.json": (3, Fraction(7, 3), 1, 1, 6),
     "certificate_m4_a7-2.json": (4, Fraction(7, 2), 3, 2, 8),
+    # the tail cell of the certify grid: its largest integers
+    "certificate_m12_a21-2.json": (12, Fraction(21, 2), 1, 1, 24),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CELLS))
 def test_certificate_matches_golden(name):
-    # rendered by the term-by-term division kernel; the in-place kernel must
-    # reproduce them byte for byte, as cmd_certify writes certificate.json
+    # rendered by earlier kernels (term-by-term division, then in-place
+    # division over Fractions); the fraction-free kernel must reproduce them
+    # byte for byte, as cmd_certify writes certificate.json
     m, a, c, C2, kappa = GOLDEN_CELLS[name]
     params = SKRParams.section6(m=m, a=a, c=c, C2=C2, kappa=kappa)
     text = json.dumps(cli.certify_params(params), sort_keys=True, indent=2) + "\n"

@@ -4,8 +4,9 @@ import ast
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kahlerqe.rational import PoleError, Polynomial, RationalFunction
@@ -100,6 +101,80 @@ def oracle_gcd(a, b):
     return a.monic()
 
 
+# -- the Fraction-tuple kernel, the oracle of the fraction-free one --
+#
+# Polynomials as tuples of Fractions, ascending, no trailing zeros: the
+# representation and arithmetic the package used before it stored integer
+# numerators over one denominator.
+
+
+def _trim(cs):
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def frac_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trim(out)
+
+
+def frac_neg(a):
+    return tuple(-c for c in a)
+
+
+def frac_scale(a, x):
+    return _trim([c * x for c in a])
+
+
+def frac_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ci in enumerate(a):
+        for j, cj in enumerate(b):
+            out[i + j] += ci * cj
+    return _trim(out)
+
+
+def frac_divmod(a, b):
+    """Long division in place on one list of Fractions."""
+    r, d, lc = list(a), len(b) - 1, b[-1]
+    q = [Fraction(0)] * max(len(r) - d, 0)
+    for shift in range(len(q) - 1, -1, -1):
+        coef = q[shift] = r[shift + d] / lc
+        if coef:
+            for j in range(d):
+                r[shift + j] -= coef * b[j]
+    return _trim(q), _trim(r[:d])
+
+
+def frac_monic(a):
+    return frac_scale(a, 1 / a[-1]) if a else a
+
+
+def frac_gcd(a, b):
+    """Monic gcd by Euclid over frac_divmod, with no constant short cut."""
+    while b:
+        a, b = b, frac_divmod(a, b)[1]
+    return frac_monic(a)
+
+
+def frac_derivative(a):
+    return _trim([i * c for i, c in enumerate(a)][1:])
+
+
+def frac_horner(a, x):
+    acc = 0.0
+    for c in reversed([float(c) for c in a]):
+        acc = acc * x + c
+    return acc
+
+
 _polys = st.lists(
     st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=6
 ).map(Polynomial)
@@ -184,6 +259,82 @@ def test_rational_canonical_form_property(n, d, h):
     assert r == RationalFunction(n, d)
     assert r.den.leading == 1
     assert oracle_gcd(r.num, r.den) == 1
+
+
+_wide_polys = st.lists(
+    st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**6), max_size=6
+).map(Polynomial)
+_any_polys = st.one_of(_polys, _wide_polys)
+_scalars = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+# divisors whose leading coefficient is negative, and negative constants
+_divisors = st.one_of(
+    _any_polys.filter(bool),
+    _any_polys.filter(bool).map(lambda p: -p),
+    st.fractions(min_value=-9, max_value=-1, max_denominator=7).map(
+        lambda c: Polynomial((c,))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_polys, _any_polys, _scalars)
+def test_ring_operations_match_fraction_oracle(p, q, x):
+    a, b = p.coeffs, q.coeffs
+    assert (p + q).coeffs == frac_add(a, b)
+    assert (p - q).coeffs == frac_add(a, frac_neg(b))
+    assert (-p).coeffs == frac_neg(a)
+    assert (p * q).coeffs == frac_mul(a, b)
+    assert (p * x).coeffs == (x * p).coeffs == frac_scale(a, Fraction(x))
+    assert (p + x).coeffs == frac_add(a, (Fraction(x),) if x else ())
+    assert p.derivative().coeffs == frac_derivative(a)
+    assert p.monic().coeffs == frac_monic(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_polys, _divisors)
+@example(Polynomial((1, 2, 3)), Polynomial((Fraction(-2, 3),)))
+@example(Polynomial((5, Fraction(1, 2), -7, 4)), Polynomial((1, Fraction(-3, 2))))
+@example(Polynomial((0, 0, 0, 1)), Polynomial((2, 0, -6)))
+def test_divmod_matches_fraction_oracle(a, b):
+    q, r = divmod(a, b)
+    assert (q.coeffs, r.coeffs) == frac_divmod(a.coeffs, b.coeffs)
+    assert (a // b, a % b) == (q, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_polys, _any_polys, _any_polys, st.booleans())
+@example(Polynomial((1, 1)), Polynomial((-1, 1)), Polynomial((Fraction(2, 3), -6)), True)
+def test_gcd_matches_fraction_oracle(p, q, h, negate):
+    a, b = p * h, q * h
+    if negate:
+        b = -b
+    g = a.gcd(b)
+    assert g == b.gcd(a)
+    assert g.coeffs == frac_gcd(a.coeffs, b.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_polys, _any_polys, st.lists(
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=1, max_size=8))
+def test_kernel_invariants(p, q, xs):
+    # one value, one representation: equal coeffs and equal hashes
+    for x, y in ((p * q, q * p), ((p + q) - q, p), (Polynomial(p.coeffs), p),
+                 (Polynomial([str(c) for c in p.coeffs]), p)):
+        assert x == y and x.coeffs == y.coeffs and hash(x) == hash(y)
+    assert all(type(c) is Fraction for c in (p * q).coeffs + p.coeffs)
+    # float Horner with numerator / denominator is bitwise float(Fraction)
+    arr = np.array(xs)
+    for poly in (p, p * q):
+        assert np.asarray(poly(arr)).tobytes() == np.asarray(frac_horner(poly.coeffs, arr)).tobytes()
+        for x in xs:
+            got, want = poly(x), frac_horner(poly.coeffs, x)
+            assert type(got) is float and got.hex() == want.hex()
+    # exact evaluation agrees with the Fractions
+    for x in (3, Fraction(-5, 7)):
+        assert p(x) == sum(c * Fraction(x) ** i for i, c in enumerate(p.coeffs))
+        assert type(p(x)) is Fraction
 
 
 def test_constant_denominators_and_products_skip_gcd(monkeypatch):
