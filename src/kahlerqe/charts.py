@@ -15,8 +15,12 @@ are the same kernels applied to a batch of one point, returned without the
 point axis.
 
 Contractions sum in a fixed order with elementwise operations only
-(``_esum``), so a point's geometry is bit for bit the same whichever batch
-it is evaluated in.  Ricci is formed from contractions of the second
+(``_esum``): one broadcast product of the operands holds every term, and
+the terms are added one summed index tuple at a time, in lexicographic
+order.  A numpy reduce would sum pairwise wherever the reduced run is
+contiguous, which depends on the batch size; the sequential sum does not,
+so a point's geometry is bit for bit the same whichever batch it is
+evaluated in.  Ricci is formed from contractions of the second
 derivatives of g; neither dGamma nor the Riemann tensor is materialised.
 
 Sign conventions: Ricci of the unit round sphere is +g, of the hyperbolic
@@ -25,7 +29,7 @@ plane -g.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
@@ -33,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from kahlerqe.jets import Jet, value
+from kahlerqe.jets import Jet
 
 
 class ChartDomainError(ValueError):
@@ -69,37 +73,52 @@ def check_point(chart, p):
     return p
 
 
+@functools.cache
+def _esum_plan(spec):
+    """Per operand of ``spec``: the no-summation einsum that lays it out as
+    (its summed axes, point, its output axes), and the index that inserts
+    length-1 axes for the summed and output letters it lacks."""
+    ins, out = spec.split("->")
+    summed = sorted(set(ins) - set(out) - {","})
+    plans = []
+    for letters in ins.split(","):
+        have = [c for c in summed if c in letters], [c for c in out if c in letters]
+        sub = f"...{letters}->{''.join(have[0])}...{''.join(have[1])}"
+        expand = tuple(slice(None) if c in letters else None for c in summed)
+        expand += (slice(None),) + tuple(slice(None) if c in letters else None for c in out)
+        plans.append((sub, expand))
+    return len(summed), tuple(plans)
+
+
 def _esum(spec, *ops):
     """``np.einsum(spec)`` over a leading point axis, in a fixed order.
 
-    ``spec`` names the axes after the point axis, e.g. ``"ka,aij->kij"``.
-    The summed indices run in lexicographic order of their values, and each
-    term is the left-to-right product of its operands; a summed index may
-    repeat within an operand (a trace).  Every step is elementwise along
-    the point axis, so no result depends on the batch size.
+    ``spec`` names the axes after the point axis, e.g. ``"ka,aij->kij"``;
+    a summed index may repeat within an operand (a trace).  Each operand is
+    laid out as (summed..., point, out...) by an einsum that only takes
+    diagonals and transposes, so its entries are copied exactly.  The
+    operands are multiplied left to right into one C-ordered buffer of
+    shape (S, B, out...), whose first axis runs over the S tuples of summed
+    values in lexicographic order, and the terms are added one tuple at a
+    time, first to last.  That is the same products and the same sequential
+    sum as a loop over the tuples.  A reduce (``np.sum``, ``einsum``) is not
+    used: where the reduced run is contiguous (one point, scalar output)
+    numpy sums it pairwise, and the result would depend on the batch size.
     """
-    ins, out = spec.split("->")
-    ins = ins.split(",")
-    dims = {}
-    for letters, op in zip(ins, ops):
-        dims.update(zip(letters, op.shape[1:]))
-    summed = sorted(set("".join(ins)) - set(out))
-    plans = []
-    for letters in ins:
-        free = [c for c in letters if c not in summed]
-        order = sorted(range(len(free)), key=lambda t: out.index(free[t]))
-        perm = (0,) + tuple(1 + t for t in order)
-        expand = (slice(None),) + tuple(slice(None) if c in free else None for c in out)
-        plans.append((letters, perm, expand))
-    acc = None
-    for values in itertools.product(*(range(dims[c]) for c in summed)):
-        fix = dict(zip(summed, values))
-        term = None
-        for (letters, perm, expand), op in zip(plans, ops):
-            v = op[(slice(None),) + tuple(fix.get(c, slice(None)) for c in letters)]
-            v = v.transpose(perm)[expand]
-            term = v if term is None else term * v
-        acc = term if acc is None else acc + term
+    k, plans = _esum_plan(spec)
+    views = [np.einsum(sub, op)[expand] for (sub, expand), op in zip(plans, ops)]
+    shape = np.broadcast_shapes(*(v.shape for v in views))
+    t = np.empty(shape, dtype=np.result_type(*views))
+    if len(views) == 1:
+        t[...] = views[0]
+    else:
+        np.multiply(views[0], views[1], out=t)
+    for v in views[2:]:
+        np.multiply(t, v, out=t)
+    t = t.reshape((-1,) + shape[k:])
+    acc = t[0].copy()
+    for term in t[1:]:
+        acc += term
     return acc
 
 
@@ -221,9 +240,10 @@ def conformal_jets(g, dg, d2g, tau_jet):
 
     Takes a batch (leading point axis) or one point.  w = 1/tau^2 is formed
     with Jet arithmetic and each entry is multiplied in the order of
-    ``Jet.__mul__``, so the result equals
-    ``metric_jets(conformal_scale(chart, tau), p)`` bit for bit without
-    evaluating the components again.
+    ``Jet.__mul__``, so the result equals the metric jets of the chart
+    whose components are g_ij * w (``conformal_scale`` in
+    ``tests/oracles.py``) bit for bit without evaluating the components
+    again.
 
     Consumes ``d2g``: the Hessian of g / tau^2 is built in place over it,
     so that only one array of n^4 entries per point exists.  A caller that
@@ -433,22 +453,3 @@ class PointGeometry:
         """Hess tau on the ``horizontal`` frames, built once for every check."""
         return self.horizontal_block(self.hess_tau)
 
-
-def conformal_scale(chart, fn):
-    """Chart for g-hat = g / tau^2; domain excludes zeros of tau."""
-
-    def components(coords):
-        rows = chart.components(coords)
-        t = fn(coords)
-        w = 1.0 / (t * t)
-        return [[rows[i][j] * w for j in range(chart.dim)] for i in range(chart.dim)]
-
-    def domain(coords):
-        return chart.domain(coords) and value(fn(coords)) != 0.0
-
-    return MetricChart(
-        dim=chart.dim,
-        components=components,
-        domain=domain,
-        name=f"{chart.name}/tau^2" if chart.name else "conformal",
-    )

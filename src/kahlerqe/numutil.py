@@ -69,41 +69,49 @@ class PanelAntiderivative:
     def build(cls, fn, lo, hi, anchor, rtol=1e-13, max_depth=40):
         """Panelize [lo, hi] until GL7 and GL15 agree per panel, then freeze.
 
-        Raises ConvergenceError when a panel still disagrees after
-        ``max_depth`` halvings.
+        Refines level by level: all unresolved panels of a level go through
+        one GL7 and one GL15 call, the panels where the rules agree are
+        kept, and the others are halved for the next level.  ``_gl`` gives
+        each panel the same result in any batch, so the panels are those of
+        refining one panel at a time.  Raises ConvergenceError when panels
+        still disagree after ``max_depth`` halvings; it names the leftmost
+        of them, which need not be the one a depth-first refinement would
+        meet first.
         """
         if not lo < hi:
             raise ValueError(f"empty integration range [{lo}, {hi}]")
         if not lo <= anchor <= hi:
             raise ValueError(f"anchor {anchor} outside [{lo}, {hi}]")
-        panels = []
-        stack = [(lo, hi, 0)]
-        while stack:
-            a, b, depth = stack.pop()
-            coarse = float(_gl(fn, a, b, _GL7))
-            fine = float(_gl(fn, a, b, _GL15))
-            scale = abs(fine) + 1e-30
-            if abs(fine - coarse) <= rtol * scale:
-                panels.append((a, b, fine))
-            elif depth >= max_depth:
+        kept = []  # (left ends, right ends, GL15 integrals) of the accepted panels
+        a, b = np.array([lo], dtype=float), np.array([hi], dtype=float)
+        for depth in range(max_depth + 1):
+            coarse, fine = _gl(fn, a, b, _GL7), _gl(fn, a, b, _GL15)
+            ok = np.abs(fine - coarse) <= rtol * (np.abs(fine) + 1e-30)
+            kept.append((a[ok], b[ok], fine[ok]))
+            if ok.all():
+                break
+            a, b = a[~ok], b[~ok]
+            if depth == max_depth:
+                gap = np.abs(fine - coarse)[~ok][0]
                 raise ConvergenceError(
-                    f"panel [{a}, {b}] at depth {depth}: GL7 and GL15 differ by "
-                    f"{abs(fine - coarse):.3g}, above rtol {rtol:g}"
+                    f"panel [{a[0]}, {b[0]}] at depth {depth}: GL7 and GL15 differ by "
+                    f"{gap:.3g}, above rtol {rtol:g}"
                 )
-            else:
-                mid = 0.5 * (a + b)
-                stack.append((a, mid, depth + 1))
-                stack.append((mid, b, depth + 1))
-        panels.sort()
-        edges = [panels[0][0]] + [p[1] for p in panels]
-        p = min(int(np.searchsorted(edges, anchor, side="right")) - 1, len(panels) - 1)
+            # halves, kept in order from left to right
+            mid = 0.5 * (a + b)
+            a, b = np.column_stack((a, mid)).ravel(), np.column_stack((mid, b)).ravel()
+        left, right, panel = (np.concatenate(x) for x in zip(*kept))
+        order = np.argsort(left)
+        panel = panel[order].tolist()
+        edges = [lo] + right[order].tolist()
+        p = min(int(np.searchsorted(edges, anchor, side="right")) - 1, len(panel) - 1)
         cum = [0.0] * len(edges)
         cum[p] = float(_gl(fn, anchor, edges[p], _GL15))
         cum[p + 1] = float(_gl(fn, anchor, edges[p + 1], _GL15))
-        for j in range(p + 1, len(panels)):
-            cum[j + 1] = cum[j] + panels[j][2]
+        for j in range(p + 1, len(panel)):
+            cum[j + 1] = cum[j] + panel[j]
         for j in range(p - 1, -1, -1):
-            cum[j] = cum[j + 1] - panels[j][2]
+            cum[j] = cum[j + 1] - panel[j]
         return cls(fn=fn, edges=tuple(edges), cumulative=tuple(cum), anchor=anchor)
 
     def __post_init__(self):

@@ -1,4 +1,4 @@
-"""Test-only jet functions and curvature oracles.
+"""Test-only jet functions, curvature oracles and reference loops.
 
 ``sin_``, ``cos_``, ``exp_`` and ``sqrt_`` extend ``kahlerqe.jets`` for the
 sphere, hyperbolic and product fixtures; like ``log_`` they act on batched
@@ -8,12 +8,20 @@ jets (numpy, elementwise along the point axis) and on plain floats.
 dGamma from the jets of g, then R from dGamma and Gamma with ``np.einsum``.
 The package forms Ricci from contracted second derivatives of g without
 either, so the trace of this tensor is an independent check of it.
+
+``esum_loop`` and ``panel_build_depth_first`` are the package's earlier
+loop forms of ``charts._esum`` and ``PanelAntiderivative.build``; the
+vectorized forms must reproduce them bit for bit.  ``conformal_scale`` is
+the chart of g / tau^2, against which ``charts.conformal_jets`` is checked.
 """
+
+import itertools
 
 import numpy as np
 
-from kahlerqe.charts import metric_jets
-from kahlerqe.jets import Jet
+from kahlerqe.charts import MetricChart, metric_jets
+from kahlerqe.jets import Jet, value
+from kahlerqe.numutil import _GL7, _GL15, ConvergenceError, _gl
 
 
 def _apply(x, f0, f1, f2):
@@ -55,3 +63,83 @@ def riemann(chart, p):
     R = np.einsum("iljk->lkij", dgamma) - np.einsum("jlik->lkij", dgamma)
     R += np.einsum("lia,ajk->lkij", gamma, gamma) - np.einsum("lja,aik->lkij", gamma, gamma)
     return R
+
+
+def esum_loop(spec, *ops):
+    """``charts._esum`` as a loop over the summed index tuples: each term is
+    the left-to-right product of its operands' slices, and the terms are
+    added in lexicographic order of the tuples."""
+    ins, out = spec.split("->")
+    ins = ins.split(",")
+    dims = {}
+    for letters, op in zip(ins, ops):
+        dims.update(zip(letters, op.shape[1:]))
+    summed = sorted(set("".join(ins)) - set(out))
+    plans = []
+    for letters in ins:
+        free = [c for c in letters if c not in summed]
+        order = sorted(range(len(free)), key=lambda t: out.index(free[t]))
+        perm = (0,) + tuple(1 + t for t in order)
+        expand = (slice(None),) + tuple(slice(None) if c in free else None for c in out)
+        plans.append((letters, perm, expand))
+    acc = None
+    for values in itertools.product(*(range(dims[c]) for c in summed)):
+        fix = dict(zip(summed, values))
+        term = None
+        for (letters, perm, expand), op in zip(plans, ops):
+            v = op[(slice(None),) + tuple(fix.get(c, slice(None)) for c in letters)]
+            v = v.transpose(perm)[expand]
+            term = v if term is None else term * v
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def panel_build_depth_first(fn, lo, hi, anchor, rtol=1e-13, max_depth=40):
+    """(edges, cumulative) of ``PanelAntiderivative.build``, refining one
+    panel at a time from a stack, with one GL7 and one GL15 call per panel."""
+    panels = []
+    stack = [(lo, hi, 0)]
+    while stack:
+        a, b, depth = stack.pop()
+        coarse = float(_gl(fn, a, b, _GL7))
+        fine = float(_gl(fn, a, b, _GL15))
+        scale = abs(fine) + 1e-30
+        if abs(fine - coarse) <= rtol * scale:
+            panels.append((a, b, fine))
+        elif depth >= max_depth:
+            raise ConvergenceError(f"panel [{a}, {b}] at depth {depth}")
+        else:
+            mid = 0.5 * (a + b)
+            stack.append((a, mid, depth + 1))
+            stack.append((mid, b, depth + 1))
+    panels.sort()
+    edges = [panels[0][0]] + [p[1] for p in panels]
+    p = min(int(np.searchsorted(edges, anchor, side="right")) - 1, len(panels) - 1)
+    cum = [0.0] * len(edges)
+    cum[p] = float(_gl(fn, anchor, edges[p], _GL15))
+    cum[p + 1] = float(_gl(fn, anchor, edges[p + 1], _GL15))
+    for j in range(p + 1, len(panels)):
+        cum[j + 1] = cum[j] + panels[j][2]
+    for j in range(p - 1, -1, -1):
+        cum[j] = cum[j + 1] - panels[j][2]
+    return tuple(edges), tuple(cum)
+
+
+def conformal_scale(chart, fn):
+    """Chart for g-hat = g / tau^2; domain excludes zeros of tau."""
+
+    def components(coords):
+        rows = chart.components(coords)
+        t = fn(coords)
+        w = 1.0 / (t * t)
+        return [[rows[i][j] * w for j in range(chart.dim)] for i in range(chart.dim)]
+
+    def domain(coords):
+        return chart.domain(coords) and value(fn(coords)) != 0.0
+
+    return MetricChart(
+        dim=chart.dim,
+        components=components,
+        domain=domain,
+        name=f"{chart.name}/tau^2" if chart.name else "conformal",
+    )

@@ -2,27 +2,31 @@
 symmetry properties on random metrics, and independence checks against
 finite differences and against the Riemann tensor built from dGamma."""
 
+import glob
 import math
+import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import kahlerqe
 from kahlerqe.charts import (
     ChartDomainError,
     MetricChart,
     PointGeometry,
     SingularMetricError,
+    _esum,
     christoffel,
-    conformal_scale,
     hessian,
     inverse_metric,
     is_positive_definite,
     metric_jets,
     ricci,
 )
-from oracles import cos_, exp_, riemann, sin_
+from oracles import conformal_scale, cos_, esum_loop, exp_, riemann, sin_
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -333,3 +337,35 @@ def test_domain_enforced():
     )
     with pytest.raises(ChartDomainError):
         metric_jets(ch, np.array([-1.0, 0.0]))
+
+
+def _esum_specs():
+    """Every literal ``_esum`` spec in the package's modules."""
+    src = os.path.dirname(kahlerqe.__file__)
+    specs = set()
+    for path in glob.glob(os.path.join(src, "*.py")):
+        with open(path) as fh:
+            specs.update(re.findall(r'_esum\(\s*"([^"]*)"', fh.read()))
+    return sorted(specs)
+
+
+def test_esum_matches_loop_oracle_bit_for_bit():
+    """The broadcast ``_esum`` forms the same products and the same
+    sequential sum as the loop over summed index tuples, for every spec the
+    package uses, at one point and at many, on entries of both signs spread
+    over ten orders of magnitude."""
+    specs = _esum_specs()
+    assert {"ii->", "llq,qa->a", "la,ljak->kj", "sj,tj->st"} <= set(specs)
+    rng = np.random.default_rng(14)
+    for n in (3, 4, 6, 8):
+        size = {c: n - 2 if c in "st" else n for c in "abcdefghijklmnopqrstuvwxyz"}
+        for B in (1, 25, 200):
+            for spec in specs:
+                ops = []
+                for letters in spec.split("->")[0].split(","):
+                    shape = (B,) + tuple(size[c] for c in letters)
+                    sign = rng.choice((-1.0, 1.0), size=shape)
+                    ops.append(sign * 10.0 ** rng.uniform(-5.0, 5.0, size=shape))
+                got, want = _esum(spec, *ops), esum_loop(spec, *ops)
+                assert got.shape == want.shape, (spec, n, B)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (spec, n, B)

@@ -6,11 +6,12 @@ import csv
 import json
 import os
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
-from kahlerqe import cli
+from kahlerqe import charts, cli
 from kahlerqe.odes import SKRParams
 
 
@@ -295,6 +296,31 @@ workers = 2
     assert all(r["status"] == "ok" and r["passed"] == "True" for r in by_k["branch"])
     text = capsys.readouterr().out
     assert "sweep results" in text
+
+
+def test_sweep_with_workers_writes_the_serial_csv(tmp_path):
+    """Sweep threads share the contraction plans of ``charts._esum``;
+    started with no plan cached, and switching threads often, two and four
+    workers write the serial run's sweep.csv byte for byte."""
+    grid = ("[sweep]\nm = 2\na = 1, 2\nc = 1, -1\nc2 = 1, -1\nk = branch\nsamples = 6\n"
+            "[base]\nkind = flat\n[run]\nworkers = {}\n")
+    data = {}
+    interval = sys.getswitchinterval()
+    try:
+        for workers in (1, 2, 4):
+            charts._esum_plan.cache_clear()
+            sys.setswitchinterval(1e-5 if workers > 1 else interval)
+            cfgp = write(tmp_path, f"sweep{workers}.ini", grid.format(workers))
+            out = str(tmp_path / f"sw{workers}")
+            assert cli.main(["sweep", "--config", cfgp, "--out", out]) == 0
+            with open(os.path.join(out, "sweep.csv"), "rb") as fh:
+                data[workers] = fh.read()
+    finally:
+        sys.setswitchinterval(interval)
+    rows = list(csv.DictReader(data[1].decode().splitlines()))
+    assert sum(r["status"] == "ok" for r in rows) >= 4
+    assert data[2] == data[1]
+    assert data[4] == data[1]
 
 
 def test_sweep_fubini_study_windows_above_c(tmp_path):

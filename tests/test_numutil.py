@@ -1,7 +1,7 @@
 """Numerical helpers: the Halton sample points against an independent
 reference, loud failure of the quadrature and the root finder, the root
-finder on a bracket where Newton alone fails, and the import cost of the
-package."""
+finder on a bracket where Newton alone fails, the level-wise panel build
+against the depth-first one, and the import cost of the package."""
 
 import os
 import subprocess
@@ -17,6 +17,7 @@ from kahlerqe.numutil import (
     halton_points,
     invert_monotone,
 )
+from oracles import panel_build_depth_first
 
 
 def test_halton_points_match_scipy_bit_for_bit():
@@ -112,8 +113,44 @@ def _acceptance_warps():
     flat = SKRParams.section6(m=2, a=1, c=1, C2=-1, kappa=0, b=1, sign_phi=-1)
     fs = SKRParams.section6(m=3, a=2, c=1, C2=Fraction(-1, 100), kappa=3,
                             b=Fraction(-1, 2), sign_phi=1)
+    # near_q_zero: the work interval of (0, 1) runs up to where Q = 0.012, as in
+    # test_builder::test_log_r_keeps_full_precision_near_a_zero_of_q
+    near = SKRParams.section6(m=2, a=2, c=1, C2=1, kappa=0, b=1, sign_phi=-1)
     return {"flat-a1": build_warp(flat, phi_closed_form(flat), (0.35, 0.95)),
-            "fs-a2": build_warp(fs, phi_closed_form(fs), (1.3, 1.9))}
+            "fs-a2": build_warp(fs, phi_closed_form(fs), (1.3, 1.9)),
+            "near_q_zero": build_warp(near, phi_closed_form(near), (0.0, 1.0))}
+
+
+def _bits(xs):
+    return np.array(xs, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("label", ("flat-a1", "fs-a2", "near_q_zero"))
+def test_panel_build_equals_depth_first_oracle_bit_for_bit(label):
+    anti = _acceptance_warps()[label].antiderivative
+    lo, hi = anti.edges[0], anti.edges[-1]
+    edges, cumulative = panel_build_depth_first(anti.fn, lo, hi, anti.anchor)
+    assert np.array_equal(_bits(anti.edges), _bits(edges))
+    assert np.array_equal(_bits(anti.cumulative), _bits(cumulative))
+    if label == "near_q_zero":
+        assert len(edges) > 10  # the panels refine towards the zero of Q
+
+
+@pytest.mark.parametrize("label", ("flat-a1", "fs-a2", "near_q_zero"))
+def test_panel_build_calls_the_integrand_twice_per_level(label):
+    warp = _acceptance_warps()[label]
+    lo, hi = warp.work_interval
+    calls = []
+
+    def fn(t):
+        calls.append(np.shape(t))
+        return warp.antiderivative.fn(t)
+
+    anti = PanelAntiderivative.build(fn, lo, hi, anchor=warp.tau0)
+    widths = np.diff(anti.edges)
+    levels = 1 + int(np.max(np.round(np.log2((hi - lo) / widths))))
+    assert len(calls) == 2 * levels + 2  # GL7 and GL15 per level, then the anchor's two
+    assert calls[-2:] == [(15,), (15,)]
 
 
 @pytest.mark.parametrize("label", ("flat-a1", "fs-a2"))

@@ -23,13 +23,12 @@ from kahlerqe.charts import (
     MetricChart,
     PointGeometry,
     conformal_jets,
-    conformal_scale,
     metric_jets,
     ricci,
     scalar_jet,
 )
 from kahlerqe.jets import Jet, log_
-from oracles import cos_, sin_
+from oracles import conformal_scale, cos_, sin_
 from kahlerqe.odes import SKRParams, phi_closed_form
 from kahlerqe.verify import (
     DEFAULT_TOLERANCES,
