@@ -16,12 +16,12 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -567,20 +567,14 @@ def cmd_sweep(cfg, run):
     cell_samples = _ranged(cfg, "sweep", "samples", _int, 25, _POSITIVE)
     # checked once, before any cell; each cell sets its own dim_c = m - 1
     base = base_from_config(cfg, 2, kind="flat")
-    seed, workers, out_dir = run["seed"], run["workers"], run["out"]
+    # [run] workers is range-checked by _run_settings but has no effect: the
+    # cells are CPU-bound Python, so threads only contend for the GIL
+    seed, out_dir = run["seed"], run["out"]
 
     cells = list(itertools.product(ms, a_list, c_list, C2_list, k_list))
-    print(f"sweep: {len(cells)} cells, {workers} worker(s)")
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(
-            pool.map(
-                lambda ic: _sweep_cell(
-                    ic[0], *ic[1], base=base, samples=cell_samples, seed=seed,
-                ),
-                enumerate(cells),
-            )
-        )
-    rows.sort(key=lambda r: r["index"])
+    print(f"sweep: {len(cells)} cells")
+    rows = [_sweep_cell(i, *cell, base=base, samples=cell_samples, seed=seed)
+            for i, cell in enumerate(cells)]
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "sweep.csv")
     fields = list(rows[0].keys())
@@ -596,7 +590,10 @@ def cmd_sweep(cfg, run):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: ``parse_args`` keeps no
+    state between calls, so in-process callers of ``main`` share it."""
     parser = argparse.ArgumentParser(
         prog="kahlerqe",
         description=(

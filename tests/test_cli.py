@@ -6,12 +6,12 @@ import csv
 import json
 import os
 import re
-import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from kahlerqe import charts, cli
+from kahlerqe import cli
 from kahlerqe.odes import SKRParams
 
 
@@ -295,32 +295,34 @@ workers = 2
     assert all("obstruction" in r["note"] for r in by_k["0"])
     assert all(r["status"] == "ok" and r["passed"] == "True" for r in by_k["branch"])
     text = capsys.readouterr().out
+    assert text.startswith("sweep: 4 cells\n")
     assert "sweep results" in text
 
 
-def test_sweep_with_workers_writes_the_serial_csv(tmp_path):
-    """Sweep threads share the contraction plans of ``charts._esum``;
-    started with no plan cached, and switching threads often, two and four
-    workers write the serial run's sweep.csv byte for byte."""
+GOLDEN_SWEEP = os.path.join(GOLDEN, "sweep_flat_small.csv")
+
+
+def test_sweep_with_workers_writes_the_serial_csv(tmp_path, monkeypatch):
+    """The sweep decides its cells in the calling thread: ``workers`` is
+    accepted but starts no thread, and 1, 2 and 4 workers write the same
+    sweep.csv byte for byte, equal to the golden file (written with
+    ``workers = 2`` when the cells still ran on a thread pool)."""
+    def no_thread(self):
+        raise AssertionError("sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     grid = ("[sweep]\nm = 2\na = 1, 2\nc = 1, -1\nc2 = 1, -1\nk = branch\nsamples = 6\n"
             "[base]\nkind = flat\n[run]\nworkers = {}\n")
-    data = {}
-    interval = sys.getswitchinterval()
-    try:
-        for workers in (1, 2, 4):
-            charts._esum_plan.cache_clear()
-            sys.setswitchinterval(1e-5 if workers > 1 else interval)
-            cfgp = write(tmp_path, f"sweep{workers}.ini", grid.format(workers))
-            out = str(tmp_path / f"sw{workers}")
-            assert cli.main(["sweep", "--config", cfgp, "--out", out]) == 0
-            with open(os.path.join(out, "sweep.csv"), "rb") as fh:
-                data[workers] = fh.read()
-    finally:
-        sys.setswitchinterval(interval)
-    rows = list(csv.DictReader(data[1].decode().splitlines()))
-    assert sum(r["status"] == "ok" for r in rows) >= 4
-    assert data[2] == data[1]
-    assert data[4] == data[1]
+    with open(GOLDEN_SWEEP, "rb") as fh:
+        golden = fh.read()
+    rows = list(csv.DictReader(golden.decode().splitlines()))
+    assert len(rows) == 8 and all(r["passed"] == "True" for r in rows)
+    for workers in (1, 2, 4):
+        cfgp = write(tmp_path, f"sweep{workers}.ini", grid.format(workers))
+        out = str(tmp_path / f"sw{workers}")
+        assert cli.main(["sweep", "--config", cfgp, "--out", out]) == 0
+        with open(os.path.join(out, "sweep.csv"), "rb") as fh:
+            assert fh.read() == golden, workers
 
 
 def test_sweep_fubini_study_windows_above_c(tmp_path):
@@ -450,6 +452,21 @@ def test_flags_parse_like_ini_values(tmp_path, capsys):
         assert (f"config error: [run] seed must be at most {10**12}, got {10**20}\n"
                 == capsys.readouterr().err)
     assert not (tmp_path / "o").exists()
+
+
+def test_parser_is_reused_without_carrying_state(tmp_path):
+    # main parses with one parser per process; a flag or a usage error of
+    # one call must not reach the next
+    assert cli.build_parser() is cli.build_parser()
+    cfgp = write(tmp_path, "flat.ini", FLAT_INI)
+    out = str(tmp_path / "o")
+    assert cli.main(["construct-verify", "--config", cfgp, "--out", out, "--seed", "5"]) == 0
+    assert "seed = 5\n" in (tmp_path / "o" / "effective.ini").read_text()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["construct-verify", "--config", cfgp, "--bogus"])
+    assert exc.value.code == 2
+    assert cli.main(["construct-verify", "--config", cfgp, "--out", out]) == 0
+    assert "seed = 0\n" in (tmp_path / "o" / "effective.ini").read_text()
 
 
 def _readme_lines():

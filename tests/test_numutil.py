@@ -58,14 +58,25 @@ def test_halton_points_reject_indices_past_int64():
     assert np.all(np.isfinite(halton_points(2, 3, seed=top)))
 
 
-def test_cli_import_does_not_load_scipy():
+def _loaded_by_cli_import(module):
     src = os.path.dirname(os.path.dirname(kahlerqe.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
-    probe = "import sys, kahlerqe.cli; print('scipy' in sys.modules)"
+    probe = f"import sys, kahlerqe.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    answer = out.stdout.strip()
+    assert answer in ("True", "False"), answer
+    return answer == "True"
+
+
+def test_cli_import_does_not_load_scipy():
+    assert not _loaded_by_cli_import("scipy")
+
+
+def test_cli_import_does_not_load_concurrent_futures():
+    # the sweep decides its cells in the calling thread, with no executor
+    assert not _loaded_by_cli_import("concurrent.futures")
 
 
 def test_panel_build_raises_at_max_depth():
