@@ -1,18 +1,18 @@
 """Coordinate-chart tensor calculus from second-order jets, on batches of points.
 
-A MetricChart supplies metric components as a callable on coordinates; the
-callable must be written with jet-friendly arithmetic (see kahlerqe.jets)
-so that evaluating it on seeded jets yields exact first and second
-derivatives of every component.  All curvature operators below consume
-those derivative arrays; nothing here uses finite differences.
+A MetricChart names a chart's dimension and domain; its metric components,
+and the fields tau, f and J, must be written with jet-friendly arithmetic
+(see kahlerqe.jets) so that evaluating them on seeded jets yields exact
+first and second derivatives.  All curvature kernels below consume those
+derivative arrays; nothing here uses finite differences.
 
 Every array carries a leading point axis.  ``PointGeometry`` evaluates a
 ``fields`` callable, which returns the metric's rows together with tau, f
 and J, once on a whole batch of points, and derives everything the
-verification suite needs from that one evaluation.  The chart-level
-operators (``metric_jets``, ``christoffel``, ``ricci``, ``hessian``, ...)
-are the same kernels applied to a batch of one point, returned without the
-point axis.
+verification suite needs from that one evaluation with the batch kernels
+``metric_jets`` and ``scalar_jet`` (jet arrays), ``christoffel``,
+``ricci`` and ``hessian``.  These are the only curvature path; a single
+point is the batch B = 1.
 
 Contractions sum in a fixed order with elementwise operations only
 (``_esum``): one broadcast product of the operands holds every term, and
@@ -40,10 +40,6 @@ import numpy as np
 from kahlerqe.jets import Jet
 
 
-class ChartDomainError(ValueError):
-    """Point outside the declared chart domain."""
-
-
 class SingularMetricError(ValueError):
     """Metric not invertible (or not positive definite) at a point."""
 
@@ -57,20 +53,9 @@ class MetricChart:
     """Riemannian metric in a single coordinate chart."""
 
     dim: int
-    components: Callable
+    components: Callable  # not called here; perfbench's _count_components re-wraps it
     domain: Callable = _always
     name: str = ""
-
-
-def check_point(chart, p):
-    p = np.asarray(p, dtype=float)
-    if p.shape != (chart.dim,):
-        raise ChartDomainError(f"expected {chart.dim} coordinates, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ChartDomainError(f"non-finite coordinates {p}")
-    if not chart.domain(p):
-        raise ChartDomainError(f"point {p} outside domain of chart {chart.name!r}")
-    return p
 
 
 @functools.cache
@@ -122,14 +107,14 @@ def _esum(spec, *ops):
     return acc
 
 
-def _scalar_arrays(e, n, B):
+def scalar_jet(e, n, B):
     """(value, gradient, Hessian) arrays of a Jet, or of a constant with zero derivatives."""
     if isinstance(e, Jet):
         return e.val, e.grad, e.hess
     return np.full(B, float(e)), np.zeros((B, n)), np.zeros((B, n, n))
 
 
-def _row_arrays(rows, n, B, order=2):
+def metric_jets(rows, n, B, order=2):
     """Arrays (M[b,i,j], dM[b,k,i,j], d2M[b,k,l,i,j]) of n x n rows of Jets
     and constants, at B points; the first ``order`` derivatives only."""
     out = [np.empty((B,) + (n,) * (2 + d)) for d in range(order + 1)]
@@ -142,23 +127,6 @@ def _row_arrays(rows, n, B, order=2):
     return tuple(out)
 
 
-def _metric_batch(chart, p):
-    p = check_point(chart, p)
-    return _row_arrays(chart.components(Jet.seed(p)), chart.dim, 1)
-
-
-def metric_jets(chart, p):
-    """Metric with derivatives: (g[i,j], dg[k,i,j]=d_k g_ij, d2g[k,l,i,j])."""
-    return tuple(a[0] for a in _metric_batch(chart, p))
-
-
-def scalar_jet(fn, chart, p):
-    """Scalar field value, gradient and coordinate Hessian: (v, dv[i], d2v[i,j])."""
-    p = check_point(chart, p)
-    v, dv, d2v = _scalar_arrays(fn(Jet.seed(p)), chart.dim, 1)
-    return float(v[0]), dv[0], d2v[0]
-
-
 def inverse_metric(g):
     try:
         ginv = np.linalg.inv(g)
@@ -169,16 +137,16 @@ def inverse_metric(g):
     return ginv
 
 
-def is_positive_definite(g, tol=0.0):
+def is_positive_definite(g):
     """Cholesky-based positive definiteness test for a symmetric matrix."""
     try:
-        np.linalg.cholesky(g - tol * np.eye(g.shape[0]))
+        np.linalg.cholesky(g)
         return True
     except np.linalg.LinAlgError:
         return False
 
 
-def _christoffel(g, dg):
+def christoffel(g, dg):
     """(ginv, T, Gamma) with T[a,i,j] = d_i g_aj + d_j g_ai - d_a g_ij and
     Gamma[k,i,j] = Gamma^k_ij = ginv[k,a] T[a,i,j] / 2."""
     ginv = inverse_metric(g)
@@ -186,7 +154,7 @@ def _christoffel(g, dg):
     return ginv, T, 0.5 * _esum("ka,aij->kij", ginv, T)
 
 
-def _ricci(ginv, T, gamma, dg, d2g):
+def ricci(ginv, T, gamma, dg, d2g):
     """r_kj = d_l Gamma^l_jk - d_j Gamma^l_lk + Gamma^l_la Gamma^a_jk
     - Gamma^l_ja Gamma^a_lk, with both derivative terms contracted from d2g:
 
@@ -207,41 +175,17 @@ def _ricci(ginv, T, gamma, dg, d2g):
             - _esum("lja,alk->kj", gamma, gamma))
 
 
-def _levi_civita(g, dg, d2g):
-    """(ginv, Gamma, Ricci) from the metric jets of a batch."""
-    ginv, T, gamma = _christoffel(g, dg)
-    return ginv, gamma, _ricci(ginv, T, gamma, dg, d2g)
-
-
-def christoffel(chart, p):
-    """Levi-Civita connection coefficients Gamma[k,i,j] = Gamma^k_ij."""
-    g, dg, _ = _metric_batch(chart, p)
-    return _christoffel(g, dg)[2][0]
-
-
-def ricci(chart, p):
-    """Ricci tensor r_ij; unit round sphere gives r = +g."""
-    return _levi_civita(*_metric_batch(chart, p))[2][0]
-
-
-def _covariant_hessian(gamma, dv, d2v):
+def hessian(gamma, dv, d2v):
+    """Covariant Hessian (nabla d v)_ij of a scalar from its coordinate jets."""
     return d2v - _esum("kij,k->ij", gamma, dv)
-
-
-def hessian(chart, fieldlike, p):
-    """Covariant Hessian (nabla d tau)_ij of a scalar field."""
-    _, dv, d2v = scalar_jet(fieldlike, chart, p)
-    g, dg, _ = _metric_batch(chart, p)
-    return _covariant_hessian(_christoffel(g, dg)[2], dv[None], d2v[None])[0]
 
 
 def conformal_jets(g, dg, d2g, tau_jet):
     """Jets of g / tau^2 from the jets of g and of tau, by the product rule.
 
-    Takes a batch (leading point axis) or one point.  w = 1/tau^2 is formed
-    with Jet arithmetic and each entry is multiplied in the order of
-    ``Jet.__mul__``, so the result equals the metric jets of the chart
-    whose components are g_ij * w (``conformal_scale`` in
+    w = 1/tau^2 is formed with Jet arithmetic and each entry is multiplied
+    in the order of ``Jet.__mul__``, so the result equals the metric jets
+    of the chart whose components are g_ij * w (``conformal_scale`` in
     ``tests/oracles.py``) bit for bit without evaluating the components
     again.
 
@@ -249,10 +193,6 @@ def conformal_jets(g, dg, d2g, tau_jet):
     so that only one array of n^4 entries per point exists.  A caller that
     still needs d2g passes a copy.
     """
-    one = np.ndim(g) == 2
-    if one:
-        g, dg, d2g = g[None], dg[None], d2g[None]
-        tau_jet = tuple(np.asarray(a)[None] for a in tau_jet)
     t = Jet(*tau_jet)
     w = 1.0 / (t * t)
     wv = w.val[:, None, None]
@@ -267,8 +207,7 @@ def conformal_jets(g, dg, d2g, tau_jet):
             d2[:, k, l] += w.hess[:, k, l, None, None] * g
             d2[:, k, l] += dg[:, k] * w.grad[:, l, None, None]
             d2[:, k, l] += dg[:, l] * w.grad[:, k, None, None]
-    out = (g * wv, dg * wv[:, None] + w.grad[:, :, None, None] * g[:, None], d2)
-    return tuple(a[0] for a in out) if one else out
+    return g * wv, dg * wv[:, None] + w.grad[:, :, None, None] * g[:, None], d2
 
 
 def _quad(a, S, b):
@@ -366,32 +305,35 @@ class PointGeometry:
         B = self.p.shape[0]
         self.index = np.arange(B) if index is None else np.asarray(index)
         rows, tau, f, J = skr.fields(Jet.seed(self.p))
-        g, dg, d2g = _row_arrays(rows, n, B)
+        g, dg, d2g = metric_jets(rows, n, B)
         del rows
         self.g = g
-        self.ginv, gamma, self.ricci = _levi_civita(g, dg, d2g)
+        self.ginv, T, gamma = christoffel(g, dg)
+        self.ricci = ricci(self.ginv, T, gamma, dg, d2g)
+        del T
         self.tau = None
         if tau is not None:
-            tau_jet = _scalar_arrays(tau, n, B)
+            tau_jet = scalar_jet(tau, n, B)
             self.tau, self.dtau, d2tau = tau_jet
             self.grad_tau = np.linalg.solve(g, self.dtau[:, :, None])[:, :, 0]
             self.grad_tau_sq = _quad(self.dtau, self.ginv, self.dtau)
-            self.hess_tau = _covariant_hessian(gamma, self.dtau, d2tau)
+            self.hess_tau = hessian(gamma, self.dtau, d2tau)
             self.lap_tau = _esum("ij,ij->", self.ginv, self.hess_tau)
             g_hat, dg_hat, d2g_hat = conformal_jets(g, dg, d2g, tau_jet)
             del d2g
             self.g_hat = g_hat
-            ginv_hat, gamma_hat, self.ricci_hat = _levi_civita(g_hat, dg_hat, d2g_hat)
-            del dg_hat, d2g_hat
+            ginv_hat, T_hat, gamma_hat = christoffel(g_hat, dg_hat)
+            self.ricci_hat = ricci(ginv_hat, T_hat, gamma_hat, dg_hat, d2g_hat)
+            del T_hat, dg_hat, d2g_hat
         if f is not None:
-            self.f, self.df, d2f = _scalar_arrays(f, n, B)
-            self.hess_f = _covariant_hessian(gamma, self.df, d2f)
+            self.f, self.df, d2f = scalar_jet(f, n, B)
+            self.hess_f = hessian(gamma, self.df, d2f)
             if tau is not None:
-                self.hess_f_hat = _covariant_hessian(gamma_hat, self.df, d2f)
+                self.hess_f_hat = hessian(gamma_hat, self.df, d2f)
                 self.lap_f_hat = _esum("ij,ij->", ginv_hat, self.hess_f_hat)
                 self.grad_f_hat_sq = _quad(self.df, ginv_hat, self.df)
         if J is not None:
-            self.J, dJ = _row_arrays(J, n, B, order=1)
+            self.J, dJ = metric_jets(J, n, B, order=1)
             nabla_J = (
                 dJ
                 + _esum("jil,lk->ijk", gamma, self.J)

@@ -376,7 +376,7 @@ def cmd_construct_verify(cfg, run):
 
     if interval is None:
         interval = select_window(params, base, side=params.sign_phi)
-    skr, phi = end_to_end(params, base, interval)
+    skr, _ = end_to_end(params, base, interval)
     print(
         f"chart: {skr.chart.name}  interval=({skr.warp.interval[0]:.6g}, "
         f"{skr.warp.interval[1]:.6g})  expected_kahler={expected_kahler(base, params, skr.warp.interval)}"
@@ -517,8 +517,9 @@ def _sweep_cell(index, m, a, c, C2, k, base, samples, seed):
         # section6 admits kappa != 0 only with sign_phi = +1, i.e. tau > c
         try:
             iv = select_window(params, base, side=None if base.kappa == 0 else 1)
-        except NoWindowError:
+        except NoWindowError as exc:
             row["status"] = "no-interval"
+            row["note"] = str(exc)
             return row
         # the b that makes the chart Kahler on the window's side of tau = c
         sgn = tau_side(iv, c)

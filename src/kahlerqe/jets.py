@@ -125,11 +125,6 @@ class Jet:
         return f"Jet({self.val!r})"
 
 
-def value(x):
-    """Values of a Jet, or a plain float."""
-    return x.val if isinstance(x, Jet) else float(x)
-
-
 def log_(x):
     if isinstance(x, Jet):
         v = x.val

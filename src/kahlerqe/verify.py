@@ -30,7 +30,6 @@ from kahlerqe.charts import (  # noqa: F401
     ricci,
 )
 from kahlerqe.odes import alpha_profile, gamma_from_phi
-from kahlerqe.builder import q_from_phi
 
 DEFAULT_TOLERANCES = {
     "kahler": 1e-8,
@@ -242,8 +241,7 @@ def check_profile_identities(skr, geos, tols=DEFAULT_TOLERANCES):
     |grad tau|^2 = Q(tau), lap tau = 2m phi + 2(tau-c) phi', recovery of the
     constant c, and phi as the horizontal Hessian eigenvalue."""
     params = skr.params
-    phi = skr.warp.phi
-    q = q_from_phi(params, phi)
+    phi, q = skr.warp.phi, skr.warp.q
     cf = float(params.c)
     m = params.m
     n = skr.dim

@@ -2,7 +2,12 @@
 
 ``sin_``, ``cos_``, ``exp_`` and ``sqrt_`` extend ``kahlerqe.jets`` for the
 sphere, hyperbolic and product fixtures; like ``log_`` they act on batched
-jets (numpy, elementwise along the point axis) and on plain floats.
+jets (numpy, elementwise along the point axis) and on plain floats, and
+``value`` reads the values of either.
+
+``jets_at`` and ``curvature_at`` evaluate a chart at one point: the
+package's batch kernels on the batch B = 1, behind the checks that the
+point has the chart's shape, is finite and lies in the chart's domain.
 
 ``riemann`` is the full curvature tensor at one point, built the long way:
 dGamma from the jets of g, then R from dGamma and Gamma with ``np.einsum``.
@@ -16,12 +21,19 @@ the chart of g / tau^2, against which ``charts.conformal_jets`` is checked.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
-from kahlerqe.charts import MetricChart, metric_jets
-from kahlerqe.jets import Jet, value
+from kahlerqe import charts
+from kahlerqe.charts import MetricChart
+from kahlerqe.jets import Jet
 from kahlerqe.numutil import _GL7, _GL15, ConvergenceError, _gl
+
+
+def value(x):
+    """Values of a Jet, or a plain float."""
+    return x.val if isinstance(x, Jet) else float(x)
 
 
 def _apply(x, f0, f1, f2):
@@ -49,9 +61,42 @@ def sqrt_(x):
     return _apply(x, np.sqrt, lambda v: 0.5 / np.sqrt(v), lambda v: -0.25 / (np.sqrt(v) * v))
 
 
+class ChartDomainError(ValueError):
+    """Point outside the declared chart domain."""
+
+
+def jets_at(chart, p):
+    """Metric jets (g[i,j], dg[k,i,j] = d_k g_ij, d2g[k,l,i,j]) of ``chart``
+    at the one point ``p``, from ``charts.metric_jets`` on the batch B = 1."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (chart.dim,):
+        raise ChartDomainError(f"expected {chart.dim} coordinates, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ChartDomainError(f"non-finite coordinates {p}")
+    if not chart.domain(p):
+        raise ChartDomainError(f"point {p} outside domain of chart {chart.name!r}")
+    rows = chart.components(Jet.seed(p))
+    return tuple(a[0] for a in charts.metric_jets(rows, chart.dim, 1))
+
+
+def curvature_at(chart, p, fn=None):
+    """Geometry of ``chart`` at the one point ``p`` from the batch kernels at
+    B = 1, without the point axis: the jets ``g``, ``dg``, ``d2g``,
+    ``gamma`` (Gamma[k,i,j] = Gamma^k_ij) and ``ricci``; with a scalar
+    field ``fn`` also its jet ``v``, ``dv``, ``d2v`` and its covariant
+    Hessian ``hess``."""
+    g, dg, d2g = (a[None] for a in jets_at(chart, p))
+    ginv, T, gamma = charts.christoffel(g, dg)
+    out = dict(g=g, dg=dg, d2g=d2g, gamma=gamma, ricci=charts.ricci(ginv, T, gamma, dg, d2g))
+    if fn is not None:
+        v, dv, d2v = charts.scalar_jet(fn(Jet.seed(p)), chart.dim, 1)
+        out.update(v=v, dv=dv, d2v=d2v, hess=charts.hessian(gamma, dv, d2v))
+    return SimpleNamespace(**{key: a[0] for key, a in out.items()})
+
+
 def riemann(chart, p):
     """Curvature R[l,k,i,j] = R^l_{k i j}, i.e. R(e_i,e_j)e_k = R^l_{kij} e_l."""
-    g, dg, d2g = metric_jets(chart, p)
+    g, dg, d2g = jets_at(chart, p)
     ginv = np.linalg.inv(g)
     # T[a,i,j] = d_i g_aj + d_j g_ai - d_a g_ij, and its derivative
     T = np.einsum("iaj->aij", dg) + np.einsum("jai->aij", dg) - dg

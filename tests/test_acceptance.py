@@ -23,12 +23,7 @@ from kahlerqe.builder import (
     ConstructionError,
     end_to_end,
 )
-from kahlerqe.charts import (
-    MetricChart,
-    PointGeometry,
-    metric_jets,
-    ricci,
-)
+from kahlerqe.charts import MetricChart, PointGeometry
 from kahlerqe.odes import (
     FORCED_ZERO,
     SKRParams,
@@ -43,7 +38,7 @@ from kahlerqe.odes import (
 )
 from kahlerqe.rational import RationalFunction
 from kahlerqe.verify import check_conformal_formulas, gather_points, run_suite
-from oracles import exp_, riemann, sin_
+from oracles import curvature_at, exp_, jets_at, riemann, sin_
 
 
 def _line(n, desc, ok):
@@ -330,12 +325,12 @@ def _fd_ricci(chart, p, h=1e-5):
     n = chart.dim
 
     def gamma_at(q):
-        g = metric_jets(chart, q)[0]
+        g = jets_at(chart, q)[0]
         dg = np.zeros((n, n, n))
         for k in range(n):
             e = np.zeros(n)
             e[k] = h
-            dg[k] = (metric_jets(chart, q + e)[0] - metric_jets(chart, q - e)[0]) / (2 * h)
+            dg[k] = (jets_at(chart, q + e)[0] - jets_at(chart, q - e)[0]) / (2 * h)
         ginv = np.linalg.inv(g)
         T = np.zeros((n, n, n))
         for a in range(n):
@@ -363,7 +358,7 @@ def _fd_ricci(chart, p, h=1e-5):
 def test_criterion_8_curvature_core():
     ok = True
     flat = MetricChart(dim=3, components=lambda c: np.eye(3).tolist(), name="flat")
-    ok = ok and np.max(np.abs(ricci(flat, np.array([0.3, -1.0, 2.0])))) < 1e-12
+    ok = ok and np.max(np.abs(curvature_at(flat, np.array([0.3, -1.0, 2.0])).ricci)) < 1e-12
 
     sphere = MetricChart(
         dim=2,
@@ -372,7 +367,7 @@ def test_criterion_8_curvature_core():
     )
     for th in (0.6, 1.2, 2.4):
         p = np.array([th, 0.5])
-        ok = ok and np.max(np.abs(ricci(sphere, p) - metric_jets(sphere, p)[0])) < 1e-9
+        ok = ok and np.max(np.abs(curvature_at(sphere, p).ricci - jets_at(sphere, p)[0])) < 1e-9
 
     hyp = MetricChart(
         dim=2,
@@ -381,7 +376,7 @@ def test_criterion_8_curvature_core():
     )
     for y in (0.5, 1.0, 3.0):
         p = np.array([0.2, y])
-        ok = ok and np.max(np.abs(ricci(hyp, p) + metric_jets(hyp, p)[0])) < 1e-9
+        ok = ok and np.max(np.abs(curvature_at(hyp, p).ricci + jets_at(hyp, p)[0])) < 1e-9
 
     # random polynomial metrics: first Bianchi identity and AD-vs-FD Ricci
     bianchi_worst = 0.0
@@ -408,7 +403,7 @@ def test_criterion_8_curvature_core():
             R = riemann(ch, p)
             cyc = R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2))
             bianchi_worst = max(bianchi_worst, float(np.max(np.abs(cyc))))
-            r_ad = ricci(ch, p)
+            r_ad = curvature_at(ch, p).ricci
             rel = np.max(np.abs(r_ad - _fd_ricci(ch, p))) / max(1.0, np.max(np.abs(r_ad)))
             fd_worst = max(fd_worst, float(rel))
     ok = ok and bianchi_worst < 1e-9 and fd_worst < 1e-5

@@ -23,11 +23,12 @@ from kahlerqe.builder import (
     positivity_intervals,
     q_from_phi,
 )
-from kahlerqe.charts import is_positive_definite, metric_jets
+from kahlerqe.charts import is_positive_definite
 from kahlerqe.cli import NoWindowError, select_window
 from kahlerqe.jets import Jet
 from kahlerqe.numutil import PanelAntiderivative
 from kahlerqe.odes import ScalarProfile, SKRParams, phi_closed_form
+from oracles import jets_at
 
 
 def flat_params(a=1, C2=-1, sign_phi=-1):
@@ -245,7 +246,7 @@ def test_constant_q_chart_vertical_block():
     lo, hi = warp.ell_range
     assert lo < 0.0 < hi
     pt = np.array([0.0, 0.0, 1.0, 0.0])
-    g = metric_jets(skr.chart, pt)[0]
+    g = jets_at(skr.chart, pt)[0]
     tau = float(skr.fields(pt)[1])
     # vertical block Q/(b|w|)^2 Re<.,.> = Q0 * I at |w| = 1
     npt.assert_allclose(g[2:, 2:], Q0 * np.eye(2), atol=1e-9)
@@ -289,7 +290,7 @@ def test_metric_blocks_on_chern_horizontal_lifts(params, kind, dim_c, interval):
             zbar_xi = xi @ (x[0::2] - 1j * x[1::2])
             h = 2.0 * np.real(xi @ xi.conj().T / D
                               - np.outer(zbar_xi, zbar_xi.conj()) / D**2)
-        g = metric_jets(skr.chart, pt)[0]
+        g = jets_at(skr.chart, pt)[0]
         tau = float(skr.fields(pt)[1])
         q = skr.warp.q.value(tau)
         scale = np.max(np.abs(g))
@@ -348,7 +349,7 @@ def test_end_to_end_flat():
         _, tau, fval, _ = skr.fields(pt)
         assert 0.35 < tau < 0.95
         assert abs(fval - (1.0 / tau + kf)) < 1e-12
-        assert is_positive_definite(metric_jets(skr.chart, pt)[0])
+        assert is_positive_definite(jets_at(skr.chart, pt)[0])
 
 
 def test_end_to_end_fubini_study():
@@ -358,7 +359,7 @@ def test_end_to_end_fubini_study():
     assert skr.dim == 6
     pt = skr.sample_points(4, seed=0)[0]
     assert 1.3 < float(skr.fields(pt)[1]) < 1.9
-    assert is_positive_definite(metric_jets(skr.chart, pt)[0])
+    assert is_positive_definite(jets_at(skr.chart, pt)[0])
 
 
 def test_end_to_end_refusals():

@@ -13,20 +13,28 @@ import numpy.testing as npt
 import pytest
 
 import kahlerqe
+from kahlerqe import charts
+from kahlerqe.builder import FLAT, BaseModel, end_to_end
 from kahlerqe.charts import (
-    ChartDomainError,
     MetricChart,
     PointGeometry,
     SingularMetricError,
     _esum,
-    christoffel,
-    hessian,
     inverse_metric,
     is_positive_definite,
-    metric_jets,
-    ricci,
 )
-from oracles import conformal_scale, cos_, esum_loop, exp_, riemann, sin_
+from kahlerqe.odes import SKRParams
+from oracles import (
+    ChartDomainError,
+    conformal_scale,
+    cos_,
+    curvature_at,
+    esum_loop,
+    exp_,
+    jets_at,
+    riemann,
+    sin_,
+)
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -75,14 +83,15 @@ def hyperbolic_chart():
 def test_flat_christoffel_and_ricci():
     ch = flat_chart(3)
     p = np.array([0.2, -1.0, 3.0])
-    npt.assert_allclose(christoffel(ch, p), 0.0, atol=1e-15)
-    npt.assert_allclose(ricci(ch, p), 0.0, atol=1e-15)
+    at = curvature_at(ch, p)
+    npt.assert_allclose(at.gamma, 0.0, atol=1e-15)
+    npt.assert_allclose(at.ricci, 0.0, atol=1e-15)
 
 
 def test_sphere_christoffels_pinned():
     ch = sphere_chart()
     p = np.array([math.pi / 4, 0.3])
-    G = christoffel(ch, p)
+    G = curvature_at(ch, p).gamma
     # Gamma^theta_{phi phi} = -sin(theta)cos(theta) = -1/2 at theta = pi/4
     assert abs(G[0, 1, 1] - (-0.5)) < 1e-12
     # Gamma^phi_{theta phi} = cot(theta) = 1
@@ -96,7 +105,7 @@ def test_conformal_flat_2d_christoffels_pinned():
         return [[w, 0.0], [0.0, w]]
 
     ch = MetricChart(dim=2, components=comps, name="e2x")
-    G = christoffel(ch, np.zeros(2))
+    G = curvature_at(ch, np.zeros(2)).gamma
     assert abs(G[0, 0, 0] - 1.0) < 1e-13
     assert abs(G[0, 1, 1] - (-1.0)) < 1e-13
     assert abs(G[1, 0, 1] - 1.0) < 1e-13
@@ -107,7 +116,7 @@ def test_sphere_is_einstein():
     ch = sphere_chart()
     for th in (0.4, 1.1, 2.3):
         p = np.array([th, 0.7])
-        npt.assert_allclose(ricci(ch, p), metric_jets(ch, p)[0], atol=1e-9)
+        npt.assert_allclose(curvature_at(ch, p).ricci, jets_at(ch, p)[0], atol=1e-9)
     geo = _geometry(ch, np.array([1.0, 0.0]))
     scal = float(np.einsum("ij,ij->", geo.ginv, geo.ricci))
     assert abs(scal - 2.0) < 1e-9
@@ -117,7 +126,7 @@ def test_hyperbolic_is_negative_einstein():
     ch = hyperbolic_chart()
     for y in (0.5, 1.0, 2.5):
         p = np.array([0.3, y])
-        npt.assert_allclose(ricci(ch, p), -metric_jets(ch, p)[0], atol=1e-9)
+        npt.assert_allclose(curvature_at(ch, p).ricci, -jets_at(ch, p)[0], atol=1e-9)
 
 
 def test_fubini_study_line_is_kahler_einstein():
@@ -131,7 +140,7 @@ def test_fubini_study_line_is_kahler_einstein():
     ch = MetricChart(dim=2, components=comps, name="fs1")
     J = lambda c: J2
     for p in (np.array([0.0, 0.0]), np.array([0.4, -0.3]), np.array([1.0, 0.5])):
-        npt.assert_allclose(ricci(ch, p), 2.0 * metric_jets(ch, p)[0], atol=1e-10)
+        npt.assert_allclose(curvature_at(ch, p).ricci, 2.0 * jets_at(ch, p)[0], atol=1e-10)
         assert _geometry(ch, p, J=J).kahler_residual < 1e-10
 
 
@@ -161,7 +170,7 @@ def test_riemann_symmetries_random_metrics():
         rng = np.random.RandomState(100 + seed)
         for _ in range(4):
             p = rng.uniform(-0.6, 0.6, size=3)
-            assert is_positive_definite(metric_jets(ch, p)[0])
+            assert is_positive_definite(jets_at(ch, p)[0])
             R = riemann(ch, p)
             # first Bianchi identity: cyclic sum over the last three slots
             cyc = R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2))
@@ -180,7 +189,7 @@ def test_contracted_ricci_matches_trace_of_riemann():
         for _ in range(4):
             p = rng.uniform(-0.8, 0.8, size=3)
             want = np.einsum("lklj->kj", riemann(ch, p))
-            got = ricci(ch, p)
+            got = curvature_at(ch, p).ricci
             assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
@@ -189,12 +198,12 @@ def _fd_ricci(ch, p, h=1e-5):
     n = ch.dim
 
     def gamma_at(q):
-        g = metric_jets(ch, q)[0]
+        g = jets_at(ch, q)[0]
         dg = np.zeros((n, n, n))
         for k in range(n):
             e = np.zeros(n)
             e[k] = h
-            dg[k] = (metric_jets(ch, q + e)[0] - metric_jets(ch, q - e)[0]) / (2 * h)
+            dg[k] = (jets_at(ch, q + e)[0] - jets_at(ch, q - e)[0]) / (2 * h)
         ginv = np.linalg.inv(g)
         T = np.zeros((n, n, n))
         for a in range(n):
@@ -225,7 +234,7 @@ def test_ricci_matches_finite_differences():
     rng = np.random.RandomState(77)
     for _ in range(3):
         p = rng.uniform(-0.5, 0.5, size=3)
-        r_ad = ricci(ch, p)
+        r_ad = curvature_at(ch, p).ricci
         r_fd = _fd_ricci(ch, p)
         rel = np.max(np.abs(r_ad - r_fd)) / max(1.0, np.max(np.abs(r_ad)))
         assert rel < 1e-5
@@ -236,8 +245,8 @@ def test_hessian_fixtures():
     sq = lambda c: c[0] * c[0]
     lin = lambda c: 3.0 * c[0] - 2.0 * c[1]
     p = np.array([0.7, -0.2])
-    npt.assert_allclose(hessian(ch, sq, p), [[2.0, 0.0], [0.0, 0.0]], atol=1e-14)
-    npt.assert_allclose(hessian(ch, lin, p), 0.0, atol=1e-14)
+    npt.assert_allclose(curvature_at(ch, p, sq).hess, [[2.0, 0.0], [0.0, 0.0]], atol=1e-14)
+    npt.assert_allclose(curvature_at(ch, p, lin).hess, 0.0, atol=1e-14)
 
 
 def test_sphere_height_function_hessian():
@@ -246,8 +255,8 @@ def test_sphere_height_function_hessian():
     for th in (0.5, 1.2, 2.0):
         p = np.array([th, 1.0])
         npt.assert_allclose(
-            hessian(ch, height, p),
-            -math.cos(th) * metric_jets(ch, p)[0],
+            curvature_at(ch, p, height).hess,
+            -math.cos(th) * jets_at(ch, p)[0],
             atol=1e-12,
         )
 
@@ -305,8 +314,8 @@ def test_conformal_scale_constant_factor():
     tau = lambda c: 2.0
     gh = conformal_scale(ch, tau)
     p = np.array([0.1, 0.2, 0.3])
-    npt.assert_allclose(metric_jets(gh, p)[0], np.eye(3) / 4.0, atol=1e-15)
-    npt.assert_allclose(ricci(gh, p), 0.0, atol=1e-13)
+    npt.assert_allclose(jets_at(gh, p)[0], np.eye(3) / 4.0, atol=1e-15)
+    npt.assert_allclose(curvature_at(gh, p).ricci, 0.0, atol=1e-13)
 
 
 def test_conformal_scale_gives_hyperbolic():
@@ -315,9 +324,9 @@ def test_conformal_scale_gives_hyperbolic():
     tau = lambda c: c[1]
     gh = conformal_scale(ch, tau)
     for p in (np.array([0.0, 1.0]), np.array([0.5, 0.7]), np.array([-1.0, 2.0])):
-        npt.assert_allclose(ricci(gh, p), -metric_jets(gh, p)[0], atol=1e-9)
+        npt.assert_allclose(curvature_at(gh, p).ricci, -jets_at(gh, p)[0], atol=1e-9)
     with pytest.raises(ChartDomainError):
-        metric_jets(gh, np.array([0.0, 0.0]))
+        jets_at(gh, np.array([0.0, 0.0]))
 
 
 def test_degenerate_metric_raises():
@@ -326,7 +335,7 @@ def test_degenerate_metric_raises():
 
     ch = MetricChart(dim=2, components=comps, name="degenerate")
     with pytest.raises(SingularMetricError):
-        inverse_metric(metric_jets(ch, np.array([0.0, 1.0]))[0])
+        inverse_metric(jets_at(ch, np.array([0.0, 1.0]))[0])
     assert not is_positive_definite(np.diag([-1.0, 1.0]))
 
 
@@ -336,7 +345,28 @@ def test_domain_enforced():
         domain=lambda p: p[0] > 0, name="halfplane",
     )
     with pytest.raises(ChartDomainError):
-        metric_jets(ch, np.array([-1.0, 0.0]))
+        jets_at(ch, np.array([-1.0, 0.0]))
+
+
+def test_point_geometry_calls_the_kernels_through_the_module(monkeypatch):
+    """The traced benchmark times the curvature kernels by wrapping the
+    ``charts`` module globals, so ``PointGeometry`` must look every kernel
+    up there at call time: one batch of the flat acceptance chart shows
+    each of its calls."""
+    params = SKRParams.section6(m=2, a=1, c=1, C2=-1, kappa=0, b=1, sign_phi=-1)
+    skr, _ = end_to_end(params, BaseModel(kind=FLAT, dim_c=1, s=1), interval=(0.35, 0.95))
+    calls = dict.fromkeys(("metric_jets", "scalar_jet", "christoffel", "ricci", "hessian"), 0)
+    for name in calls:
+        def counted(*args, name=name, kernel=getattr(charts, name), **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(charts, name, counted)
+    PointGeometry(skr, skr.sample_points(8, seed=0))
+    # metric_jets: g and J; scalar_jet: tau and f; christoffel and ricci: g
+    # and ghat; hessian: tau on g, f on g and on ghat
+    assert calls == {"metric_jets": 2, "scalar_jet": 2, "christoffel": 2, "ricci": 2,
+                     "hessian": 3}
 
 
 def _esum_specs():

@@ -350,6 +350,31 @@ kind = fubini-study
     assert all(r["status"] in ("ok", "no-interval") for r in rows)
 
 
+def test_sweep_no_interval_rows_name_the_scanned_range(tmp_path):
+    # the Fubini-Study grid: in cells 1 and 9 (a = 1, c = 1, C2 = -1) Q is
+    # negative above tau = c throughout the scan
+    sweep = """\
+[sweep]
+m = 2, 3
+a = 1, 2
+c = 1, -1
+c2 = 1, -1
+samples = 6
+
+[base]
+kind = fubini-study
+"""
+    cfgp = write(tmp_path, "fs.ini", sweep)
+    out = str(tmp_path / "sw")
+    assert cli.main(["sweep", "--config", cfgp, "--out", out]) == 0
+    with open(os.path.join(out, "sweep.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["index"] for r in rows if r["status"] == "no-interval"] == ["1", "9"]
+    for i in (1, 9):
+        assert rows[i]["note"] == (
+            "no positivity interval of Q found in (-3, 5) on the sgn(tau - c) = 1 side")
+
+
 def test_sweep_config_rejections(tmp_path, capsys):
     grid = "[sweep]\nm = 2\na = 1\nc = 1\nc2 = 1\n{extra}\n[base]\n{base}\n"
     for extra, base, message in (

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 
-from kahlerqe.jets import Jet, log_, value
-from oracles import cos_, exp_, sin_, sqrt_
+from kahlerqe.jets import Jet, log_
+from oracles import cos_, exp_, sin_, sqrt_, value
 
 
 def _fd_grad_hess(fn, x, h=1e-5):

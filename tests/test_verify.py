@@ -19,16 +19,9 @@ from kahlerqe.builder import (
     WarpProfile,
     end_to_end,
 )
-from kahlerqe.charts import (
-    MetricChart,
-    PointGeometry,
-    conformal_jets,
-    metric_jets,
-    ricci,
-    scalar_jet,
-)
+from kahlerqe.charts import MetricChart, PointGeometry, conformal_jets
 from kahlerqe.jets import Jet, log_
-from oracles import conformal_scale, cos_, sin_
+from oracles import conformal_scale, cos_, curvature_at, jets_at, sin_
 from kahlerqe.odes import SKRParams, phi_closed_form
 from kahlerqe.verify import (
     DEFAULT_TOLERANCES,
@@ -252,12 +245,14 @@ def test_conformal_jets_match_rescaled_chart_bit_for_bit(flat_skr, fs_skr):
         geos, _ = gather_points(skr, 20, seed=0)
         for geo in geos:
             p = geo.p
-            got = conformal_jets(*metric_jets(skr.chart, p), scalar_jet(tau, skr.chart, p))
-            want = metric_jets(ghat, p)
+            at = curvature_at(skr.chart, p, tau)
+            got = conformal_jets(at.g[None], at.dg[None], at.d2g[None],
+                                 (at.v[None], at.dv[None], at.d2v[None]))
+            want = jets_at(ghat, p)
             for a, b in zip(got, want):
-                assert np.array_equal(a, b)
+                assert np.array_equal(a[0], b)
             assert np.array_equal(geo.g_hat, want[0])
-            assert np.array_equal(geo.ricci_hat, ricci(ghat, p))
+            assert np.array_equal(geo.ricci_hat, curvature_at(ghat, p).ricci)
 
 
 def test_report_deterministic(flat_skr, flat_report):
