@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from kahlerqe.charts import MetricChart
-from kahlerqe.jets import Jet, log_
+from kahlerqe.jets import log_
 from kahlerqe.numutil import (
     ConvergenceError,
     PanelAntiderivative,
@@ -50,6 +50,11 @@ from kahlerqe.odes import (
 
 FLAT = "flat"
 FUBINI_STUDY = "fubini-study"
+
+SCAN_POINTS = 4096
+WORK_MARGIN = 0.04
+SAMPLE_MARGIN = 0.05
+ROUNDTRIP_POINTS = 512
 
 
 class ConstructionError(RuntimeError):
@@ -124,14 +129,14 @@ def q_from_phi(params, phi):
     return ScalarProfile(value=val, d1=d1, d2=d2)
 
 
-def positivity_intervals(profile, lo, hi, exclude=(), grid=4096):
+def positivity_intervals(profile, lo, hi, exclude=()):
     """Maximal open subintervals of (lo, hi) where the profile is positive.
 
     The range is split at the excluded points and scanned on a uniform
-    grid, with one call of the profile on the whole grid; the runs of
-    positive values (a NaN is not positive) are found with array operations,
-    and each sign change is solved by ``invert_monotone`` with the profile's
-    derivative.  Fully deterministic.
+    grid of ``SCAN_POINTS`` per segment, with one call of the profile on the
+    whole grid; the runs of positive values (a NaN is not positive) are
+    found with array operations, and each sign change is solved by
+    ``invert_monotone`` with the profile's derivative.  Fully deterministic.
     """
     fn, d1 = profile.value, profile.d1
     cuts = sorted(x for x in set(float(e) for e in exclude) if lo < x < hi)
@@ -147,7 +152,7 @@ def positivity_intervals(profile, lo, hi, exclude=(), grid=4096):
         if b - a <= 0:
             continue
         pad = 1e-9 * (b - a)
-        xs = np.linspace(a + pad, b - pad, grid)
+        xs = np.linspace(a + pad, b - pad, SCAN_POINTS)
         vals = np.broadcast_to(fn(xs), xs.shape)  # a constant profile gives a float
         # runs of positive values [start, end): where the padded sign flips
         pos = np.concatenate(([False], vals > 0.0, [False]))
@@ -174,8 +179,9 @@ class WarpProfile:
     antiderivative: PanelAntiderivative
 
     @classmethod
-    def build(cls, params, phi, interval, margin=0.04):
-        """Freeze the antiderivative of b/Q on a margin-trimmed interval.
+    def build(cls, params, phi, interval):
+        """Freeze the antiderivative of b/Q on the interval less a share
+        ``WORK_MARGIN`` of its width at each end.
 
         Q vanishes at interval endpoints in general, so the working range
         stays strictly inside.
@@ -185,7 +191,7 @@ class WarpProfile:
             raise ConstructionError(f"empty interval {interval}")
         q = q_from_phi(params, phi)
         width = hi - lo
-        wlo, whi = lo + margin * width, hi - margin * width
+        wlo, whi = lo + WORK_MARGIN * width, hi - WORK_MARGIN * width
         ts = np.linspace(wlo, whi, 257)
         bad = q.value(ts) <= 0.0
         if np.any(bad):
@@ -225,21 +231,18 @@ class WarpProfile:
     def tau_jet(self, ell):
         """tau as a function of log r, with dtau/dl = Q/b propagated to jets;
         all the points of a batch are inverted together."""
-        if isinstance(ell, Jet):
-            t0 = self.tau_of_logr(ell.val)
-            bf = float(self.params.b)
-            qv = self.q.value(t0)
-            return ell.compose(t0, qv / bf, qv * self.q.d1(t0) / (bf * bf))
-        return self.tau_of_logr(ell)
+        t0 = self.tau_of_logr(ell.val)
+        bf = float(self.params.b)
+        qv = self.q.value(t0)
+        return ell.compose(t0, qv / bf, qv * self.q.d1(t0) / (bf * bf))
 
     def q_jet(self, tau):
-        if isinstance(tau, Jet):
-            t0 = tau.val
-            return tau.compose(self.q.value(t0), self.q.d1(t0), self.q.d2(t0))
-        return self.q.value(tau)
+        t0 = tau.val
+        return tau.compose(self.q.value(t0), self.q.d1(t0), self.q.d2(t0))
 
-    def roundtrip_error(self, n=512):
-        ts = np.linspace(self.work_interval[0], self.work_interval[1], n)
+    def roundtrip_error(self):
+        """Largest |tau(log r(tau)) - tau| over ``ROUNDTRIP_POINTS`` points."""
+        ts = np.linspace(self.work_interval[0], self.work_interval[1], ROUNDTRIP_POINTS)
         return float(np.max(np.abs(self.tau_of_logr(self.logr_of_tau(ts)) - ts)))
 
     def csv_rows(self, n=200):
@@ -271,9 +274,9 @@ def _standard_J(n):
 @dataclass
 class SKRChart:
     """Assembled chart bundle: the metric chart, and ``fields``, one callable
-    on coordinates (the seeded jets of a batch of points, or plain floats)
-    that returns the metric rows g, the scalar tau, the profile f and the
-    complex structure J together, from one evaluation."""
+    on the seeded jets of a batch of points that returns the metric rows g,
+    the scalar tau, the profile f and the complex structure J together, from
+    one evaluation."""
 
     chart: MetricChart
     fields: Callable
@@ -281,20 +284,20 @@ class SKRChart:
     base: BaseModel
     warp: WarpProfile
     x_bound: float
-    sample_margin: float = 0.05
 
     @property
     def dim(self):
         return self.chart.dim
 
     def sample_points(self, count, seed=0):
-        """Deterministic low-discrepancy points inside the chart domain."""
+        """Deterministic low-discrepancy points inside the chart domain, with
+        log r a share ``SAMPLE_MARGIN`` of its range clear of each end."""
         d = self.base.dim_c
         raw = halton_points(2 * d + 2, count, seed=seed)
         lo, hi = self.warp.ell_range
         span = hi - lo
-        elo = lo + self.sample_margin * span
-        ehi = hi - self.sample_margin * span
+        elo = lo + SAMPLE_MARGIN * span
+        ehi = hi - SAMPLE_MARGIN * span
         pts = np.empty((count, 2 * d + 2))
         for r, row in enumerate(raw):
             xs = self.x_bound * (2.0 * row[:2 * d] - 1.0)

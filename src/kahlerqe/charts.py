@@ -241,12 +241,15 @@ def _max_entry(x):
     return np.max(np.abs(x).reshape(x.shape[0], -1), axis=1)
 
 
-def _horizontal_frame(G, v1, v2, drop_tol=1e-8):
+DROP_TOL = 1e-8
+
+
+def _horizontal_frame(G, v1, v2):
     """G-orthonormal frames (B, dim-2, dim) of the complements of span{v1, v2}.
 
     Deterministic: projects the coordinate basis and runs modified
-    Gram-Schmidt in index order, skipping directions that collapse, at
-    every point at once.
+    Gram-Schmidt in index order, skipping directions that collapse (squared
+    G-norm at most ``DROP_TOL``), at every point at once.
     """
     B, dim = v1.shape
     frame = [_unit(v, G) for v in (v1, v2)]
@@ -261,7 +264,7 @@ def _horizontal_frame(G, v1, v2, drop_tol=1e-8):
             u = out[:, s]
             w = np.where((s < count)[:, None], w - _quad(w, G, u)[:, None] * u, w)
         nw = _quad(w, G, w)
-        take = (nw > drop_tol) & (count < dim - 2)
+        take = (nw > DROP_TOL) & (count < dim - 2)
         rows = np.nonzero(take)[0]
         out[rows, count[rows]] = w[rows] / np.sqrt(nw[rows])[:, None]
         count += take

@@ -96,6 +96,7 @@ class RunConfig:
         return key in self.sections.get(section, {})
 
 
+# command=None serves perfbench/child.py, which loads every config during set-up
 def load_config(path, command=None):
     """Read an INI file; a section or key that ``command`` does not read (with
     no command: that no command reads) is a ``ConfigError``."""
@@ -420,14 +421,18 @@ def _parse_list(raw, conv, what):
     return out
 
 
-def _clamp_window(params, phi, iv, qcap=50.0, span_cap=6.0):
+QCAP = 50.0
+SPAN_CAP = 6.0
+
+
+def _clamp_window(params, phi, iv):
     """Shrink a positivity interval to a numerically comfortable window.
 
     Two failure modes bound the usable range: where Q is tiny the integral
     of b/Q makes log r diverge (exp overflows any sampling shell), and
     where Q is huge the metric entries dwarf each check's absolute tolerance.
-    Center on the grid point with Q nearest 1, grow while Q <= qcap, then
-    cap the log r span.
+    Center on the grid point with Q nearest 1, grow while Q <= ``QCAP``,
+    then cap the log r span at ``SPAN_CAP``.
     """
     q = q_from_phi(params, phi)
     lo, hi = iv
@@ -436,18 +441,18 @@ def _clamp_window(params, phi, iv, qcap=50.0, span_cap=6.0):
     qs = q.value(np.array(grid)).tolist()
     jstar = min(range(513), key=lambda j: abs(math.log(max(qs[j], 1e-300))))
     j0 = j1 = jstar
-    while j0 > 0 and qs[j0 - 1] <= qcap:
+    while j0 > 0 and qs[j0 - 1] <= QCAP:
         j0 -= 1
-    while j1 < 512 and qs[j1 + 1] <= qcap:
+    while j1 < 512 and qs[j1 + 1] <= QCAP:
         j1 += 1
     if grid[j1] - grid[j0] > 1e-2:
         iv = (grid[j0], grid[j1])
 
     warp = build_warp(params, phi, iv)
     lo_l, hi_l = warp.ell_range
-    if hi_l - lo_l <= span_cap:
+    if hi_l - lo_l <= SPAN_CAP:
         return iv
-    half = span_cap / 2.0
+    half = SPAN_CAP / 2.0
     t0, t1 = warp.work_interval
     wgrid = [t0 + (t1 - t0) * i / 256 for i in range(257)]
     wqs = warp.q.value(np.array(wgrid)).tolist()
@@ -455,9 +460,9 @@ def _clamp_window(params, phi, iv, qcap=50.0, span_cap=6.0):
     lstar = warp.logr_of_tau(tstar)
     llo, lhi = lstar - half, lstar + half
     if llo < lo_l:
-        llo, lhi = lo_l, lo_l + span_cap
+        llo, lhi = lo_l, lo_l + SPAN_CAP
     elif lhi > hi_l:
-        llo, lhi = hi_l - span_cap, hi_l
+        llo, lhi = hi_l - SPAN_CAP, hi_l
     ta, tb = warp.tau_of_logr(llo), warp.tau_of_logr(lhi)
     return (min(ta, tb), max(ta, tb))
 
@@ -508,8 +513,11 @@ def _sweep_cell(index, m, a, c, C2, k, base, samples, seed):
                     row["status"] = "refused"
                     row["note"] = "obstruction a(2ck+1) != 0 forces phi = 0"
                     return row
-            # any admitted cell sits on k = -1/(2c); take the matched constants
-            params = SKRParams.section6(m=m, a=a, c=c, C2=C2, kappa=base.kappa)
+            # any admitted cell sits on k = -1/(2c); take the matched constants.
+            # The window depends on b only through |b| (the log r span), so
+            # the b of either side selects the window construct-verify picks
+            params = SKRParams.section6(m=m, a=a, c=c, C2=C2, kappa=base.kappa,
+                                        b=base.kahler_b(1))
         except (ValueError, ExactParameterError) as exc:
             row["status"] = "refused"
             row["note"] = str(exc)
@@ -523,8 +531,7 @@ def _sweep_cell(index, m, a, c, C2, k, base, samples, seed):
             return row
         # the b that makes the chart Kahler on the window's side of tau = c
         sgn = tau_side(iv, c)
-        params = SKRParams.section6(m=m, a=a, c=c, C2=C2, kappa=base.kappa,
-                                    b=base.kahler_b(sgn), sign_phi=sgn)
+        params = dataclasses.replace(params, b=base.kahler_b(sgn), sign_phi=sgn)
         skr, _ = end_to_end(params, base, iv)
         # absolute residuals grow with the metric's magnitude; grade each
         # cell relative to the profile scale on its own window

@@ -12,14 +12,9 @@ and 13): one evaluation of a component carries every point of the batch.
 
 Every operation is elementwise along the point axis, so the jet of a point
 does not depend on the batch it is evaluated in, bit for bit.
-
-``log_`` accepts plain floats as well, so the same component code can be
-evaluated value-only.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -102,19 +97,6 @@ class Jet:
         v = self.val
         return self.compose(1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
 
-    def __pow__(self, e):
-        v = self.val
-        if isinstance(e, int):
-            if e == 0:
-                return Jet(np.ones_like(v), np.zeros_like(self.grad), np.zeros_like(self.hess))
-            d2 = e * (e - 1) * v ** (e - 2) if e != 1 else np.zeros_like(v)
-            return self.compose(v**e, e * v ** (e - 1), d2)
-        if isinstance(e, float):
-            if np.any(v <= 0.0):
-                raise ValueError("fractional power of a nonpositive jet value")
-            return self.compose(v**e, e * v ** (e - 1.0), e * (e - 1.0) * v ** (e - 2.0))
-        return NotImplemented
-
     def compose(self, f0, f1, f2):
         """Chain rule: apply a scalar function given arrays (f, f', f'') at self.val."""
         g = self.grad
@@ -126,9 +108,7 @@ class Jet:
 
 
 def log_(x):
-    if isinstance(x, Jet):
-        v = x.val
-        if np.any(v <= 0.0):
-            raise ValueError("log of a nonpositive jet value")
-        return x.compose(np.log(v), 1.0 / v, -1.0 / (v * v))
-    return math.log(x)
+    v = x.val
+    if np.any(v <= 0.0):
+        raise ValueError("log of a nonpositive jet value")
+    return x.compose(np.log(v), 1.0 / v, -1.0 / (v * v))

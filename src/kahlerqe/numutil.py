@@ -29,6 +29,7 @@ class ConvergenceError(ArithmeticError):
 
 _GL7 = np.polynomial.legendre.leggauss(7)
 _GL15 = np.polynomial.legendre.leggauss(15)
+PANEL_RTOL = 1e-13
 
 
 def _gl(fn, lo, hi, rule):
@@ -66,8 +67,9 @@ class PanelAntiderivative:
     anchor: float
 
     @classmethod
-    def build(cls, fn, lo, hi, anchor, rtol=1e-13, max_depth=40):
-        """Panelize [lo, hi] until GL7 and GL15 agree per panel, then freeze.
+    def build(cls, fn, lo, hi, anchor, max_depth=40):
+        """Panelize [lo, hi] until GL7 and GL15 agree to ``PANEL_RTOL`` per
+        panel, then freeze.
 
         Refines level by level: all unresolved panels of a level go through
         one GL7 and one GL15 call, the panels where the rules agree are
@@ -86,7 +88,7 @@ class PanelAntiderivative:
         a, b = np.array([lo], dtype=float), np.array([hi], dtype=float)
         for depth in range(max_depth + 1):
             coarse, fine = _gl(fn, a, b, _GL7), _gl(fn, a, b, _GL15)
-            ok = np.abs(fine - coarse) <= rtol * (np.abs(fine) + 1e-30)
+            ok = np.abs(fine - coarse) <= PANEL_RTOL * (np.abs(fine) + 1e-30)
             kept.append((a[ok], b[ok], fine[ok]))
             if ok.all():
                 break
@@ -95,7 +97,7 @@ class PanelAntiderivative:
                 gap = np.abs(fine - coarse)[~ok][0]
                 raise ConvergenceError(
                     f"panel [{a[0]}, {b[0]}] at depth {depth}: GL7 and GL15 differ by "
-                    f"{gap:.3g}, above rtol {rtol:g}"
+                    f"{gap:.3g}, above rtol {PANEL_RTOL:g}"
                 )
             # halves, kept in order from left to right
             mid = 0.5 * (a + b)

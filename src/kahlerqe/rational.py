@@ -147,12 +147,6 @@ class Polynomial:
     def is_zero(self):
         return not self._num
 
-    @property
-    def leading(self):
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self._num[-1], self._den)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial((other,))

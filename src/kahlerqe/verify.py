@@ -45,6 +45,8 @@ DEFAULT_TOLERANCES = {
     "hessian-eigenvalue": 1e-8,
 }
 
+GRAD_FLOOR = 1e-12
+
 
 @dataclass
 class CheckRecord:
@@ -97,18 +99,19 @@ def _finish(name, residuals, tol, geos, extra=None):
     )
 
 
-def gather_points(skr, samples, seed=0, grad_floor=1e-12):
+def gather_points(skr, samples, seed=0):
     """Geometry of the valid sample points, as one ``PointGeometry`` batch,
     plus the count of deterministic exclusions.
 
     The first ``samples`` points of ``skr.sample_points(2 * samples, seed)``
     inside the chart domain are evaluated together, in one batch; ``index``
     holds each one's position in that stream.  Points where the gradient
-    of tau degenerates (never expected on a margin-trimmed interval, but
-    guarded anyway) are dropped and replaced by the next points of the
-    stream, evaluated in a further batch.  A point's geometry does not
-    depend on its batch, so the result is that of evaluating the points
-    one at a time, in stream order, until ``samples`` are usable.
+    of tau degenerates (|grad tau|^2 at most ``GRAD_FLOOR``; never expected
+    on a margin-trimmed interval, but guarded anyway) are dropped and
+    replaced by the next points of the stream, evaluated in a further
+    batch.  A point's geometry does not depend on its batch, so the result
+    is that of evaluating the points one at a time, in stream order, until
+    ``samples`` are usable.
     """
     raw = skr.sample_points(2 * samples, seed=seed)
     inside = (i for i, p in enumerate(raw) if skr.chart.domain(p))
@@ -118,7 +121,7 @@ def gather_points(skr, samples, seed=0, grad_floor=1e-12):
         if not batch:
             break
         geo = PointGeometry(skr, raw[batch], batch)
-        keep = geo.grad_tau_sq > grad_floor
+        keep = geo.grad_tau_sq > GRAD_FLOOR
         parts.append(geo if keep.all() else geo.select(keep))
         usable += int(keep.sum())
     if usable < samples:

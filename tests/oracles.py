@@ -1,9 +1,9 @@
 """Test-only jet functions, curvature oracles and reference loops.
 
 ``sin_``, ``cos_``, ``exp_`` and ``sqrt_`` extend ``kahlerqe.jets`` for the
-sphere, hyperbolic and product fixtures; like ``log_`` they act on batched
-jets (numpy, elementwise along the point axis) and on plain floats, and
-``value`` reads the values of either.
+sphere, hyperbolic and product fixtures; they act on batched jets (numpy,
+elementwise along the point axis) and on plain floats, and ``value`` reads
+the values of either.
 
 ``jets_at`` and ``curvature_at`` evaluate a chart at one point: the
 package's batch kernels on the batch B = 1, behind the checks that the
@@ -180,7 +180,7 @@ def conformal_scale(chart, fn):
         return [[rows[i][j] * w for j in range(chart.dim)] for i in range(chart.dim)]
 
     def domain(coords):
-        return chart.domain(coords) and value(fn(coords)) != 0.0
+        return chart.domain(coords) and np.all(value(fn(Jet.seed(coords))) != 0.0)
 
     return MetricChart(
         dim=chart.dim,

@@ -31,6 +31,11 @@ from kahlerqe.odes import ScalarProfile, SKRParams, phi_closed_form
 from oracles import jets_at
 
 
+def tau_at(skr, p):
+    """tau at the one point ``p``, from the chart's ``fields`` on its jets."""
+    return float(skr.fields(Jet.seed(p))[1].val[0])
+
+
 def flat_params(a=1, C2=-1, sign_phi=-1):
     return SKRParams.section6(m=2, a=a, c=1, C2=C2, kappa=0, b=1, sign_phi=sign_phi)
 
@@ -247,7 +252,7 @@ def test_constant_q_chart_vertical_block():
     assert lo < 0.0 < hi
     pt = np.array([0.0, 0.0, 1.0, 0.0])
     g = jets_at(skr.chart, pt)[0]
-    tau = float(skr.fields(pt)[1])
+    tau = tau_at(skr, pt)
     # vertical block Q/(b|w|)^2 Re<.,.> = Q0 * I at |w| = 1
     npt.assert_allclose(g[2:, 2:], Q0 * np.eye(2), atol=1e-9)
     # base block 2|tau - c| h = 2(tau + 2) I at x = 0 (connection terms vanish there)
@@ -291,7 +296,7 @@ def test_metric_blocks_on_chern_horizontal_lifts(params, kind, dim_c, interval):
             h = 2.0 * np.real(xi @ xi.conj().T / D
                               - np.outer(zbar_xi, zbar_xi.conj()) / D**2)
         g = jets_at(skr.chart, pt)[0]
-        tau = float(skr.fields(pt)[1])
+        tau = tau_at(skr, pt)
         q = skr.warp.q.value(tau)
         scale = np.max(np.abs(g))
         npt.assert_allclose(X @ g @ X.T / scale, 2.0 * abs(tau - c) * h / scale,
@@ -325,7 +330,7 @@ def test_sample_points_deterministic_and_in_domain():
     lo, hi = skr.warp.work_interval
     for p in pts:
         assert skr.chart.domain(p)
-        assert lo <= float(skr.fields(p)[1]) <= hi
+        assert lo <= tau_at(skr, p) <= hi
 
 
 def test_expected_kahler_pinned():
@@ -346,7 +351,8 @@ def test_end_to_end_flat():
     assert skr.dim == 4
     kf = float(p.k)
     for pt in skr.sample_points(10, seed=1):
-        _, tau, fval, _ = skr.fields(pt)
+        _, tau, f, _ = skr.fields(Jet.seed(pt))
+        tau, fval = tau.val[0], f.val[0]
         assert 0.35 < tau < 0.95
         assert abs(fval - (1.0 / tau + kf)) < 1e-12
         assert is_positive_definite(jets_at(skr.chart, pt)[0])
@@ -358,7 +364,7 @@ def test_end_to_end_fubini_study():
                         interval=(1.3, 1.9))
     assert skr.dim == 6
     pt = skr.sample_points(4, seed=0)[0]
-    assert 1.3 < float(skr.fields(pt)[1]) < 1.9
+    assert 1.3 < tau_at(skr, pt) < 1.9
     assert is_positive_definite(jets_at(skr.chart, pt)[0])
 
 

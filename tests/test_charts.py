@@ -134,7 +134,8 @@ def test_fubini_study_line_is_kahler_einstein():
 
     def comps(c):
         x, y = c[0], c[1]
-        w = 2.0 / (1.0 + x * x + y * y) ** 2
+        d = 1.0 + x * x + y * y
+        w = 2.0 / (d * d)
         return [[w, 0.0], [0.0, w]]
 
     ch = MetricChart(dim=2, components=comps, name="fs1")

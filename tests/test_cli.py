@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from kahlerqe import cli
+from kahlerqe.builder import FLAT, BaseModel
 from kahlerqe.odes import SKRParams
 
 
@@ -373,6 +374,26 @@ kind = fubini-study
     for i in (1, 9):
         assert rows[i]["note"] == (
             "no positivity interval of Q found in (-3, 5) on the sgn(tau - c) = 1 side")
+
+
+def test_sweep_window_matches_construct_verify_when_b_is_not_one(tmp_path):
+    # flat s = 2 gives |b| = sigma / 2 = 2, and the log r span cap applies
+    # to this cell's positivity interval, so a window clamped with b = 1
+    # would end at tau = -0.34760682 instead
+    sweep = "[sweep]\nm = 2\na = 1\nc = 1\nc2 = -1\nsamples = 6\n[base]\nkind = flat\ns = 2\n"
+    cfgp = write(tmp_path, "flat-s2.ini", sweep)
+    out = str(tmp_path / "sw")
+    assert cli.main(["sweep", "--config", cfgp, "--out", out]) == 0
+    with open(os.path.join(out, "sweep.csv")) as fh:
+        (row,) = csv.DictReader(fh)
+    # construct-verify's parameters: sign_phi = -1 (the window lies below
+    # tau = c) and the Kahler b of that side
+    base = BaseModel(kind=FLAT, dim_c=1, s=2)
+    params = SKRParams.section6(m=2, a=1, c=1, C2=-1, b=base.kahler_b(-1), sign_phi=-1)
+    lo, hi = cli.select_window(params, base, side=-1)
+    assert (row["interval_lo"], row["interval_hi"]) == (f"{lo:.9g}", f"{hi:.9g}")
+    assert row["interval_hi"] == "-0.451504216"
+    assert row["passed"] == "True"
 
 
 def test_sweep_config_rejections(tmp_path, capsys):

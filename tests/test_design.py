@@ -1,0 +1,60 @@
+"""The design rule that no library function exists only for a test to call
+it: every function, method and class defined in ``src/kahlerqe`` is used
+by name somewhere in ``src/`` or ``perfbench/``."""
+
+import ast
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "kahlerqe")
+
+# defined names that nothing in src/ or perfbench/ uses yet, with the reason
+ALLOWED = {
+    "WarpProfile.roundtrip_error": "ROADMAP item 1 puts it in report.json",
+}
+
+
+def _modules(*dirs):
+    for d in dirs:
+        for name in sorted(os.listdir(d)):
+            if name.endswith(".py"):
+                path = os.path.join(d, name)
+                with open(path) as fh:
+                    yield path, ast.parse(fh.read(), filename=path)
+
+
+def _definitions(tree):
+    """Qualified names of the non-dunder functions, methods and classes."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, kinds):
+                name = child.name
+                if not (name.startswith("__") and name.endswith("__")):
+                    yield prefix + name
+                if isinstance(child, ast.ClassDef):
+                    yield from walk(child, prefix + name + ".")
+
+    return walk(tree, "")
+
+
+def _uses(tree):
+    """Every name, attribute and identifier string in a module; imports are
+    not uses, so a re-export cannot keep a name alive."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value
+
+
+def test_every_definition_in_src_is_used_in_src_or_perfbench():
+    defined = [name for _, tree in _modules(SRC) for name in _definitions(tree)]
+    used = {u for _, tree in _modules(SRC, os.path.join(ROOT, "perfbench"))
+            for u in _uses(tree)}
+    unused = sorted(name for name in defined if name.rsplit(".", 1)[-1] not in used)
+    assert unused == sorted(ALLOWED)

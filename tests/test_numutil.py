@@ -58,11 +58,12 @@ def test_halton_points_reject_indices_past_int64():
     assert np.all(np.isfinite(halton_points(2, 3, seed=top)))
 
 
-def _loaded_by_cli_import(module):
+def _loaded_by_import(module, target="kahlerqe.cli"):
+    """Whether ``import target`` in a fresh interpreter loads ``module``."""
     src = os.path.dirname(os.path.dirname(kahlerqe.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
-    probe = f"import sys, kahlerqe.cli; print({module!r} in sys.modules)"
+    probe = f"import sys, {target}; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     answer = out.stdout.strip()
@@ -71,12 +72,19 @@ def _loaded_by_cli_import(module):
 
 
 def test_cli_import_does_not_load_scipy():
-    assert not _loaded_by_cli_import("scipy")
+    assert not _loaded_by_import("scipy")
 
 
 def test_cli_import_does_not_load_concurrent_futures():
     # the sweep decides its cells in the calling thread, with no executor
-    assert not _loaded_by_cli_import("concurrent.futures")
+    assert not _loaded_by_import("concurrent.futures")
+
+
+def test_package_import_loads_no_submodule():
+    # the package namespace re-exports nothing: numpy and the numerical
+    # modules load only when a submodule is imported
+    for module in ("numpy", "kahlerqe.builder"):
+        assert not _loaded_by_import(module, target="kahlerqe")
 
 
 def test_panel_build_raises_at_max_depth():

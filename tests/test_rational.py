@@ -86,9 +86,9 @@ def _int_exponent(node, text):
 def oracle_divmod(a, b):
     """Long division that builds a term polynomial for every quotient term."""
     q, r = Polynomial(), a
-    d, lc = b.degree, b.leading
+    d, lc = b.degree, b.coeffs[-1]
     while not r.is_zero and r.degree >= d:
-        term = Polynomial([0] * (r.degree - d) + [r.leading / lc])
+        term = Polynomial([0] * (r.degree - d) + [r.coeffs[-1] / lc])
         q = q + term
         r = r - term * b
     return q, r
@@ -257,7 +257,7 @@ def test_gcd_matches_euclid_oracle(p, q, h):
 def test_rational_canonical_form_property(n, d, h):
     r = RationalFunction(n * h, d * h)
     assert r == RationalFunction(n, d)
-    assert r.den.leading == 1
+    assert r.den.coeffs[-1] == 1
     assert oracle_gcd(r.num, r.den) == 1
 
 
