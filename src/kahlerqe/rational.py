@@ -16,9 +16,21 @@ against a nonzero constant is 1 at once.  Rational functions are kept in
 canonical form: numerator and denominator coprime, denominator monic.  Two
 rational functions are equal iff their canonical representations coincide.
 
+The public ``RationalFunction`` constructor reduces by a full gcd of
+numerator and denominator.  The operators instead build their results
+canonical from canonical operands, with gcds of the parts only (Henrici's
+method: Knuth, *TAOCP* vol. 2, §4.5.1; P. Henrici, "A subroutine for
+computations with rational numbers", *J. ACM* 3 (1956) 6-9).  A sum a/b + c/d
+pays gcd(b, d), and a second gcd against that one only when it is not 1; a
+product pays gcd(a, d) and gcd(c, b); division multiplies by the inverse,
+which is coprime already and only made monic.  Each of those gcds is skipped
+when an operand is constant.  Negation, powers, and int or Fraction operands
+pay no gcd at all; ``derivative`` goes through the constructor, since a
+denominator with repeated factors leaves a real common factor.
+
 Coefficients must be exact (int, Fraction, or a string Fraction() accepts);
-floats are rejected to preserve exactness end to end.  Only the public
-constructor checks them.  Float evaluation uses each coefficient's
+floats and bools are rejected to preserve exactness end to end.  Only the
+public constructor checks them.  Float evaluation uses each coefficient's
 numerator / denominator, which equals ``float`` of its Fraction.
 """
 
@@ -26,8 +38,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-import numpy as np
 
 
 class PoleError(ZeroDivisionError):
@@ -66,6 +76,16 @@ def _make(nums, den):
     object.__setattr__(p, "_num", tuple(nums))
     object.__setattr__(p, "_den", den)
     return p
+
+
+def _as_poly(x):
+    """``x`` as a Polynomial if it is one, an int or a Fraction; else
+    NotImplemented (a bool too, as for a float)."""
+    if isinstance(x, Polynomial):
+        return x
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return _make([x.numerator], x.denominator)
+    return NotImplemented
 
 
 def _pdiv(r, b, q):
@@ -148,11 +168,10 @@ class Polynomial:
         return not self._num
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial((other,))
-        if isinstance(other, Polynomial):
-            return self._num == other._num and self._den == other._den
-        return NotImplemented
+        other = _as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
         # a constant hashes like its value: equal numbers hash equal
@@ -167,9 +186,8 @@ class Polynomial:
         return _make([-n for n in self._num], self._den)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial((other,))
-        if not isinstance(other, Polynomial):
+        other = _as_poly(other)
+        if other is NotImplemented:
             return NotImplemented
         a, b, da, db = self._num, other._num, self._den, other._den
         if da != db:
@@ -186,9 +204,8 @@ class Polynomial:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial((other,))
-        if not isinstance(other, Polynomial):
+        other = _as_poly(other)
+        if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
@@ -197,7 +214,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            if isinstance(other, int):
+            if isinstance(other, int) and not isinstance(other, bool):
                 return _make([n * other for n in self._num], self._den)
             if isinstance(other, Fraction):
                 num = other.numerator
@@ -206,6 +223,11 @@ class Polynomial:
         a, b = self._num, other._num
         if not a or not b:
             return _ZERO
+        # a factor 1 (its one numerator equal to its denominator) leaves the other
+        if len(a) == 1 and a[0] == self._den:
+            return other
+        if len(b) == 1 and b[0] == other._den:
+            return self
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
@@ -233,8 +255,9 @@ class Polynomial:
         Pseudo-division in place on the integer numerators (``_pdiv``), then
         one rescale of the quotient and one of the remainder.
         """
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial((other,))
+        other = _as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         b, db = other._num, other._den
@@ -312,23 +335,28 @@ class Polynomial:
         return acc
 
     def render(self, var="t"):
+        # each |coefficient| n/den in lowest terms, printed as Fraction prints it
         if self.is_zero:
             return "0"
-        coeffs = self.coeffs
+        den = self._den
         parts = []
         for d in range(self.degree, -1, -1):
-            c = coeffs[d]
-            if c == 0:
+            n = self._num[d]
+            if not n:
                 continue
+            a = abs(n)
+            g = gcd(a, den)
+            a, q = a // g, den // g
+            c = str(a) if q == 1 else f"{a}/{q}"
             if d == 0:
-                body = str(abs(c))
+                body = c
             else:
                 tp = var if d == 1 else f"{var}^{d}"
-                body = tp if abs(c) == 1 else f"{abs(c)}*{tp}"
+                body = tp if a == q == 1 else f"{c}*{tp}"
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if n > 0 else f"-{body}")
             else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
+                parts.append(f" + {body}" if n > 0 else f" - {body}")
         return "".join(parts)
 
     def __repr__(self):
@@ -339,6 +367,28 @@ _ZERO = object.__new__(Polynomial)
 object.__setattr__(_ZERO, "_num", ())
 object.__setattr__(_ZERO, "_den", 1)
 _ONE = _make([1], 1)
+
+
+def _monic_pair(num, den):
+    """(num, den) both divided by the leading coefficient of den.
+
+    den = D/dd is monic iff lc(D) == dd; else both are divided by lc(D)/dd.
+    """
+    lc, dd = den._num[-1], den._den
+    if lc == dd:
+        return num, den
+    return _make([n * dd for n in num._num], num._den * lc), _make(list(den._num), lc)
+
+
+def _rf(num, den):
+    """The RationalFunction num/den, trusted to be canonical already: num and
+    den coprime, den monic.  A zero num gives the canonical 0."""
+    r = object.__new__(RationalFunction)
+    if not num._num:
+        num, den = _ZERO, _ONE
+    object.__setattr__(r, "num", num)
+    object.__setattr__(r, "den", den)
+    return r
 
 
 class RationalFunction:
@@ -360,11 +410,7 @@ class RationalFunction:
         else:
             if den.degree > 0 and (g := num.gcd(den)).degree > 0:
                 num, den = num // g, den // g
-            # den = D/dd is monic iff lc(D) == dd; else divide both by lc(D)/dd
-            lc, dd = den._num[-1], den._den
-            if lc != dd:
-                num = _make([n * dd for n in num._num], num._den * lc)
-                den = _make(list(den._num), lc)
+            num, den = _monic_pair(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -400,15 +446,27 @@ class RationalFunction:
         return not self.is_zero
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return _rf(-self.num, self.den)
 
     def __add__(self, other):
+        # a/b + c/d with g = gcd(b, d): t = a(d/g) + c(b/g) is coprime to
+        # (b/g)(d/g), so only gcd(t, g) can cancel (Knuth, TAOCP 4.5.1)
         other = _as_rational(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b.degree == 0:  # b = 1
+            return _rf(a * d + c, d)
+        if d.degree == 0:
+            return _rf(a + c * b, b)
+        g = b.gcd(d)
+        if g.degree == 0:
+            return _rf(a * d + c * b, b * d)
+        b, d = b // g, d // g
+        t = a * d + c * b
+        if t.degree > 0 and (g2 := t.gcd(g)).degree > 0:
+            t, g = t // g2, g // g2
+        return _rf(t, b * d * g)
 
     __radd__ = __add__
 
@@ -422,26 +480,38 @@ class RationalFunction:
         return (-self) + other
 
     def __mul__(self, other):
+        # (a/b)(c/d): a is coprime to b and c to d, so only gcd(a, d) and
+        # gcd(c, b) can cancel
         other = _as_rational(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a or not c:
+            return _rf(_ZERO, _ONE)
+        if a.degree > 0 and d.degree > 0 and (g := a.gcd(d)).degree > 0:
+            a, d = a // g, d // g
+        if c.degree > 0 and b.degree > 0 and (g := c.gcd(b)).degree > 0:
+            c, b = c // g, b // g
+        return _rf(a * c, b * d)
 
     __rmul__ = __mul__
+
+    def _inverse(self):
+        if self.is_zero:
+            raise ZeroDivisionError("division by the zero rational function")
+        return _rf(*_monic_pair(self.den, self.num))
 
     def __truediv__(self, other):
         other = _as_rational(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return self * other._inverse()
 
     def __rtruediv__(self, other):
         other = _as_rational(other)
         if other is NotImplemented:
             return NotImplemented
-        return other / self
+        return other * self._inverse()
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -449,8 +519,8 @@ class RationalFunction:
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
-            return RationalFunction(self.den, self.num) ** (-n)
-        return RationalFunction(self.num**n, self.den**n)
+            return self._inverse() ** (-n)
+        return _rf(self.num**n, self.den**n)
 
     def derivative(self):
         n, d = self.num, self.den
@@ -459,10 +529,15 @@ class RationalFunction:
         )
 
     def __call__(self, x):
+        # an array (or numpy scalar) is checked elementwise, a number as is
         dv = self.den(x)
-        pole = np.ravel(dv == 0)
-        if pole.any():
-            raise PoleError(f"evaluation at pole x={np.ravel(x)[pole.argmax()]}")
+        pole = dv == 0
+        if hasattr(pole, "ravel"):
+            pole = pole.ravel()
+            if pole.any():
+                raise PoleError(f"evaluation at pole x={x.ravel()[pole.argmax()]}")
+        elif pole:
+            raise PoleError(f"evaluation at pole x={x}")
         return self.num(x) / dv
 
     def render(self, var="t"):
@@ -477,9 +552,5 @@ class RationalFunction:
 def _as_rational(x):
     if isinstance(x, RationalFunction):
         return x
-    if isinstance(x, Polynomial):
-        return RationalFunction(x)
-    if isinstance(x, (int, Fraction)):
-        return RationalFunction(Polynomial((x,)))
-    return NotImplemented
-
+    x = _as_poly(x)
+    return x if x is NotImplemented else _rf(x, _ONE)

@@ -132,6 +132,28 @@ def test_certificate_matches_golden(name):
         assert text == fh.read()
 
 
+GOLDEN_CONFIGS = {
+    # off the distinguished branch k = -1/(2c): denominators in p, q and E1
+    "certificate_offbranch_m3.json": (
+        "[params]\nm = 3\na = 5/2\nc = 2\nk = 1/3\nkappa = 6\nlam = 1\n"
+        "c1 = 1/2\nc2 = 3\n", cli.EXIT_OK),
+    # on the branch with lambda not matched to C1: a nonzero closed-form residual
+    "certificate_fail_m2.json": (
+        "[params]\nm = 2\na = 3/2\nc = -1\nk = 1/2\nkappa = 4\nlam = 1\n"
+        "c1 = 1\nc2 = 2/3\n", cli.EXIT_VERIFY),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_certify_writes_golden_certificate(tmp_path, capsys, name):
+    text, exit_code = GOLDEN_CONFIGS[name]
+    cfgp = write(tmp_path, "cell.ini", text)
+    rc = cli.main(["certify", "--config", cfgp, "--out", str(tmp_path / "o")])
+    assert rc == exit_code
+    with open(os.path.join(GOLDEN, name)) as fh:
+        assert (tmp_path / "o" / "certificate.json").read_text() == fh.read()
+
+
 def test_certify_detects_inconsistent_constants(tmp_path, capsys):
     # explicit k on the branch but lambda not matched to C1: the closed-form
     # residual is a nonzero rational function and certification must fail

@@ -87,6 +87,12 @@ def test_package_import_loads_no_submodule():
         assert not _loaded_by_import(module, target="kahlerqe")
 
 
+def test_rational_import_does_not_load_numpy():
+    # exact arithmetic needs no numpy: the pole check uses the value's own
+    # methods
+    assert not _loaded_by_import("numpy", target="kahlerqe.rational")
+
+
 def test_panel_build_raises_at_max_depth():
     fn = lambda t: 1.0 / t  # needs refinement near the left end
     with pytest.raises(ConvergenceError, match="depth 2"):

@@ -357,6 +357,79 @@ def test_constant_denominators_and_products_skip_gcd(monkeypatch):
     assert len(calls) == 1
 
 
+def _canonical_parts(r):
+    return r.num._num, r.num._den, r.den._num, r.den._den
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, _nonzero_polys, st.integers(0, 2), _polys, _nonzero_polys, _nonzero_polys,
+       st.integers(-5, 5), st.fractions(min_value=-9, max_value=9, max_denominator=5))
+@example(Polynomial((1,)), Polynomial((0, 1)), 1, Polynomial((-1,)), Polynomial((0, 1)),
+         Polynomial((1, 1)), 0, Fraction(0))  # x + (-x) = 0 over equal denominators
+@example(Polynomial((0, 1)), Polynomial((0, 0, 1)), 0, Polynomial((1,)),
+         Polynomial((0, 0, 1)), Polynomial((0, 1)), 1, Fraction(1))  # t/t^2 + 1/t^3
+@example(Polynomial((1,)), Polynomial((1, 1)), 1, Polynomial((1,)), Polynomial((-1, 1)),
+         Polynomial((0, 1)), 2, Fraction(1, 2))  # 1/(t(t+1)) + 1/(t(t-1)) = 2/(t^2 - 1)
+@example(Polynomial((3,)), Polynomial((2,)), 0, Polynomial((Fraction(-1, 2),)),
+         Polynomial((5,)), Polynomial((1,)), 7, Fraction(-2, 3))  # constant operands
+def test_operators_match_the_reducing_constructor(n1, d1, j, n2, d2, h, k, f):
+    # x = n1/(d1 h^j) and y = n2/(d2 h) share the factor h, repeated for
+    # j = 2; each operator's result must have the representation the
+    # reducing constructor gives the unreduced result
+    x, y = RationalFunction(n1, d1 * h ** j), RationalFunction(n2, d2 * h)
+    a, b, c, d = x.num, x.den, y.num, y.den
+    cases = [
+        (x + y, RationalFunction(a * d + c * b, b * d)),
+        (x - y, RationalFunction(a * d - c * b, b * d)),
+        (x * y, RationalFunction(a * c, b * d)),
+        (-x, RationalFunction(-a, b)),
+        (x ** 3, RationalFunction(a ** 3, b ** 3)),
+    ]
+    if not y.is_zero:
+        cases.append((x / y, RationalFunction(a * d, b * c)))
+    for s in (k, f):
+        cases.append((x * s, RationalFunction(a * s, b)))
+        cases.append((s * x, RationalFunction(a * s, b)))
+        cases.append((x + s, RationalFunction(a + s * b, b)))
+        cases.append((s - x, RationalFunction(s * b - a, b)))
+    for got, want in cases:
+        assert _canonical_parts(got) == _canonical_parts(want)
+
+
+def test_negation_powers_and_coprime_sums_pay_no_extra_gcd(monkeypatch):
+    t = Polynomial.variable()
+    x = RationalFunction(t * t - 3, (t - 1) * (t + 2))
+    y = RationalFunction(2 * t + 1, t * t + 5)
+    calls = []
+    real_gcd = Polynomial.gcd
+
+    def counting_gcd(self, other):
+        calls.append((self, other))
+        return real_gcd(self, other)
+
+    monkeypatch.setattr(Polynomial, "gcd", counting_gcd)
+    -x
+    x ** 2
+    assert calls == []
+    x + y
+    assert calls == [(x.den, y.den)]
+
+
+def test_bool_is_not_a_coefficient_operand():
+    # == against a bool is False, as against a float; arithmetic refuses it
+    t, r = Polynomial.variable(), RationalFunction.variable()
+    one, rone = Polynomial((1,)), RationalFunction.constant(1)
+    for x in (t, r, one, rone):
+        assert (x == True) is False and (x == False) is False  # noqa: E712
+        assert (x != True) is True  # noqa: E712
+        for op in (lambda: x + True, lambda: True + x, lambda: x - False,
+                   lambda: x * True, lambda: True * x):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op()
+    with pytest.raises(TypeError, match="unsupported operand"):
+        r / True
+
+
 def test_equal_values_hash_equal():
     three = [
         3, Fraction(3), Polynomial((3,)), RationalFunction.constant(3),
@@ -475,6 +548,14 @@ def test_evaluation_and_pole():
     assert r(2.0) == 4.0
     with pytest.raises(PoleError):
         (1 / t)(0)
+    # arrays are checked elementwise and the message names the first pole
+    xs = np.array([[0.5, 1.0], [3.0, 1.0]])
+    with pytest.raises(PoleError, match=r"x=1\.0$"):
+        r(xs)
+    with pytest.raises(PoleError, match=r"x=0\.0$"):
+        (1 / t)(0.0)
+    xs = np.array([0.5, 3.0])
+    assert r(xs).tobytes() == (r.num(xs) / r.den(xs)).tobytes()
 
 
 def test_parse_render_roundtrip():
