@@ -21,12 +21,13 @@ numerator and denominator.  The operators instead build their results
 canonical from canonical operands, with gcds of the parts only (Henrici's
 method: Knuth, *TAOCP* vol. 2, §4.5.1; P. Henrici, "A subroutine for
 computations with rational numbers", *J. ACM* 3 (1956) 6-9).  A sum a/b + c/d
-pays gcd(b, d), and a second gcd against that one only when it is not 1; a
-product pays gcd(a, d) and gcd(c, b); division multiplies by the inverse,
-which is coprime already and only made monic.  Each of those gcds is skipped
-when an operand is constant.  Negation, powers, and int or Fraction operands
-pay no gcd at all; ``derivative`` goes through the constructor, since a
-denominator with repeated factors leaves a real common factor.
+pays gcd(b, d), 1 at once for a constant b or d, and a second gcd against it
+only when it is not 1; a product pays gcd(a, d) and gcd(c, b), each skipped
+when one of its operands is constant; division multiplies by the inverse,
+which is coprime already and only made monic.  Negation, powers, and int or
+Fraction operands run no Euclid at all; ``derivative`` goes through the
+constructor, since a denominator with repeated factors leaves a real common
+factor.
 
 Coefficients must be exact (int, Fraction, or a string Fraction() accepts);
 floats and bools are rejected to preserve exactness end to end.  Only the
@@ -455,10 +456,6 @@ class RationalFunction:
         if other is NotImplemented:
             return NotImplemented
         a, b, c, d = self.num, self.den, other.num, other.den
-        if b.degree == 0:  # b = 1
-            return _rf(a * d + c, d)
-        if d.degree == 0:
-            return _rf(a + c * b, b)
         g = b.gcd(d)
         if g.degree == 0:
             return _rf(a * d + c * b, b * d)
