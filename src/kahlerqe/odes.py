@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from kahlerqe.rational import Polynomial, RationalFunction
 
 
@@ -339,15 +337,17 @@ def phi_closed_form(params):
     The profile takes a float or an array of tau values; an array with
     an excluded value is refused, naming the first one.
     """
+    import numpy as np  # only the float closed form needs it
+
     m = params.m
     a, c = params.a, params.c
     C1f, C2f = float(params.C1), float(params.C2)
     cf = float(c)
     a_int = a.denominator == 1
-    # factors psi = prod (tau - root)^e, zero exponents dropped; a float
-    # power with an integral exponent is bitwise the int power
+    # factors psi = prod (tau - root)^e, zero exponents dropped; odd is None
+    # for a fractional e, else whether the integral e is odd
     factors = [
-        (float(e), root)
+        (float(e), root, None if e.denominator != 1 else e.numerator % 2 == 1)
         for e, root in ((1 - a, 2 * cf), (Fraction(-m), cf), (2 * m - 1 + a, 0.0))
         if e != 0
     ]
@@ -358,7 +358,7 @@ def phi_closed_form(params):
     def _check(tau):
         real = True if a_int else (tau > 0.0) & (tau - 2 * cf > 0.0)
         ok = real
-        for _, root in factors:
+        for _, root, _ in factors:
             ok = ok & (tau != root)
         if np.all(ok):
             return
@@ -371,17 +371,28 @@ def phi_closed_form(params):
             f"closed form evaluated at excluded value tau={_first(tau, np.logical_not(ok))}")
 
     def psi(tau):
+        # numpy's array power leaves its vector fast path for a negative
+        # base, about 30 times slower per element, so an integral power is
+        # taken of |tau - root| and an odd one gets the sign back; libm pow
+        # is sign-symmetric, so a float tau gives the same bits either way.
+        # A fractional power's base is positive (the domain check).
+        copysign = math.copysign if isinstance(tau, float) else np.copysign
         out = 1.0
-        for e, root in factors:
-            out = out * (tau - root) ** e
+        for e, root, odd in factors:
+            base = tau - root
+            if odd is None:
+                out = out * base ** e
+            else:
+                p = abs(base) ** e
+                out = out * (copysign(p, base) if odd else p)
         return out
 
     # psi'/psi = sum e/(tau-root) = -p
     def pterm(tau):
-        return -sum(e / (tau - root) for e, root in factors)
+        return -sum(e / (tau - root) for e, root, _ in factors)
 
     def pterm_d(tau):
-        return sum(e / (tau - root) ** 2 for e, root in factors)
+        return sum(e / (tau - root) ** 2 for e, root, _ in factors)
 
     def val(tau):
         _check(tau)

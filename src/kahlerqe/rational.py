@@ -520,10 +520,17 @@ class RationalFunction:
         return _rf(self.num**n, self.den**n)
 
     def derivative(self):
+        # with g = gcd(d, d') and e = d/g, (n/d)' = (n'e - n (d'/g)) / (d e),
+        # already coprime: e is the squarefree part of d, so each prime factor
+        # of d e divides n'e but not n (d'/g) (Yun, SYMSAC 1976); g is monic,
+        # so e and d e are too
         n, d = self.num, self.den
-        return RationalFunction(
-            n.derivative() * d - n * d.derivative(), d * d
-        )
+        if d.degree == 0:
+            return _rf(n.derivative(), d)
+        dd = d.derivative()
+        g = d.gcd(dd)
+        e, dg = (d, dd) if g.degree == 0 else (d // g, dd // g)
+        return _rf(n.derivative() * e - n * dg, d * e)
 
     def __call__(self, x):
         # an array (or numpy scalar) is checked elementwise, a number as is

@@ -163,6 +163,40 @@ def _mp_q(params):
         C1 + C2 * (t - 2 * c) ** (1 - a) * (t - c) ** (-m) * t ** (2 * m - 1 + a))
 
 
+@pytest.mark.parametrize("m, a, c, C2", [(m, a, c, C2) for m in (2, 3) for a in (1, 2)
+                                          for c in (1, -1) for C2 in (1, -1)])
+def test_closed_form_q_matches_mpmath_across_the_cuts(m, a, c, C2):
+    """Q and its two derivatives on a grid crossing 0, c and 2c, where the
+    bases of psi change sign, against mpmath.  Q is within 8 ulp of |Q| plus
+    8 ulp of 2|tau - c||C1| (the term that cancels in it); Q' and Q'' are
+    within 8 eps of the sum of their terms' sizes.  Each has the reference's
+    sign wherever the reference exceeds its bound."""
+    mp = pytest.importorskip("mpmath").mp
+    eps = np.finfo(float).eps
+    ts = np.linspace(-4.0, 4.0, 201) + 1.3e-3
+    ts = ts[np.min(np.abs(ts[:, None] - np.array([0.0, c, 2.0 * c])), axis=1) > 1e-3]
+    factors = [(1 - a, 2.0 * c), (-m, float(c)), (2 * m - 1 + a, 0.0)]
+    w = np.abs(C2) * np.prod([np.abs(ts - r) ** e for e, r in factors], axis=0)
+    s1 = sum(np.abs(e / (ts - r)) for e, r in factors)
+    s2 = sum(abs(e) / (ts - r) ** 2 for e, r in factors)
+    for kappa in (0, 2 * m):  # C1 = 0 and C1 = 1
+        params = SKRParams.section6(m=m, a=a, c=c, C2=C2, kappa=kappa, b=1, sign_phi=1)
+        q, qr = q_from_phi(params, phi_closed_form(params)), _mp_q(params)
+        C1 = float(params.C1)
+        with mp.workdps(40):
+            refs = [np.array([float(mp.diff(qr, mp.mpf(t), k)) for t in ts]) for k in range(3)]
+        bounds = (
+            8 * np.spacing(np.abs(refs[0])) + 8 * np.spacing(2 * np.abs(ts - c) * C1),
+            8 * eps * (2 * C1 + 2 * w + 2 * np.abs(ts - c) * w * s1),
+            8 * eps * (4 * w * s1 + 2 * np.abs(ts - c) * w * (s1 * s1 + s2)),
+        )
+        for k, (fn, ref, bound) in enumerate(zip((q.value, q.d1, q.d2), refs, bounds)):
+            got = fn(ts)
+            assert np.all(np.abs(got - ref) <= bound), (kappa, k)
+            big = np.abs(ref) > bound
+            assert np.array_equal(np.sign(got[big]), np.sign(ref[big])), (kappa, k)
+
+
 @pytest.mark.parametrize("params, interval", (
     (flat_params(), (0.35, 0.95)),
     (fs_params(a=2, C2=Fraction(-1, 100)), (1.3, 1.9)),

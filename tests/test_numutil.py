@@ -93,6 +93,11 @@ def test_rational_import_does_not_load_numpy():
     assert not _loaded_by_import("numpy", target="kahlerqe.rational")
 
 
+def test_odes_import_does_not_load_numpy():
+    # the exact ODE layer takes numpy only when a float closed form is built
+    assert not _loaded_by_import("numpy", target="kahlerqe.odes")
+
+
 def test_panel_build_raises_at_max_depth():
     fn = lambda t: 1.0 / t  # needs refinement near the left end
     with pytest.raises(ConvergenceError, match="depth 2"):

@@ -374,8 +374,8 @@ def _canonical_parts(r):
          Polynomial((5,)), Polynomial((1,)), 7, Fraction(-2, 3))  # constant operands
 def test_operators_match_the_reducing_constructor(n1, d1, j, n2, d2, h, k, f):
     # x = n1/(d1 h^j) and y = n2/(d2 h) share the factor h, repeated for
-    # j = 2; each operator's result must have the representation the
-    # reducing constructor gives the unreduced result
+    # j = 2; each operator's result, and the derivative's, must have the
+    # representation the reducing constructor gives the unreduced result
     x, y = RationalFunction(n1, d1 * h ** j), RationalFunction(n2, d2 * h)
     a, b, c, d = x.num, x.den, y.num, y.den
     cases = [
@@ -384,6 +384,7 @@ def test_operators_match_the_reducing_constructor(n1, d1, j, n2, d2, h, k, f):
         (x * y, RationalFunction(a * c, b * d)),
         (-x, RationalFunction(-a, b)),
         (x ** 3, RationalFunction(a ** 3, b ** 3)),
+        (x.derivative(), RationalFunction(a.derivative() * b - a * b.derivative(), b * b)),
     ]
     if not y.is_zero:
         cases.append((x / y, RationalFunction(a * d, b * c)))
