@@ -344,10 +344,10 @@ def phi_closed_form(params):
     C1f, C2f = float(params.C1), float(params.C2)
     cf = float(c)
     a_int = a.denominator == 1
-    # factors psi = prod (tau - root)^e, zero exponents dropped; odd is None
-    # for a fractional e, else whether the integral e is odd
+    # factors psi = prod (tau - root)^e, zero exponents dropped, with
+    # whether e is an odd integer
     factors = [
-        (float(e), root, None if e.denominator != 1 else e.numerator % 2 == 1)
+        (float(e), root, e.denominator == 1 and e.numerator % 2 == 1)
         for e, root in ((1 - a, 2 * cf), (Fraction(-m), cf), (2 * m - 1 + a, 0.0))
         if e != 0
     ]
@@ -372,19 +372,16 @@ def phi_closed_form(params):
 
     def psi(tau):
         # numpy's array power leaves its vector fast path for a negative
-        # base, about 30 times slower per element, so an integral power is
-        # taken of |tau - root| and an odd one gets the sign back; libm pow
-        # is sign-symmetric, so a float tau gives the same bits either way.
-        # A fractional power's base is positive (the domain check).
+        # base, about 30 times slower per element, so each power is taken
+        # of |tau - root| and an odd one gets the sign back; libm pow is
+        # sign-symmetric, so a float tau gives the same bits either way.  A
+        # fractional power's base is positive already (the domain check).
         copysign = math.copysign if isinstance(tau, float) else np.copysign
         out = 1.0
         for e, root, odd in factors:
             base = tau - root
-            if odd is None:
-                out = out * base ** e
-            else:
-                p = abs(base) ** e
-                out = out * (copysign(p, base) if odd else p)
+            p = abs(base) ** e
+            out = out * (copysign(p, base) if odd else p)
         return out
 
     # psi'/psi = sum e/(tau-root) = -p
