@@ -6,7 +6,11 @@ and the fields tau, f and J, must be written with jet-friendly arithmetic
 first and second derivatives.  All curvature kernels below consume those
 derivative arrays; nothing here uses finite differences.
 
-Every array carries a leading point axis.  ``PointGeometry`` evaluates a
+Every array carries the point axis last: a metric is (n, n, B), its
+derivatives (n, n, n, B) and (n, n, n, n, B), a scalar (B,).  The tensor
+indices of a point come first, so per-point scalars broadcast as they are
+and numpy's inner loops run over the batch, contiguous and of length B,
+instead of over a tensor axis of length n.  ``PointGeometry`` evaluates a
 ``fields`` callable, which returns the metric's rows together with tau, f
 and J, once on a whole batch of points, and derives everything the
 verification suite needs from that one evaluation with the batch kernels
@@ -15,13 +19,16 @@ verification suite needs from that one evaluation with the batch kernels
 point is the batch B = 1.
 
 Contractions sum in a fixed order with elementwise operations only
-(``_esum``): one broadcast product of the operands holds every term, and
-the terms are added one summed index tuple at a time, in lexicographic
-order.  A numpy reduce would sum pairwise wherever the reduced run is
-contiguous, which depends on the batch size; the sequential sum does not,
-so a point's geometry is bit for bit the same whichever batch it is
-evaluated in.  Ricci is formed from contractions of the second
-derivatives of g; neither dGamma nor the Riemann tensor is materialised.
+(``_esum``): one broadcast product of the operands, laid out as (summed
+indices, output indices, point), holds every term, and the terms are added
+one summed index tuple at a time, in lexicographic order.  A numpy reduce
+would sum pairwise wherever the reduced run is contiguous, which depends
+on the batch size; the sequential sum does not, so a point's geometry is
+bit for bit the same whichever batch it is evaluated in.  ``np.linalg``
+takes stacks point-first, so the inverse and the solve for grad tau are
+handed ``np.moveaxis(x, -1, 0)``.  Ricci is formed from contractions of
+the second derivatives of g; neither dGamma nor the Riemann tensor is
+materialised.
 
 Sign conventions: Ricci of the unit round sphere is +g, of the hyperbolic
 plane -g.
@@ -61,34 +68,34 @@ class MetricChart:
 @functools.cache
 def _esum_plan(spec):
     """Per operand of ``spec``: the no-summation einsum that lays it out as
-    (its summed axes, point, its output axes), and the index that inserts
+    (its summed axes, its output axes, point), and the index that inserts
     length-1 axes for the summed and output letters it lacks."""
     ins, out = spec.split("->")
     summed = sorted(set(ins) - set(out) - {","})
-    plans = []
+    axes, plans = summed + list(out), []
     for letters in ins.split(","):
-        have = [c for c in summed if c in letters], [c for c in out if c in letters]
-        sub = f"...{letters}->{''.join(have[0])}...{''.join(have[1])}"
-        expand = tuple(slice(None) if c in letters else None for c in summed)
-        expand += (slice(None),) + tuple(slice(None) if c in letters else None for c in out)
-        plans.append((sub, expand))
+        have = "".join(c for c in axes if c in letters)
+        expand = tuple(slice(None) if c in letters else None for c in axes)
+        plans.append((f"{letters}...->{have}...", expand))
     return len(summed), tuple(plans)
 
 
 def _esum(spec, *ops):
-    """``np.einsum(spec)`` over a leading point axis, in a fixed order.
+    """``np.einsum(spec)`` over a trailing point axis, in a fixed order.
 
-    ``spec`` names the axes after the point axis, e.g. ``"ka,aij->kij"``;
+    ``spec`` names the axes before the point axis, e.g. ``"ka,aij->kij"``;
     a summed index may repeat within an operand (a trace).  Each operand is
-    laid out as (summed..., point, out...) by an einsum that only takes
+    laid out as (summed..., out..., point) by an einsum that only takes
     diagonals and transposes, so its entries are copied exactly.  The
     operands are multiplied left to right into one C-ordered buffer of
-    shape (S, B, out...), whose first axis runs over the S tuples of summed
+    shape (S, out..., B), whose first axis runs over the S tuples of summed
     values in lexicographic order, and the terms are added one tuple at a
     time, first to last.  That is the same products and the same sequential
-    sum as a loop over the tuples.  A reduce (``np.sum``, ``einsum``) is not
-    used: where the reduced run is contiguous (one point, scalar output)
-    numpy sums it pairwise, and the result would depend on the batch size.
+    sum as a loop over the tuples.  The point axis is last, so every
+    multiply and add runs its inner loop over the B points, contiguous in
+    the buffer.  A reduce (``np.sum``, ``einsum``) is not used: where the
+    reduced run is contiguous (one point, scalar output) numpy sums it
+    pairwise, and the result would depend on the batch size.
     """
     k, plans = _esum_plan(spec)
     views = [np.einsum(sub, op)[expand] for (sub, expand), op in zip(plans, ops)]
@@ -111,25 +118,26 @@ def scalar_jet(e, n, B):
     """(value, gradient, Hessian) arrays of a Jet, or of a constant with zero derivatives."""
     if isinstance(e, Jet):
         return e.val, e.grad, e.hess
-    return np.full(B, float(e)), np.zeros((B, n)), np.zeros((B, n, n))
+    return np.full(B, float(e)), np.zeros((n, B)), np.zeros((n, n, B))
 
 
 def metric_jets(rows, n, B, order=2):
-    """Arrays (M[b,i,j], dM[b,k,i,j], d2M[b,k,l,i,j]) of n x n rows of Jets
+    """Arrays (M[i,j,b], dM[k,i,j,b], d2M[k,l,i,j,b]) of n x n rows of Jets
     and constants, at B points; the first ``order`` derivatives only."""
-    out = [np.empty((B,) + (n,) * (2 + d)) for d in range(order + 1)]
+    out = [np.empty((n,) * (2 + d) + (B,)) for d in range(order + 1)]
     for i in range(n):
         for j in range(n):
             e = rows[i][j]
             parts = (e.val, e.grad, e.hess) if isinstance(e, Jet) else (float(e), 0.0, 0.0)
             for d in range(order + 1):
-                out[d][(slice(None),) + (slice(None),) * d + (i, j)] = parts[d]
+                out[d][(slice(None),) * d + (i, j)] = parts[d]
     return tuple(out)
 
 
 def inverse_metric(g):
+    """Inverses of the metrics (n, n, B) at B points."""
     try:
-        ginv = np.linalg.inv(g)
+        ginv = np.moveaxis(np.linalg.inv(np.moveaxis(g, -1, 0)), 0, -1)
     except np.linalg.LinAlgError as exc:
         raise SingularMetricError(f"metric not invertible: {exc}") from exc
     if not np.all(np.isfinite(ginv)):
@@ -138,7 +146,8 @@ def inverse_metric(g):
 
 
 def is_positive_definite(g):
-    """Cholesky-based positive definiteness test for a symmetric matrix."""
+    """Cholesky-based positive definiteness test for a symmetric matrix, or
+    for a stack (B, n, n) of them: True only if every one is."""
     try:
         np.linalg.cholesky(g)
         return True
@@ -150,7 +159,7 @@ def christoffel(g, dg):
     """(ginv, T, Gamma) with T[a,i,j] = d_i g_aj + d_j g_ai - d_a g_ij and
     Gamma[k,i,j] = Gamma^k_ij = ginv[k,a] T[a,i,j] / 2."""
     ginv = inverse_metric(g)
-    T = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg
+    T = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg
     return ginv, T, 0.5 * _esum("ka,aij->kij", ginv, T)
 
 
@@ -169,7 +178,7 @@ def ricci(ginv, T, gamma, dg, d2g):
     # second term is the first with j and k swapped
     M = _esum("la,ljak->kj", ginv, d2g)
     d_gamma = 0.5 * _esum("a,ajk->kj", div_ginv, T) + 0.5 * (
-        M + M.transpose(0, 2, 1) - _esum("la,lajk->kj", ginv, d2g))
+        M + M.transpose(1, 0, 2) - _esum("la,lajk->kj", ginv, d2g))
     d_log_det = 0.5 * (_esum("la,jkal->kj", ginv, d2g) - _esum("jlq,kql->kj", A, A))
     return (d_gamma - d_log_det + _esum("lla,ajk->kj", gamma, gamma)
             - _esum("lja,alk->kj", gamma, gamma))
@@ -195,19 +204,19 @@ def conformal_jets(g, dg, d2g, tau_jet):
     """
     t = Jet(*tau_jet)
     w = 1.0 / (t * t)
-    wv = w.val[:, None, None]
+    wv = w.val
     # the Hessians are summed in place over d2g, one (k, l) block at a time
     # so that no second array of n^4 entries per point exists, in the order
     # of ``Jet.__mul__``: then the cross term dg (x) dw and its transpose
     d2 = d2g
-    d2 *= wv[:, None, None]
-    n = g.shape[1]
+    d2 *= wv
+    n = g.shape[0]
     for k in range(n):
         for l in range(n):
-            d2[:, k, l] += w.hess[:, k, l, None, None] * g
-            d2[:, k, l] += dg[:, k] * w.grad[:, l, None, None]
-            d2[:, k, l] += dg[:, l] * w.grad[:, k, None, None]
-    return g * wv, dg * wv[:, None] + w.grad[:, :, None, None] * g[:, None], d2
+            d2[k, l] += w.hess[k, l] * g
+            d2[k, l] += dg[k] * w.grad[l]
+            d2[k, l] += dg[l] * w.grad[k]
+    return g * wv, dg * wv + w.grad[:, None, None] * g, d2
 
 
 def _quad(a, S, b):
@@ -217,7 +226,7 @@ def _quad(a, S, b):
 
 def _unit(v, G):
     """v / |v|_G at each point."""
-    return v / np.sqrt(_quad(v, G, v))[:, None]
+    return v / np.sqrt(_quad(v, G, v))
 
 
 def _killing_residual(g, dg, ginv, gamma, dv, d2v, J, dJ):
@@ -233,40 +242,40 @@ def _killing_residual(g, dg, ginv, gamma, dv, d2v, J, dJ):
     )
     K_low = _esum("ij,j->i", g, K_up)
     dK_low = _esum("mji,i->mj", dg, K_up) + _esum("ji,mi->mj", g, dK_up)
-    return dK_low + dK_low.transpose(0, 2, 1) - 2.0 * _esum("lmj,l->mj", gamma, K_low)
+    return dK_low + dK_low.transpose(1, 0, 2) - 2.0 * _esum("lmj,l->mj", gamma, K_low)
 
 
 def _max_entry(x):
     """Largest |entry| of each point's tensor."""
-    return np.max(np.abs(x).reshape(x.shape[0], -1), axis=1)
+    return np.max(np.abs(x).reshape(-1, x.shape[-1]), axis=0)
 
 
 DROP_TOL = 1e-8
 
 
 def _horizontal_frame(G, v1, v2):
-    """G-orthonormal frames (B, dim-2, dim) of the complements of span{v1, v2}.
+    """G-orthonormal frames (dim-2, dim, B) of the complements of span{v1, v2}.
 
     Deterministic: projects the coordinate basis and runs modified
     Gram-Schmidt in index order, skipping directions that collapse (squared
     G-norm at most ``DROP_TOL``), at every point at once.
     """
-    B, dim = v1.shape
+    dim, B = v1.shape
     frame = [_unit(v, G) for v in (v1, v2)]
-    out = np.zeros((B, dim - 2, dim))
+    out = np.zeros((dim - 2, dim, B))
     count = np.zeros(B, dtype=int)
     for i in range(dim):
-        w = np.zeros((B, dim))
-        w[:, i] = 1.0
+        w = np.zeros((dim, B))
+        w[i] = 1.0
         for u in frame:
-            w = w - _quad(w, G, u)[:, None] * u
+            w = w - _quad(w, G, u) * u
         for s in range(dim - 2):
-            u = out[:, s]
-            w = np.where((s < count)[:, None], w - _quad(w, G, u)[:, None] * u, w)
+            u = out[s]
+            w = np.where(s < count, w - _quad(w, G, u) * u, w)
         nw = _quad(w, G, w)
         take = (nw > DROP_TOL) & (count < dim - 2)
-        rows = np.nonzero(take)[0]
-        out[rows, count[rows]] = w[rows] / np.sqrt(nw[rows])[:, None]
+        cols = np.nonzero(take)[0]
+        out[count[cols], :, cols] = (w[:, cols] / np.sqrt(nw[cols])).T
         count += take
     if np.any(count != dim - 2):
         raise RuntimeError("failed to build a frame for the horizontal complement")
@@ -277,9 +286,10 @@ class PointGeometry:
     """Everything the verification suite reads, at a batch of points.
 
     Built from one call of ``skr.fields`` on the seeded jets of all the
-    points (an array (B, n), or (n,) for one point), which returns the
-    metric's rows together with tau, f and J; every derived quantity is
-    formed once, here, as an array with a leading point axis.
+    points (an array (B, n), one point per row, or (n,) for one point),
+    which returns the metric's rows together with tau, f and J; every
+    derived quantity is formed once, here, as an array whose last axis is
+    the point axis, ``p`` (n, B) included.
     The jets of ghat = g / tau^2 come from those of g and tau by the
     product rule (``conformal_jets``), and ghat's curvature is computed
     from them directly, not from its expansion in g-terms.  Arrays with
@@ -304,8 +314,8 @@ class PointGeometry:
 
     def __init__(self, skr, points, index=None):
         n = skr.chart.dim
-        self.p = np.atleast_2d(np.asarray(points, dtype=float))
-        B = self.p.shape[0]
+        self.p = np.atleast_2d(np.asarray(points, dtype=float)).T
+        B = self.p.shape[1]
         self.index = np.arange(B) if index is None else np.asarray(index)
         rows, tau, f, J = skr.fields(Jet.seed(self.p))
         g, dg, d2g = metric_jets(rows, n, B)
@@ -318,7 +328,8 @@ class PointGeometry:
         if tau is not None:
             tau_jet = scalar_jet(tau, n, B)
             self.tau, self.dtau, d2tau = tau_jet
-            self.grad_tau = np.linalg.solve(g, self.dtau[:, :, None])[:, :, 0]
+            grad_tau = np.linalg.solve(np.moveaxis(g, -1, 0), self.dtau.T[..., None])
+            self.grad_tau = grad_tau[..., 0].T
             self.grad_tau_sq = _quad(self.dtau, self.ginv, self.dtau)
             self.hess_tau = hessian(gamma, self.dtau, d2tau)
             self.lap_tau = _esum("ij,ij->", self.ginv, self.hess_tau)
@@ -348,15 +359,15 @@ class PointGeometry:
                     g, dg, self.ginv, gamma, self.dtau, d2tau, self.J, dJ))
 
     def __len__(self):
-        return self.p.shape[0]
+        return self.p.shape[1]
 
     def __getitem__(self, i):
-        """Point i of the batch: its arrays without the point axis, its
-        scalars as plain floats (index as int)."""
+        """Point i of the batch: its arrays without the (last) point axis,
+        its scalars as plain floats (index as int)."""
         point = SimpleNamespace()
         for key, val in vars(self).items():
             if isinstance(val, np.ndarray):
-                val = val[i]
+                val = val[..., i]
                 val = val.item() if val.ndim == 0 else val
             setattr(point, key, val)
         return point
@@ -368,7 +379,7 @@ class PointGeometry:
         """The sub-batch at ``rows`` (indices or a boolean mask)."""
         out = object.__new__(PointGeometry)
         for key, val in vars(self).items():
-            setattr(out, key, val[rows] if isinstance(val, np.ndarray) else val)
+            setattr(out, key, val[..., rows] if isinstance(val, np.ndarray) else val)
         return out
 
     @staticmethod
@@ -377,13 +388,13 @@ class PointGeometry:
         out = object.__new__(PointGeometry)
         for key, val in vars(parts[0]).items():
             if isinstance(val, np.ndarray):
-                val = np.concatenate([vars(part)[key] for part in parts])
+                val = np.concatenate([vars(part)[key] for part in parts], axis=-1)
             setattr(out, key, val)
         return out
 
     @cached_property
     def horizontal(self):
-        """G-orthonormal frames (B, n-2, n) of the complements of
+        """G-orthonormal frames (n-2, n, B) of the complements of
         {grad tau, J grad tau}, with J taken at each point."""
         return _horizontal_frame(self.g, self.grad_tau,
                                  _esum("ij,j->i", self.J, self.grad_tau))

@@ -3,15 +3,18 @@
 A Jet carries, at each of B points, a value together with its gradient and
 Hessian with respect to a fixed set of n chart coordinates, i.e. a
 truncated second-order Taylor expansion: ``val`` has shape (B,), ``grad``
-(B, n) and ``hess`` (B, n, n).  One point is the batch B = 1.  Arithmetic
+(n, B) and ``hess`` (n, n, B).  One point is the batch B = 1.  Arithmetic
 propagates all three levels exactly (product and chain rules), so metric
 components written with these operations yield machine-precision first and
 second derivatives -- no finite differencing.  This is vector forward mode
 (Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 3
 and 13): one evaluation of a component carries every point of the batch.
 
-Every operation is elementwise along the point axis, so the jet of a point
-does not depend on the batch it is evaluated in, bit for bit.
+The point axis is the last axis of every array, so a per-point scalar
+broadcasts against a gradient or Hessian as it is, and numpy's inner loop
+runs over the contiguous batch, not over a tensor axis of length n.  Every
+operation is elementwise along the point axis, so the jet of a point does
+not depend on the batch it is evaluated in, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,13 +36,13 @@ class Jet:
 
     @classmethod
     def seed(cls, coords):
-        """Independent-variable jets for coordinates of shape (B, n), or (n,)
+        """Independent-variable jets for coordinates of shape (n, B), or (n,)
         for one point (B = 1)."""
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        B, n = coords.shape
-        eye = np.eye(n)
-        zero = np.zeros((B, n, n))
-        return [cls(coords[:, i], np.broadcast_to(eye[i], (B, n)), zero) for i in range(n)]
+        coords = np.asarray(coords, dtype=float).reshape(len(coords), -1)
+        n, B = coords.shape
+        eye = np.eye(n)[:, :, None]
+        zero = np.zeros((n, n, B))
+        return [cls(coords[i], np.broadcast_to(eye[i], (n, B)), zero) for i in range(n)]
 
     # -- arithmetic ------------------------------------------------------
     # A float operand is a constant: it scales or shifts the value only.
@@ -68,12 +71,11 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            cross = self.grad[:, :, None] * other.grad[:, None, :]
+            cross = self.grad[:, None] * other.grad[None, :]
             return Jet(
                 self.val * other.val,
-                self.grad * other.val[:, None] + other.grad * self.val[:, None],
-                self.hess * other.val[:, None, None] + other.hess * self.val[:, None, None]
-                + cross + cross.transpose(0, 2, 1),
+                self.grad * other.val + other.grad * self.val,
+                self.hess * other.val + other.hess * self.val + cross + cross.transpose(1, 0, 2),
             )
         if isinstance(other, (int, float)):
             return Jet(self.val * other, self.grad * other, self.hess * other)
@@ -100,8 +102,8 @@ class Jet:
     def compose(self, f0, f1, f2):
         """Chain rule: apply a scalar function given arrays (f, f', f'') at self.val."""
         g = self.grad
-        gg = g[:, :, None] * g[:, None, :]
-        return Jet(f0, f1[:, None] * g, f1[:, None, None] * self.hess + f2[:, None, None] * gg)
+        gg = g[:, None] * g[None, :]
+        return Jet(f0, f1 * g, f1 * self.hess + f2 * gg)
 
     def __repr__(self):
         return f"Jet({self.val!r})"

@@ -7,6 +7,10 @@ points at once, and reports the worst absolute residual against a pinned
 tolerance, with the sample index and tau where it occurred.  Reports
 serialize to canonical JSON (sorted keys, no timestamps) so a rerun with
 the same seed is byte-identical, including its hash.
+
+The arrays carry the point axis last, as in ``kahlerqe.charts``, so a
+check scales a 2-tensor (n, n, B) by a per-point scalar (B,) as it is,
+with its inner loop over the contiguous batch.
 """
 
 from __future__ import annotations
@@ -134,7 +138,11 @@ def gather_points(skr, samples, seed=0):
 
 
 def check_positive_definite(skr, geos):
-    bad = np.array([not is_positive_definite(g) for g in geos.g])
+    """One Cholesky call on the whole batch; only if it fails, one per point,
+    to count the indefinite metrics and find the first."""
+    gs = np.moveaxis(geos.g, -1, 0)
+    bad = np.zeros(len(gs), dtype=bool) if is_positive_definite(gs) else np.array(
+        [not is_positive_definite(g) for g in gs])
     # one aggregate residual, the count; its point is the first indefinite one
     return _finish("positive-definite", [float(bad.sum())], 0.0,
                    geos.select([int(np.argmax(bad))]),
@@ -161,7 +169,7 @@ def check_skr(skr, geos, tol=DEFAULT_TOLERANCES["skr-eigenstructure"]):
     for S, block, keep in ((geos.hess_tau, geos.hess_tau_horizontal, True),
                            (geos.ricci, geos.horizontal_block(geos.ricci), False)):
         lam = _esum("ii->", block) / (n - 2)
-        worst = np.maximum(worst, _max_entry(block - lam[:, None, None] * np.eye(n - 2)))
+        worst = np.maximum(worst, _max_entry(block - lam * np.eye(n - 2)[:, :, None]))
         hS = _esum("si,ij->sj", hs, S)
         for vn in vns:
             worst = np.maximum(worst, _max_entry(_esum("sj,j->s", hS, vn)))
@@ -181,8 +189,7 @@ def check_ricci_hessian(skr, geos, tol=DEFAULT_TOLERANCES["ricci-hessian"]):
     alpha = alpha_profile(params)
     t = geos.tau
     gamma = gamma_from_phi(params, skr.warp.phi, alpha, t)
-    res = _max_entry(alpha(t)[:, None, None] * geos.hess_tau + geos.ricci
-                     - gamma[:, None, None] * geos.g)
+    res = _max_entry(alpha(t) * geos.hess_tau + geos.ricci - gamma * geos.g)
     return _finish("ricci-hessian", res, tol, geos)
 
 
@@ -191,8 +198,7 @@ def check_quasi_einstein(skr, geos, tol=DEFAULT_TOLERANCES["quasi-einstein"]):
     params = skr.params
     af, lamf = float(params.a), float(params.lam)
     fv = geos.f
-    res = _max_entry((-af / fv)[:, None, None] * geos.hess_f_hat + geos.ricci_hat
-                     - lamf * geos.g_hat)
+    res = _max_entry((-af / fv) * geos.hess_f_hat + geos.ricci_hat - lamf * geos.g_hat)
     return _finish("quasi-einstein", res, tol, geos,
                    {"min_abs_f": float(np.min(np.abs(fv)))})
 
@@ -226,15 +232,14 @@ def check_conformal_formulas(skr, geos, tol=DEFAULT_TOLERANCES["conformal-expans
     residual is pure differentiation noise."""
     n = skr.dim
     G, dt, df = geos.g, geos.dtau, geos.df
-    tv = geos.tau[:, None, None]
-    Q, lap = geos.grad_tau_sq[:, None, None], geos.lap_tau[:, None, None]
+    tv, Q, lap = geos.tau, geos.grad_tau_sq, geos.lap_tau
     expand_r = (geos.ricci + (n - 2) / tv * geos.hess_tau
                 + (lap / tv - (n - 1) * Q / tv**2) * G)
     e1 = _max_entry(geos.ricci_hat - expand_r)
 
-    cross = _quad(dt, geos.ginv, df)[:, None, None]
-    outer = dt[:, :, None] * df[:, None, :]
-    expand_h = geos.hess_f + (outer + outer.transpose(0, 2, 1) - cross * G) / tv
+    cross = _quad(dt, geos.ginv, df)
+    outer = dt[:, None] * df[None, :]
+    expand_h = geos.hess_f + (outer + outer.transpose(1, 0, 2) - cross * G) / tv
     e2 = _max_entry(geos.hess_f_hat - expand_h)
     return _finish("conformal-expansions", np.maximum(e1, e2), tol, geos)
 

@@ -2,12 +2,13 @@
 
 ``sin_``, ``cos_``, ``exp_`` and ``sqrt_`` extend ``kahlerqe.jets`` for the
 sphere, hyperbolic and product fixtures; they act on batched jets (numpy,
-elementwise along the point axis) and on plain floats, and ``value`` reads
-the values of either.
+elementwise along the point axis, which is the last axis) and on plain
+floats, and ``value`` reads the values of either.
 
 ``jets_at`` and ``curvature_at`` evaluate a chart at one point: the
 package's batch kernels on the batch B = 1, behind the checks that the
-point has the chart's shape, is finite and lies in the chart's domain.
+point has the chart's shape, is finite and lies in the chart's domain, and
+return the arrays without their trailing point axis.
 
 ``riemann`` is the full curvature tensor at one point, built the long way:
 dGamma from the jets of g, then R from dGamma and Gamma with ``np.einsum``.
@@ -76,7 +77,7 @@ def jets_at(chart, p):
     if not chart.domain(p):
         raise ChartDomainError(f"point {p} outside domain of chart {chart.name!r}")
     rows = chart.components(Jet.seed(p))
-    return tuple(a[0] for a in charts.metric_jets(rows, chart.dim, 1))
+    return tuple(a[..., 0] for a in charts.metric_jets(rows, chart.dim, 1))
 
 
 def curvature_at(chart, p, fn=None):
@@ -85,13 +86,13 @@ def curvature_at(chart, p, fn=None):
     ``gamma`` (Gamma[k,i,j] = Gamma^k_ij) and ``ricci``; with a scalar
     field ``fn`` also its jet ``v``, ``dv``, ``d2v`` and its covariant
     Hessian ``hess``."""
-    g, dg, d2g = (a[None] for a in jets_at(chart, p))
+    g, dg, d2g = (a[..., None] for a in jets_at(chart, p))
     ginv, T, gamma = charts.christoffel(g, dg)
     out = dict(g=g, dg=dg, d2g=d2g, gamma=gamma, ricci=charts.ricci(ginv, T, gamma, dg, d2g))
     if fn is not None:
         v, dv, d2v = charts.scalar_jet(fn(Jet.seed(p)), chart.dim, 1)
         out.update(v=v, dv=dv, d2v=d2v, hess=charts.hessian(gamma, dv, d2v))
-    return SimpleNamespace(**{key: a[0] for key, a in out.items()})
+    return SimpleNamespace(**{key: a[..., 0] for key, a in out.items()})
 
 
 def riemann(chart, p):
@@ -113,26 +114,26 @@ def riemann(chart, p):
 def esum_loop(spec, *ops):
     """``charts._esum`` as a loop over the summed index tuples: each term is
     the left-to-right product of its operands' slices, and the terms are
-    added in lexicographic order of the tuples."""
+    added in lexicographic order of the tuples.  The point axis is the last
+    axis of every operand and of the result."""
     ins, out = spec.split("->")
     ins = ins.split(",")
     dims = {}
     for letters, op in zip(ins, ops):
-        dims.update(zip(letters, op.shape[1:]))
+        dims.update(zip(letters, op.shape[:-1]))
     summed = sorted(set("".join(ins)) - set(out))
     plans = []
     for letters in ins:
         free = [c for c in letters if c not in summed]
-        order = sorted(range(len(free)), key=lambda t: out.index(free[t]))
-        perm = (0,) + tuple(1 + t for t in order)
-        expand = (slice(None),) + tuple(slice(None) if c in free else None for c in out)
+        perm = tuple(sorted(range(len(free)), key=lambda t: out.index(free[t]))) + (len(free),)
+        expand = tuple(slice(None) if c in free else None for c in out) + (slice(None),)
         plans.append((letters, perm, expand))
     acc = None
     for values in itertools.product(*(range(dims[c]) for c in summed)):
         fix = dict(zip(summed, values))
         term = None
         for (letters, perm, expand), op in zip(plans, ops):
-            v = op[(slice(None),) + tuple(fix.get(c, slice(None)) for c in letters)]
+            v = op[tuple(fix.get(c, slice(None)) for c in letters) + (slice(None),)]
             v = v.transpose(perm)[expand]
             term = v if term is None else term * v
         acc = term if acc is None else acc + term

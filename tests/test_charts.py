@@ -394,7 +394,7 @@ def test_esum_matches_loop_oracle_bit_for_bit():
             for spec in specs:
                 ops = []
                 for letters in spec.split("->")[0].split(","):
-                    shape = (B,) + tuple(size[c] for c in letters)
+                    shape = tuple(size[c] for c in letters) + (B,)
                     sign = rng.choice((-1.0, 1.0), size=shape)
                     ops.append(sign * 10.0 ** rng.uniform(-5.0, 5.0, size=shape))
                 got, want = _esum(spec, *ops), esum_loop(spec, *ops)

@@ -32,13 +32,14 @@ def _fd_grad_hess(fn, x, h=1e-5):
 def test_seed_structure():
     xs = Jet.seed(np.array([2.0, 3.0]))  # one point is the batch B = 1
     npt.assert_array_equal(xs[0].val, [2.0])
-    npt.assert_array_equal(xs[0].grad, [[1.0, 0.0]])
-    npt.assert_array_equal(xs[1].grad, [[0.0, 1.0]])
-    npt.assert_array_equal(xs[0].hess, np.zeros((1, 2, 2)))
-    xs = Jet.seed(np.array([[2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]))
+    npt.assert_array_equal(xs[0].grad, [[1.0], [0.0]])
+    npt.assert_array_equal(xs[1].grad, [[0.0], [1.0]])
+    npt.assert_array_equal(xs[0].hess, np.zeros((2, 2, 1)))
+    # a batch is (n, B): the point axis is last
+    xs = Jet.seed(np.array([[2.0, 4.0, 6.0], [3.0, 5.0, 7.0]]))
     npt.assert_array_equal(xs[1].val, [3.0, 5.0, 7.0])
-    npt.assert_array_equal(xs[0].grad, [[1.0, 0.0]] * 3)
-    assert xs[0].hess.shape == (3, 2, 2)
+    npt.assert_array_equal(xs[0].grad, [[1.0] * 3, [0.0] * 3])
+    assert xs[0].hess.shape == (2, 2, 3)
 
 
 def test_polynomial_jet_exact():
@@ -46,8 +47,8 @@ def test_polynomial_jet_exact():
     f = x * x * y + 3.0 * x - y
     # f = x^2 y + 3x - y: grad = (2xy + 3, x^2 - 1), hess = [[2y, 2x], [2x, 0]]
     assert math.isclose(f.val[0], 1.5 ** 2 * (-0.5) + 4.5 + 0.5)
-    npt.assert_allclose(f.grad[0], [2 * 1.5 * -0.5 + 3, 1.5 ** 2 - 1], atol=1e-14)
-    npt.assert_allclose(f.hess[0], [[-1.0, 3.0], [3.0, 0.0]], atol=1e-14)
+    npt.assert_allclose(f.grad[:, 0], [2 * 1.5 * -0.5 + 3, 1.5 ** 2 - 1], atol=1e-14)
+    npt.assert_allclose(f.hess[..., 0], [[-1.0, 3.0], [3.0, 0.0]], atol=1e-14)
 
 
 def test_reciprocal_and_division():
@@ -72,10 +73,10 @@ def test_transcendental_closed_form():
     expect_gx = e * math.cos(0.7) * 1.3 + 2 * 0.7 * math.log(2.0)
     expect_gy = e * math.sin(0.7)
     expect_gz = 0.7 ** 2 / 2.0
-    npt.assert_allclose(f.grad[0], [expect_gx, expect_gy, expect_gz], rtol=1e-13)
+    npt.assert_allclose(f.grad[:, 0], [expect_gx, expect_gy, expect_gz], rtol=1e-13)
     g_fd, H_fd = _fd_grad_hess(plain, np.array([0.7, 1.3, 2.0]))
-    npt.assert_allclose(f.grad[0], g_fd, rtol=1e-7)
-    npt.assert_allclose(f.hess[0], H_fd, rtol=2e-4, atol=1e-6)
+    npt.assert_allclose(f.grad[:, 0], g_fd, rtol=1e-7)
+    npt.assert_allclose(f.hess[..., 0], H_fd, rtol=2e-4, atol=1e-6)
 
 
 def test_mixed_composition_vs_fd():
@@ -93,8 +94,8 @@ def test_mixed_composition_vs_fd():
         f = jet_fn(Jet.seed(p))
         assert math.isclose(f.val[0], plain(p), rel_tol=1e-14)
         g_fd, H_fd = _fd_grad_hess(plain, p)
-        npt.assert_allclose(f.grad[0], g_fd, rtol=1e-6, atol=1e-9)
-        npt.assert_allclose(f.hess[0], H_fd, rtol=1e-3, atol=1e-5)
+        npt.assert_allclose(f.grad[:, 0], g_fd, rtol=1e-6, atol=1e-9)
+        npt.assert_allclose(f.hess[..., 0], H_fd, rtol=1e-3, atol=1e-5)
 
 
 def test_compose_is_chain_rule():
@@ -124,10 +125,10 @@ def test_batch_equals_each_point_alone_bit_for_bit():
 
     pts = np.random.RandomState(5).uniform(0.5, 1.5, size=(37, 3))
     for order in (np.arange(37), np.random.RandomState(6).permutation(37)):
-        batch = jet_fn(Jet.seed(pts[order]))
-        for row, i in enumerate(order):
+        batch = jet_fn(Jet.seed(pts[order].T))
+        for col, i in enumerate(order):
             one = jet_fn(Jet.seed(pts[i]))
-            assert np.array_equal(batch.val[row], one.val[0])
-            assert np.array_equal(batch.grad[row], one.grad[0])
-            assert np.array_equal(batch.hess[row], one.hess[0])
+            assert np.array_equal(batch.val[col], one.val[0])
+            assert np.array_equal(batch.grad[:, col], one.grad[:, 0])
+            assert np.array_equal(batch.hess[..., col], one.hess[..., 0])
 

@@ -196,6 +196,25 @@ def test_batch_geometry_equals_each_point_alone_bit_for_bit(flat_skr, fs_skr):
                 assert batch[row].index == i
 
 
+def test_point_axis_is_last_and_indexing_drops_it(fs_skr):
+    """Every array of a batch of B points ends in the point axis, and point
+    i alone has the same arrays without it."""
+    raw = fs_skr.sample_points(20, seed=0)
+    pts = raw[[fs_skr.chart.domain(p) for p in raw]][:7]
+    B = len(pts)
+    geos = PointGeometry(fs_skr, pts)
+    geos.hess_tau_horizontal  # noqa: B018 -- fill the cached frames
+    arrays = {k: v for k, v in vars(geos).items() if isinstance(v, np.ndarray)}
+    assert {"p", "g", "ricci", "ricci_hat", "horizontal", "kahler_residual"} <= set(arrays)
+    assert arrays["p"].shape == (fs_skr.dim, B)
+    for i in (0, B - 1):
+        one = geos[i]
+        for key, val in arrays.items():
+            assert val.shape[-1] == B, key
+            assert np.shape(getattr(one, key)) == val.shape[:-1], key
+            assert np.array_equal(getattr(one, key), val[..., i]), key
+
+
 def test_excluded_points_match_sequential_selection(flat_skr, monkeypatch):
     """Points whose tau gradient degenerates are replaced by later points of
     the stream, in further batches; the selection and the exclusion count
@@ -204,7 +223,7 @@ def test_excluded_points_match_sequential_selection(flat_skr, monkeypatch):
 
     def degenerate_where_x0_is_large(coords):
         g, tau, f, J = skr.fields(coords)
-        flat = (coords[0].val > 0.3)[:, None]
+        flat = coords[0].val > 0.3
         tau = Jet(tau.val, np.where(flat, 0.0, tau.grad), tau.hess)
         return g, tau, f, J
 
@@ -246,11 +265,11 @@ def test_conformal_jets_match_rescaled_chart_bit_for_bit(flat_skr, fs_skr):
         for geo in geos:
             p = geo.p
             at = curvature_at(skr.chart, p, tau)
-            got = conformal_jets(at.g[None], at.dg[None], at.d2g[None],
-                                 (at.v[None], at.dv[None], at.d2v[None]))
+            got = conformal_jets(at.g[..., None], at.dg[..., None], at.d2g[..., None],
+                                 (at.v[..., None], at.dv[..., None], at.d2v[..., None]))
             want = jets_at(ghat, p)
             for a, b in zip(got, want):
-                assert np.array_equal(a[0], b)
+                assert np.array_equal(a[..., 0], b)
             assert np.array_equal(geo.g_hat, want[0])
             assert np.array_equal(geo.ricci_hat, curvature_at(ghat, p).ricci)
 
@@ -446,6 +465,34 @@ def test_positive_definite_check_flags_bad_metric():
     rec = check_positive_definite(ns, _geometries(ns, [np.zeros(2)]))
     assert not rec.passed
     assert rec.extra["indefinite_points"] == 1
+
+
+def test_positive_definite_check_finds_the_one_indefinite_point(monkeypatch):
+    """One Cholesky call decides a definite batch; with one indefinite
+    metric among 30 definite ones, the per-point fallback counts it and
+    records its position."""
+    chart = MetricChart(dim=2, components=lambda c: [[c[0], 0.0], [0.0, 1.0]],
+                        name="diag")
+    ns = SimpleNamespace(chart=chart,
+                         fields=lambda c: (chart.components(c), None, None, None))
+    pts = np.column_stack([np.linspace(0.5, 2.0, 31), np.zeros(31)])
+    calls = []
+
+    def counted(g, test=verify.is_positive_definite):
+        calls.append(np.shape(g))
+        return test(g)
+
+    monkeypatch.setattr(verify, "is_positive_definite", counted)
+    rec = check_positive_definite(ns, _geometries(ns, pts))
+    assert rec.passed and rec.extra["indefinite_points"] == 0
+    assert calls == [(31, 2, 2)]
+    calls.clear()
+    pts[17, 0] = -0.5
+    rec = check_positive_definite(ns, _geometries(ns, pts))
+    assert not rec.passed
+    assert rec.extra["indefinite_points"] == 1
+    assert rec.extra["worst_index"] == 17
+    assert calls == [(31, 2, 2)] + [(2, 2)] * 31
 
 
 def test_gather_points_counts_and_degeneracy(flat_skr):
