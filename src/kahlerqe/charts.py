@@ -39,7 +39,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from functools import cached_property
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -300,8 +299,7 @@ class PointGeometry:
     ``(g, tau, f, J)`` with None for an absent tau, f or J, and the
     quantities that need a missing field are not set.  ``index`` holds
     each point's position in the sample stream it came from (default
-    0..B-1).  ``geo[i]`` is point i alone, with plain floats for its
-    scalars; ``select`` and ``join`` take and merge sub-batches.
+    0..B-1).  ``select`` and ``join`` take and merge sub-batches.
 
     Attributes: ``p``, ``g``, ``ginv``, ``ricci``; with tau: ``tau`` (its
     values, else None), ``dtau``, ``grad_tau`` (contravariant),
@@ -360,20 +358,6 @@ class PointGeometry:
 
     def __len__(self):
         return self.p.shape[1]
-
-    def __getitem__(self, i):
-        """Point i of the batch: its arrays without the (last) point axis,
-        its scalars as plain floats (index as int)."""
-        point = SimpleNamespace()
-        for key, val in vars(self).items():
-            if isinstance(val, np.ndarray):
-                val = val[..., i]
-                val = val.item() if val.ndim == 0 else val
-            setattr(point, key, val)
-        return point
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     def select(self, rows):
         """The sub-batch at ``rows`` (indices or a boolean mask)."""

@@ -39,11 +39,9 @@ from kahlerqe.builder import (
     tau_side,
 )
 from kahlerqe.odes import (
-    ExactParameterError,
     SKRParams,
     alpha_degeneracy_roots,
     appendix_system,
-    as_fraction,
     closed_form_certificate,
     closed_form_log_derivative,
     first_order_reduction,
@@ -53,7 +51,7 @@ from kahlerqe.odes import (
     system_12,
     CONSTANTS_ADMITTED,
 )
-from kahlerqe.rational import RationalFunction
+from kahlerqe.rational import ExactParameterError, RationalFunction, as_fraction
 from kahlerqe.verify import params_dict, run_suite
 
 EXIT_OK = 0
@@ -251,19 +249,21 @@ def _entry(name, computed, expected=None, equal=None):
     return out
 
 
+def _identity(name, computed, expected, var="t"):
+    """The entry of an exact identity between two rational functions."""
+    return _entry(name, computed.render(var), expected.render(var), computed == expected)
+
+
 def certify_params(params):
     """Exact certification of every symbolic identity for one parameter set."""
     t = RationalFunction.variable()
+    zero = RationalFunction.constant(0)
     entries = []
 
     sys12 = system_12(params)
-    red = first_order_reduction(sys12, params)
+    red = first_order_reduction(sys12, t, -(t - params.c))
     if params.on_distinguished_branch():
-        expected_p = -1 * closed_form_log_derivative(params)
-        entries.append(
-            _entry("first-order-p", red.p.render(), expected_p.render(),
-                   red.p == expected_p)
-        )
+        entries.append(_identity("first-order-p", red.p, -closed_form_log_derivative(params)))
     else:
         entries.append(_entry("first-order-p", red.p.render()))
     entries.append(_entry("first-order-q", red.q.render()))
@@ -272,23 +272,13 @@ def certify_params(params):
     expected_E1 = (params.a * (t - params.c) ** 2 * (2 * params.c * params.k + 1)) / (
         (t - 2 * params.c) * (params.k * t + 1)
     )
-    entries.append(
-        _entry("compatibility-E1", E1.render(), expected_E1.render(), E1 == expected_E1)
-    )
-    entries.append(_entry("compatibility-E2", E2.render(), "0", E2.is_zero))
+    entries.append(_identity("compatibility-E1", E1, expected_E1))
+    entries.append(_identity("compatibility-E2", E2, zero))
 
-    mek_f, qe2_f, red_f = appendix_system(
-        params.m, params.a, params.c, params.kappa, params.lam, params.sign_phi
-    )
+    _, qe2_f, red_f = appendix_system(params)
     Ea, Eb = lemma_quantities(red_f, qe2_f)
-    expected_Ea = -params.a * (t - params.c) / t
-    entries.append(
-        _entry("appendix-compatibility-E1", Ea.render("f"),
-               expected_Ea.render("f"), Ea == expected_Ea)
-    )
-    entries.append(
-        _entry("appendix-compatibility-E2", Eb.render("f"), "0", Eb.is_zero)
-    )
+    entries.append(_identity("appendix-compatibility-E1", Ea, -params.a * (t - params.c) / t, "f"))
+    entries.append(_identity("appendix-compatibility-E2", Eb, zero, "f"))
 
     decision = nonexistence_decision(params)
     if params.on_distinguished_branch():

@@ -20,29 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from kahlerqe.rational import Polynomial, RationalFunction
-
-
-class ExactParameterError(TypeError):
-    """A parameter that feeds the symbolic path was not an exact rational."""
-
-
-def as_fraction(x, name="value"):
-    """Coerce int/Fraction/decimal-or-ratio string to Fraction; reject float."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, bool):
-        raise ExactParameterError(f"{name}: bool is not a number")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ExactParameterError(f"{name}: cannot parse {x!r} as a rational") from exc
-    raise ExactParameterError(
-        f"{name} must be exact (int, Fraction, or string), got {type(x).__name__}"
-    )
+from kahlerqe.rational import Polynomial, RationalFunction, as_fraction
 
 
 _EXACT_FIELDS = ("a", "c", "k", "kappa", "lam", "C1", "C2", "b")
@@ -118,12 +96,19 @@ class ScalarProfile:
 
 @dataclass(frozen=True)
 class LinearODE2:
-    """A phi'' + B phi' + C phi = D with rational-function coefficients."""
+    """A phi'' + B phi' + C phi = D with rational-function coefficients; a
+    Polynomial coefficient is made a RationalFunction on construction."""
 
     A: RationalFunction
     B: RationalFunction
     C: RationalFunction
     D: RationalFunction
+
+    def __post_init__(self):
+        for name in ("A", "B", "C", "D"):
+            value = getattr(self, name)
+            if not isinstance(value, RationalFunction):
+                object.__setattr__(self, name, RationalFunction(value))
 
     def render(self, var="t"):
         return (
@@ -205,10 +190,7 @@ def system_12(params):
     ))
     C1 = -(m * t + m * k * t * t)
     D1 = Fraction(-sg) * kap / 2 * t * (one + k * t)
-    eq1 = LinearODE2(
-        RationalFunction(A1), RationalFunction(B1),
-        RationalFunction(C1), RationalFunction(D1),
-    )
+    eq1 = LinearODE2(A1, B1, C1, D1)
 
     A2 = t * t * (t - c) * (one + k * t)
     B2 = Polynomial((
@@ -219,23 +201,20 @@ def system_12(params):
     ))
     C2 = Polynomial((-2 * c * (a + 2 * m - 1), a - 2 * c * (2 * m - 1) * k))
     D2 = -lam * (one + k * t)
-    eq2 = LinearODE2(
-        RationalFunction(A2), RationalFunction(B2),
-        RationalFunction(C2), RationalFunction(D2),
-    )
+    eq2 = LinearODE2(A2, B2, C2, D2)
     return eq1, eq2
 
 
-def first_order_reduction(system, params):
-    """Eliminate phi'' from the pair by the combination tau*(first) - (tau-c)*(second).
+def first_order_reduction(system, m1, m2):
+    """Eliminate phi'' from the pair by the combination m1*(first) + m2*(second).
 
-    Returns phi' + p phi = q normalized by the eliminated system's leading
-    coefficient tau (tau-c)(tau-2c)(1+k tau).
+    Returns phi' + p phi = q normalized by the combination's phi'
+    coefficient.  ``system_12`` takes (tau, -(tau - c)), whose phi'
+    coefficient is tau (tau-c)(tau-2c)(1+k tau); the f-variable pair of
+    ``appendix_system`` takes (1, f - c).  Multipliers that leave a phi''
+    term, or no phi' term, are refused.
     """
     eq1, eq2 = system
-    t = RationalFunction.variable()
-    m1 = t
-    m2 = -(t - params.c)
     A = m1 * eq1.A + m2 * eq2.A
     if not A.is_zero:
         raise ValueError("phi'' terms did not cancel; not a reducible pair")
@@ -296,19 +275,13 @@ def solsys_system(params):
     ))
     C1 = m * t * (t - 2 * c)
     D1 = Fraction(sg) * kap / 2 * t * (t - 2 * c)
-    eq1 = LinearODE2(
-        RationalFunction(A1), RationalFunction(B1),
-        RationalFunction(C1), RationalFunction(D1),
-    )
+    eq1 = LinearODE2(A1, B1, C1, D1)
 
     A2 = t * t * (t - c) * (2 * c * one - t)
     B2 = Polynomial((0, 2 * c * c * (a + 2 * m), 2 * c * (Fraction(1) - 2 * m - a), Fraction(m - 1)))
     C2 = 2 * c * (a + 2 * m - 1) * (t - 2 * c)
     D2 = lam * (t - 2 * c)
-    eq2 = LinearODE2(
-        RationalFunction(A2), RationalFunction(B2),
-        RationalFunction(C2), RationalFunction(D2),
-    )
+    eq2 = LinearODE2(A2, B2, C2, D2)
     return eq1, eq2
 
 
@@ -422,43 +395,25 @@ def closed_form_certificate(params, ode):
     return params.C2 * E, ode.C * params.C1 - ode.D
 
 
-def appendix_system(m, a, c, kappa, lam, sign_phi=1):
+def appendix_system(params):
     """The analogous pair in the variable f (with tau-free coefficients).
 
     Returns (fiber-constancy member, gamma member, first-order reduction by
     the combination first + (f-c)*second).
     """
-    a = as_fraction(a, "a")
-    c = as_fraction(c, "c")
-    kappa = as_fraction(kappa, "kappa")
-    lam = as_fraction(lam, "lam")
+    m, a, c = params.m, params.a, params.c
+    kap, lam, sg = params.kappa, params.lam, params.sign_phi
     f = Polynomial.variable()
-    one = Polynomial((1,))
 
     IA = f * (f - c) ** 2
     IB = (f - c) * (m * f + (f - c) * a)
     IC = -m * f
-    ID = Fraction(-sign_phi) * kappa / 2 * f
-    mek_f = LinearODE2(
-        RationalFunction(IA), RationalFunction(IB),
-        RationalFunction(IC), RationalFunction(ID),
-    )
+    ID = Fraction(-sg) * kap / 2 * f
+    mek_f = LinearODE2(IA, IB, IC, ID)
 
     IIA = -(f * (f - c))
     IIB = -(a * (f - c)) - (m + 1) * f
     IIC = Polynomial((-a,))
     IID = lam * f
-    qe2_f = LinearODE2(
-        RationalFunction(IIA), RationalFunction(IIB),
-        RationalFunction(IIC), RationalFunction(IID),
-    )
-
-    rv = RationalFunction.variable()
-    mult = rv - c
-    A = mek_f.A + mult * qe2_f.A
-    if not A.is_zero:
-        raise ValueError("phi'' terms did not cancel in the f-variable reduction")
-    W = mek_f.B + mult * qe2_f.B
-    p = (mek_f.C + mult * qe2_f.C) / W
-    q = (mek_f.D + mult * qe2_f.D) / W
-    return mek_f, qe2_f, LinearODE1(p, q)
+    qe2_f = LinearODE2(IIA, IIB, IIC, IID)
+    return mek_f, qe2_f, first_order_reduction((mek_f, qe2_f), 1, f - c)

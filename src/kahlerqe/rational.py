@@ -31,8 +31,10 @@ factor.
 
 Coefficients must be exact (int, Fraction, or a string Fraction() accepts);
 floats and bools are rejected to preserve exactness end to end.  Only the
-public constructor checks them.  Float evaluation uses each coefficient's
-numerator / denominator, which equals ``float`` of its Fraction.
+public constructor checks them, with ``as_fraction``, the one exactness rule
+that parameters and configuration values go through too.  Float evaluation
+uses each coefficient's numerator / denominator, which equals ``float`` of
+its Fraction.
 """
 
 from __future__ import annotations
@@ -45,17 +47,25 @@ class PoleError(ZeroDivisionError):
     """Raised when a rational function is evaluated at a denominator root."""
 
 
-def _coeff(x):
+class ExactParameterError(TypeError):
+    """A value that feeds exact arithmetic was not an exact rational."""
+
+
+def as_fraction(x, name="value"):
+    """Coerce int/Fraction/decimal-or-ratio string to Fraction; reject float."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
-        raise TypeError("bool is not a valid coefficient")
+        raise ExactParameterError(f"{name}: bool is not a number")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(
-        f"exact coefficient required (int, Fraction, or string), got {type(x).__name__}"
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ExactParameterError(f"{name}: cannot parse {x!r} as a rational") from exc
+    raise ExactParameterError(
+        f"{name} must be exact (int, Fraction, or string), got {type(x).__name__}"
     )
 
 
@@ -135,7 +145,7 @@ class Polynomial:
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
-        cs = [_coeff(c) for c in coeffs]
+        cs = [as_fraction(c, "coefficient") for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
         nums = [c.numerator * (den // c.denominator) for c in cs]
         p = _make(nums, den)

@@ -8,7 +8,9 @@ floats, and ``value`` reads the values of either.
 ``jets_at`` and ``curvature_at`` evaluate a chart at one point: the
 package's batch kernels on the batch B = 1, behind the checks that the
 point has the chart's shape, is finite and lies in the chart's domain, and
-return the arrays without their trailing point axis.
+return the arrays without their trailing point axis.  ``point`` and
+``points`` view one point, or each point, of a ``PointGeometry`` batch the
+same way.
 
 ``riemann`` is the full curvature tensor at one point, built the long way:
 dGamma from the jets of g, then R from dGamma and Gamma with ``np.einsum``.
@@ -93,6 +95,24 @@ def curvature_at(chart, p, fn=None):
         v, dv, d2v = charts.scalar_jet(fn(Jet.seed(p)), chart.dim, 1)
         out.update(v=v, dv=dv, d2v=d2v, hess=charts.hessian(gamma, dv, d2v))
     return SimpleNamespace(**{key: a[..., 0] for key, a in out.items()})
+
+
+def point(geos, i):
+    """Point i of a ``charts.PointGeometry`` batch: its arrays without the
+    (last) point axis, its scalars as plain floats (index as int)."""
+    out = SimpleNamespace()
+    for key, val in vars(geos).items():
+        if isinstance(val, np.ndarray):
+            val = val[..., i]
+            val = val.item() if val.ndim == 0 else val
+        setattr(out, key, val)
+    return out
+
+
+def points(geos):
+    """Every point of a ``charts.PointGeometry`` batch, in order, as ``point``
+    gives it."""
+    return [point(geos, i) for i in range(len(geos))]
 
 
 def riemann(chart, p):

@@ -67,7 +67,7 @@ def test_criterion_1_symbolic_certification():
                            kappa=Fraction(rng.randint(-3, 3)),
                            lam=Fraction(rng.randint(-3, 3)))
         eq1, eq2 = system_12(params)
-        e1, e2 = lemma_quantities(first_order_reduction((eq1, eq2), params), eq1)
+        e1, e2 = lemma_quantities(first_order_reduction((eq1, eq2), t, -(t - c)), eq1)
         expected = (a * (t - c) ** 2 * (2 * c * k + 1)) / ((t - 2 * c) * (t * k + 1))
         ok = ok and e1 == expected and e2.is_zero
         tuples += 1
@@ -95,9 +95,9 @@ def test_criterion_2_appendix_obstruction():
         c = Fraction(rng.randint(-6, 6), rng.choice((1, 2)))
         if c == 0:
             continue
-        _, qe2_f, red = appendix_system(
-            m, a, c, Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))
-        )
+        _, qe2_f, red = appendix_system(SKRParams(
+            m=m, a=a, c=c, k=0, kappa=Fraction(rng.randint(-3, 3)),
+            lam=Fraction(rng.randint(-3, 3))))
         e1, e2 = lemma_quantities(red, qe2_f)
         ok = ok and e1 == (-a * (t - c)) / t and e2.is_zero
         ok = ok and not e1.is_zero  # E1*phi = 0 with E1 != 0 forces phi = 0
@@ -174,6 +174,7 @@ def test_criterion_3_closed_form_solves_system():
 def test_criterion_4_nonexistence_crosscheck():
     t0 = time.perf_counter()
     rng = random.Random(2028)
+    t = RationalFunction.variable()
     ok = True
     tried = 0
     while tried < 12:
@@ -185,7 +186,7 @@ def test_criterion_4_nonexistence_crosscheck():
             continue
         params = SKRParams(m=m, a=a, c=c, k=k)
         eq1, eq2 = system_12(params)
-        e1, e2 = lemma_quantities(first_order_reduction((eq1, eq2), params), eq1)
+        e1, e2 = lemma_quantities(first_order_reduction((eq1, eq2), t, -(t - c)), eq1)
         # the forced value phi = E2/E1 is the zero rational function
         ok = ok and (not e1.is_zero) and (e2 / e1).is_zero
         ok = ok and nonexistence_decision(params) == FORCED_ZERO

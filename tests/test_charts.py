@@ -32,6 +32,7 @@ from oracles import (
     esum_loop,
     exp_,
     jets_at,
+    point,
     riemann,
     sin_,
 )
@@ -47,7 +48,7 @@ def _geometry(chart, p, tau=None, J=None):
         return (chart.components(c), None if tau is None else tau(c), None,
                 None if J is None else J(c))
 
-    return PointGeometry(SimpleNamespace(chart=chart, fields=fields), p)[0]
+    return point(PointGeometry(SimpleNamespace(chart=chart, fields=fields), p), 0)
 
 
 def flat_chart(n):

@@ -137,6 +137,11 @@ GOLDEN_CONFIGS = {
     "certificate_offbranch_m3.json": (
         "[params]\nm = 3\na = 5/2\nc = 2\nk = 1/3\nkappa = 6\nlam = 1\n"
         "c1 = 1/2\nc2 = 3\n", cli.EXIT_OK),
+    # the same cell with sign_phi = -1: the -sign_phi*kappa/2 terms of both
+    # fiber-constancy members flip sign
+    "certificate_offbranch_m3_neg.json": (
+        "[params]\nm = 3\na = 5/2\nc = 2\nk = 1/3\nkappa = 6\nlam = 1\n"
+        "c1 = 1/2\nc2 = 3\nsign_phi = -1\n", cli.EXIT_OK),
     # on the branch with lambda not matched to C1: a nonzero closed-form residual
     "certificate_fail_m2.json": (
         "[params]\nm = 2\na = 3/2\nc = -1\nk = 1/2\nkappa = 4\nlam = 1\n"

@@ -1,6 +1,8 @@
 """The design rule that no library function exists only for a test to call
 it: every function, method and class defined in ``src/kahlerqe`` is used
-by name somewhere in ``src/`` or ``perfbench/``."""
+by name somewhere in ``src/`` or ``perfbench/``; and every name a module
+of ``src/kahlerqe`` imports at module level is used by that module, so no
+module re-exports what another defines."""
 
 import ast
 import os
@@ -11,6 +13,11 @@ SRC = os.path.join(ROOT, "src", "kahlerqe")
 # defined names that nothing in src/ or perfbench/ uses yet, with the reason
 ALLOWED = {
     "WarpProfile.roundtrip_error": "ROADMAP item 1 puts it in report.json",
+}
+
+# module.name imports that their module does not use, with the reason
+ALLOWED_IMPORTS = {
+    "verify.ricci": "perfbench's layer test asserts its wrap (ROADMAP item 2)",
 }
 
 
@@ -58,3 +65,23 @@ def test_every_definition_in_src_is_used_in_src_or_perfbench():
             for u in _uses(tree)}
     unused = sorted(name for name in defined if name.rsplit(".", 1)[-1] not in used)
     assert unused == sorted(ALLOWED)
+
+
+def _imported(tree):
+    """The names a module binds by its module-level imports."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_every_module_level_import_in_src_is_used_by_its_module():
+    unused = []
+    for path, tree in _modules(SRC):
+        module = os.path.basename(path)[:-3]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{module}.{name}" for name in _imported(tree) if name not in used]
+    assert sorted(unused) == sorted(ALLOWED_IMPORTS)

@@ -14,13 +14,11 @@ import pytest
 from kahlerqe.odes import (
     CONSTANTS_ADMITTED,
     FORCED_ZERO,
-    ExactParameterError,
     ScalarProfile,
     SKRParams,
     alpha_degeneracy_roots,
     alpha_profile,
     appendix_system,
-    as_fraction,
     closed_form_certificate,
     closed_form_log_derivative,
     first_order_reduction,
@@ -31,7 +29,7 @@ from kahlerqe.odes import (
     solsys_system,
     system_12,
 )
-from kahlerqe.rational import Polynomial, RationalFunction
+from kahlerqe.rational import ExactParameterError, Polynomial, RationalFunction, as_fraction
 
 
 def test_params_validation():
@@ -274,8 +272,31 @@ def test_reduction_literals_and_example_value():
     m, a, c, k = p.m, p.a, p.c, p.k
     assert poly.coeffs[3] == -m * k
     assert poly.coeffs[2] == -(m + a - 2 * c * (2 * m - 1) * k)
-    red = first_order_reduction((eq1, eq2), p)
+    red = first_order_reduction((eq1, eq2), t, -(t - p.c))
     assert red.p(Fraction(3)) == Fraction(-1, 3)
+
+
+def _tau_pair(p):
+    t = RationalFunction.variable()
+    return system_12(p), t, -(t - p.c)
+
+
+def _f_pair(p):
+    mek_f, qe2_f, _ = appendix_system(p)
+    return (mek_f, qe2_f), 1, Polynomial.variable() - p.c
+
+
+@pytest.mark.parametrize("pair", [_tau_pair, _f_pair], ids=["tau", "f"])
+def test_elimination_guards(pair):
+    """The elimination refuses multipliers that leave a phi'' term, and a
+    pair whose phi' terms cancel together with the phi'' terms."""
+    p = SKRParams(m=3, a=Fraction(5, 2), c=2, k=Fraction(1, 3), kappa=6, lam=1)
+    (eq1, eq2), m1, m2 = pair(p)
+    assert not first_order_reduction((eq1, eq2), m1, m2).p.is_zero
+    with pytest.raises(ValueError, match="phi'' terms did not cancel"):
+        first_order_reduction((eq1, eq2), m1, -m2)
+    with pytest.raises(ValueError, match="reduction degenerated"):
+        first_order_reduction((eq1, eq1), m1, -m1)
 
 
 def test_reduction_partial_fractions_on_branch():
@@ -283,8 +304,8 @@ def test_reduction_partial_fractions_on_branch():
     (a-1)/(t-2c) + m/(t-c) + (1-a-2m)/t."""
     for (m, a, c) in ((2, Fraction(1), Fraction(1)), (3, Fraction(7, 2), Fraction(-2))):
         p = SKRParams.section6(m=m, a=a, c=c, C2=1)
-        red = first_order_reduction(system_12(p), p)
         t = RationalFunction.variable()
+        red = first_order_reduction(system_12(p), t, -(t - c))
         split = (
             RationalFunction.constant(a - 1) / (t - 2 * c)
             + RationalFunction.constant(m) / (t - c)
@@ -306,7 +327,7 @@ def test_lemma_quantities_closed_forms():
         p = SKRParams(m=m, a=a, c=c, k=k, kappa=Fraction(rng.randint(-2, 2)),
                       lam=Fraction(rng.randint(-2, 2)))
         eq1, eq2 = system_12(p)
-        e1, e2 = lemma_quantities(first_order_reduction((eq1, eq2), p), eq1)
+        e1, e2 = lemma_quantities(first_order_reduction((eq1, eq2), t, -(t - c)), eq1)
         expected = (a * (t - c) ** 2 * (2 * c * k + 1)) / ((t - 2 * c) * (t * k + 1))
         assert e1 == expected
         assert e2.is_zero
@@ -521,9 +542,9 @@ def test_appendix_system_structure():
         m = rng.randint(2, 5)
         a = Fraction(rng.randint(1, 7), rng.choice((1, 2)))
         c = Fraction(rng.choice([x for x in range(-4, 5) if x]), rng.choice((1, 2)))
-        mek_f, qe2_f, red = appendix_system(
-            m, a, c, Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2))
-        )
+        mek_f, qe2_f, red = appendix_system(SKRParams(
+            m=m, a=a, c=c, k=0, kappa=Fraction(rng.randint(-2, 2)),
+            lam=Fraction(rng.randint(-2, 2))))
         tp = Polynomial.variable()
         assert mek_f.A == RationalFunction(tp * (tp - c) ** 2)
         e1, e2 = lemma_quantities(red, qe2_f)

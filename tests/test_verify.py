@@ -21,7 +21,7 @@ from kahlerqe.builder import (
 )
 from kahlerqe.charts import MetricChart, PointGeometry, conformal_jets
 from kahlerqe.jets import Jet, log_
-from oracles import conformal_scale, cos_, curvature_at, jets_at, sin_
+from oracles import conformal_scale, cos_, curvature_at, jets_at, point, points, sin_
 from kahlerqe.odes import SKRParams, phi_closed_form
 from kahlerqe.verify import (
     DEFAULT_TOLERANCES,
@@ -88,10 +88,10 @@ def test_worst_point_recorded(flat_skr, flat_report):
     skr, _ = flat_skr
     geos, _ = gather_points(skr, 25, seed=0)
     for rec in flat_report.records:
-        worst = geos[rec.extra["worst_index"]]
+        worst = point(geos, rec.extra["worst_index"])
         assert rec.extra["worst_tau"] == worst.tau
     killing = next(r for r in flat_report.records if r.name == "killing")
-    worst = geos[killing.extra["worst_index"]]
+    worst = point(geos, killing.extra["worst_index"])
     assert worst.killing_residual == killing.max_abs
 
 
@@ -192,8 +192,8 @@ def test_batch_geometry_equals_each_point_alone_bit_for_bit(flat_skr, fs_skr):
                 alone = PointGeometry(skr, pts[i], [i])
                 if hasattr(alone, "J"):
                     alone.hess_tau_horizontal  # noqa: B018
-                _assert_same_point(alone[0], batch[row])
-                assert batch[row].index == i
+                _assert_same_point(point(alone, 0), point(batch, row))
+                assert point(batch, row).index == i
 
 
 def test_point_axis_is_last_and_indexing_drops_it(fs_skr):
@@ -208,7 +208,7 @@ def test_point_axis_is_last_and_indexing_drops_it(fs_skr):
     assert {"p", "g", "ricci", "ricci_hat", "horizontal", "kahler_residual"} <= set(arrays)
     assert arrays["p"].shape == (fs_skr.dim, B)
     for i in (0, B - 1):
-        one = geos[i]
+        one = point(geos, i)
         for key, val in arrays.items():
             assert val.shape[-1] == B, key
             assert np.shape(getattr(one, key)) == val.shape[:-1], key
@@ -243,15 +243,15 @@ def test_excluded_points_match_sequential_selection(flat_skr, monkeypatch):
             break
         examined += 1
         if bad.chart.domain(p):
-            geo = PointGeometry(bad, p, [index])[0]
+            geo = point(PointGeometry(bad, p, [index]), 0)
             if geo.grad_tau_sq > 1e-12:
                 expected.append(geo)
     monkeypatch.setattr(verify, "PointGeometry", Counted)
     geos, excluded = gather_points(bad, samples, seed=0)
     assert len(batches) >= 2  # the floor forced a further batch
-    assert [geo.index for geo in geos] == [geo.index for geo in expected]
+    assert [geo.index for geo in points(geos)] == [geo.index for geo in expected]
     assert excluded == examined - samples > 0
-    for one, many in zip(expected, geos):
+    for one, many in zip(expected, points(geos)):
         _assert_same_point(one, many)
 
 
@@ -262,7 +262,7 @@ def test_conformal_jets_match_rescaled_chart_bit_for_bit(flat_skr, fs_skr):
 
         ghat = conformal_scale(skr.chart, tau)
         geos, _ = gather_points(skr, 20, seed=0)
-        for geo in geos:
+        for geo in points(geos):
             p = geo.p
             at = curvature_at(skr.chart, p, tau)
             got = conformal_jets(at.g[..., None], at.dg[..., None], at.d2g[..., None],
@@ -420,7 +420,7 @@ def test_einstein_product_alpha_zero():
         np.array([2.2, 0.0, 0.6, 0.5]),
     ]
     worst = max(float(np.max(np.abs(geo.ricci - geo.g)))
-                for geo in _geometries(ns, pts))
+                for geo in points(_geometries(ns, pts)))
     assert worst < 1e-9
 
 
