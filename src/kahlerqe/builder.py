@@ -46,6 +46,8 @@ from kahlerqe.odes import (
     SKRParams,
     nonexistence_decision,
     phi_closed_form,
+    psi_factors,
+    real_floor,
 )
 
 FLAT = "flat"
@@ -101,11 +103,13 @@ class BaseModel:
         return -side * self.sigma / 2
 
     def rho(self, x2):
-        """rho as a plain float at a base point with |x|^2 = x2."""
+        """(rho, k) of the bundle metric e^(-2 rho) at |x|^2 = x2, a float or a
+        jet: d rho = k x.dx, with k = s (flat) or s/(1+|x|^2) (Fubini-Study)."""
         s = float(self.s)
         if self.kind == FLAT:
-            return 0.5 * s * x2
-        return 0.5 * s * math.log(1.0 + x2)
+            return 0.5 * s * x2, s
+        denom = 1.0 + x2
+        return 0.5 * s * log_(denom), s / denom
 
 
 def tau_side(interval, c):
@@ -175,7 +179,6 @@ class WarpProfile:
     q: ScalarProfile
     interval: tuple
     work_interval: tuple
-    tau0: float
     antiderivative: PanelAntiderivative
 
     @classmethod
@@ -209,11 +212,8 @@ class WarpProfile:
             ) from exc
         return cls(
             params=params, phi=phi, q=q, interval=(lo, hi),
-            work_interval=(wlo, whi), tau0=0.5 * (wlo + whi), antiderivative=anti,
+            work_interval=(wlo, whi), antiderivative=anti,
         )
-
-    def logr_of_tau(self, tau):
-        return self.antiderivative(tau)
 
     @property
     def ell_range(self):
@@ -243,24 +243,12 @@ class WarpProfile:
     def roundtrip_error(self):
         """Largest |tau(log r(tau)) - tau| over ``ROUNDTRIP_POINTS`` points."""
         ts = np.linspace(self.work_interval[0], self.work_interval[1], ROUNDTRIP_POINTS)
-        return float(np.max(np.abs(self.tau_of_logr(self.logr_of_tau(ts)) - ts)))
+        return float(np.max(np.abs(self.tau_of_logr(self.antiderivative(ts)) - ts)))
 
     def csv_rows(self, n=200):
         """Rows (tau, log_r, Q) sampled uniformly over the working interval."""
         ts = np.linspace(self.work_interval[0], self.work_interval[1], n)
-        return list(zip(ts, self.logr_of_tau(ts), self.q.value(ts)))
-
-
-def _rho_terms(base, xs, s):
-    """(rho, k) for the bundle metric e^(-2 rho): d rho = k x.dx, with k = s
-    (flat) or s/(1+|x|^2) (Fubini-Study)."""
-    sum_sq = None
-    for x in xs:
-        sum_sq = x * x if sum_sq is None else sum_sq + x * x
-    if base.kind == FLAT:
-        return 0.5 * s * sum_sq, s
-    denom = 1.0 + sum_sq
-    return 0.5 * s * log_(denom), s / denom
+        return list(zip(ts, self.antiderivative(ts), self.q.value(ts)))
 
 
 def _standard_J(n):
@@ -303,7 +291,7 @@ class SKRChart:
             xs = self.x_bound * (2.0 * row[:2 * d] - 1.0)
             ell = elo + (ehi - elo) * row[2 * d]
             theta = 2.0 * math.pi * row[2 * d + 1]
-            R = math.exp(ell + self.base.rho(float(np.dot(xs, xs))))
+            R = math.exp(ell + self.base.rho(float(np.dot(xs, xs)))[0])
             pts[r, :2 * d] = xs
             pts[r, 2 * d] = R * math.cos(theta)
             pts[r, 2 * d + 1] = R * math.sin(theta)
@@ -322,8 +310,7 @@ def assemble_chart(base, warp):
     s = float(base.s)
     bf = float(params.b)
     cf = float(params.c)
-    mid = warp.tau0
-    sign_tc = 1.0 if mid > cf else -1.0
+    sign_tc = tau_side(warp.work_interval, cf)
     if not (warp.work_interval[0] > cf or warp.work_interval[1] < cf):
         raise ConstructionError("working interval must avoid tau = c")
     inv_b2 = 1.0 / (bf * bf)
@@ -333,7 +320,7 @@ def assemble_chart(base, warp):
     def fields(coords):
         xs = list(coords[: 2 * d])
         u, v = coords[2 * d], coords[2 * d + 1]
-        rho, k = _rho_terms(base, xs, s)
+        rho, k = base.rho(sum((x * x for x in xs[1:]), xs[0] * xs[0]))
         wsq = u * u + v * v
         tau = warp.tau_jet(0.5 * log_(wsq) - rho)
         hfac = 2.0 * sign_tc * (tau - cf)
@@ -374,7 +361,7 @@ def assemble_chart(base, warp):
         x2 = float(np.dot(xs, xs))
         if x2 >= z2max:
             return False
-        ell = 0.5 * math.log(wsq) - base.rho(x2)
+        ell = 0.5 * math.log(wsq) - base.rho(x2)[0]
         return lo_ell + guard <= ell <= hi_ell - guard
 
     chart = MetricChart(
@@ -432,8 +419,10 @@ def end_to_end(params, base, interval):
 
     After the refusals of ``admitted_phi``, refuses a window off the
     sgn(tau - c) = sign_phi side, where Q = 2 (tau - c) phi cannot be
-    positive, and for fractional a a window that reaches below
-    tau = max(0, 2c), where phi is not real.
+    positive; for fractional a, a window that reaches below
+    ``real_floor``, where phi is not real; and a window with the root of a
+    factor of psi (0, c, or 2c when a != 1) strictly inside, where phi or
+    f = 1/tau + k is singular.
     """
     phi = admitted_phi(params, base)
     interval = (float(interval[0]), float(interval[1]))
@@ -443,12 +432,18 @@ def end_to_end(params, base, interval):
             f"interval {interval} lies on the sgn(tau - c) = {sgn} side, "
             f"inconsistent with sign_phi = {params.sign_phi}"
         )
-    floor = max(0.0, 2.0 * float(params.c))
-    if params.a.denominator != 1 and interval[0] < floor:
+    floor = real_floor(params)
+    if floor is not None and interval[0] < floor:
         raise ConstructionError(
             f"fractional a = {params.a} needs tau > max(0, 2c) = {floor:g} across "
             f"the whole window, but interval {interval} starts below it"
         )
+    for e, root in psi_factors(params):
+        if e != 0 and interval[0] < root < interval[1]:
+            raise ConstructionError(
+                f"interval {interval} contains tau = {float(root):g}, a root of a "
+                "factor of psi, where phi or f = 1/tau + k is singular"
+            )
     warp = build_warp(params, phi, interval)
     skr = assemble_chart(base, warp)
     return skr, phi

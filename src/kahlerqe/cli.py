@@ -17,6 +17,7 @@ import configparser
 import csv
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -47,6 +48,8 @@ from kahlerqe.odes import (
     first_order_reduction,
     lemma_quantities,
     nonexistence_decision,
+    psi_factors,
+    real_floor,
     solsys_system,
     system_12,
     CONSTANTS_ADMITTED,
@@ -375,9 +378,9 @@ def cmd_construct_verify(cfg, run):
     report = run_suite(skr, samples=samples, seed=seed)
     os.makedirs(out_dir, exist_ok=True)
     rpath = os.path.join(out_dir, "report.json")
+    text = report.to_json()
     with open(rpath, "w") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+        fh.write(text + "\n")
     wpath = os.path.join(out_dir, "warp.csv")
     with open(wpath, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -387,7 +390,7 @@ def cmd_construct_verify(cfg, run):
     epath = os.path.join(out_dir, "effective.ini")
     write_effective_config(epath, params, base, skr.warp.interval, run)
     print("\n".join(report.summary_lines()))
-    print(f"report: {rpath}  (sha256 {report.report_hash[:16]}...)")
+    print(f"report: {rpath}  (sha256 {hashlib.sha256(text.encode()).hexdigest()[:16]}...)")
     print(f"warp profile: {wpath}")
     print(f"effective config: {epath}")
     return EXIT_OK if report.passed else EXIT_VERIFY
@@ -447,7 +450,7 @@ def _clamp_window(params, phi, iv):
     wgrid = [t0 + (t1 - t0) * i / 256 for i in range(257)]
     wqs = warp.q.value(np.array(wgrid)).tolist()
     tstar = wgrid[min(range(257), key=lambda i: abs(math.log(max(wqs[i], 1e-300))))]
-    lstar = warp.logr_of_tau(tstar)
+    lstar = warp.antiderivative(tstar)
     llo, lhi = lstar - half, lstar + half
     if llo < lo_l:
         llo, lhi = lo_l, lo_l + SPAN_CAP
@@ -464,19 +467,20 @@ class NoWindowError(ConstructionError):
 def select_window(params, base, side=None):
     """The automatic tau-window, after the refusals of ``admitted_phi``.
 
-    Q is scanned around 0, c and 2c (fractional a: only tau > max(0, 2c),
-    where phi is real); the first positivity interval wider than 1e-2 on
-    the allowed side of tau = c (side = +1 or -1, None for either) is
-    clamped by ``_clamp_window``.
+    Q is scanned around the roots 0, c and 2c of ``psi_factors``, cut at
+    each (fractional a: only above ``real_floor``, where phi is real); the
+    first positivity interval wider than 1e-2 on the allowed side of tau = c
+    (side = +1 or -1, None for either) is clamped by ``_clamp_window``.
     """
     phi = admitted_phi(params, base)
     cf = float(params.c)
+    roots = [float(root) for _, root in psi_factors(params)]
     span = 3.0 * max(1.0, abs(cf))
-    lo, hi = min(0.0, 2 * cf) - span, max(0.0, 2 * cf) + span
-    if params.a.denominator != 1:
-        lo = max(0.0, 2 * cf) + 1e-6
+    floor = real_floor(params)
+    lo = min(roots) - span if floor is None else floor + 1e-6
+    hi = max(roots) + span
     candidates = [
-        iv for iv in positivity_intervals(q_from_phi(params, phi), lo, hi, {0.0, cf, 2 * cf})
+        iv for iv in positivity_intervals(q_from_phi(params, phi), lo, hi, roots)
         if iv[1] - iv[0] > 1e-2 and side in (None, tau_side(iv, cf))
     ]
     if not candidates:

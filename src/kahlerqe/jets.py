@@ -19,6 +19,8 @@ not depend on the batch it is evaluated in, bit for bit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -110,6 +112,9 @@ class Jet:
 
 
 def log_(x):
+    """log of a jet, or of a float through ``math.log``."""
+    if isinstance(x, float):
+        return math.log(x)
     v = x.val
     if np.any(v <= 0.0):
         raise ValueError("log of a nonpositive jet value")

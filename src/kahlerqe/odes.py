@@ -53,11 +53,6 @@ class SKRParams:
         if self.sign_phi not in (1, -1):
             raise ValueError(f"sign_phi must be +1 or -1, got {self.sign_phi!r}")
 
-    @property
-    def n(self):
-        """Real dimension."""
-        return 2 * self.m
-
     @classmethod
     def section6(cls, m, a, c, C2, kappa=0, b=1, sign_phi=1):
         """Parameters on the k = -1/(2c) branch with matched constants.
@@ -285,43 +280,51 @@ def solsys_system(params):
     return eq1, eq2
 
 
-def closed_form_log_derivative(params):
-    """d/dtau log psi for the nonconstant closed-form mode, exactly.
-
-    psi = (tau-2c)^(1-a) (tau-c)^(-m) tau^(2m-1+a); the log-derivative is
-    rational for every rational a and equals -p of the first-order
-    reduction on the distinguished branch.
-    """
+def psi_factors(params):
+    """The factors of the closed form's nonconstant mode
+    psi = (tau-2c)^(1-a) (tau-c)^(-m) tau^(2m-1+a), as exact (exponent,
+    root) pairs in that order; a zero exponent (a = 1) is kept."""
     a, c, m = params.a, params.c, params.m
-    t = RationalFunction.variable()
-    return (
-        RationalFunction.constant(1 - a) / (t - 2 * c)
-        + RationalFunction.constant(-m) / (t - c)
-        + RationalFunction.constant(2 * m - 1 + a) / t
-    )
+    return ((1 - a, 2 * c), (Fraction(-m), c), (2 * m - 1 + a, Fraction(0)))
+
+
+def real_floor(params):
+    """The float tau that phi must exceed to be real: the largest root of a
+    factor of psi with a fractional exponent, i.e. max(0, 2c) for fractional
+    a; None for integer a, where every power is real."""
+    roots = [root for e, root in psi_factors(params) if e.denominator != 1]
+    return float(max(roots)) if roots else None
+
+
+def closed_form_log_derivative(params):
+    """d/dtau log psi = sum e/(tau - root) over ``psi_factors``, exactly.
+
+    Rational for every rational a; equals -p of the first-order reduction
+    on the distinguished branch.
+    """
+    terms = [RationalFunction(e, Polynomial((-root, 1))) for e, root in psi_factors(params)]
+    # summed from the first term, not from 0: each sum costs a gcd
+    return sum(terms[1:], terms[0])
 
 
 def phi_closed_form(params):
-    """Closed-form phi = C1 + C2 (tau-2c)^(1-a) (tau-c)^(-m) tau^(2m-1+a).
+    """Closed-form phi = C1 + C2 psi, with psi the product of ``psi_factors``.
 
     Integer a evaluates wherever no retained factor has a zero base (for
     a = 1 the first factor drops out entirely); fractional a additionally
-    requires tau > 0 and tau > 2c so fractional powers have positive bases.
+    requires tau > ``real_floor`` so fractional powers have positive bases.
     The profile takes a float or an array of tau values; an array with
     an excluded value is refused, naming the first one.
     """
     import numpy as np  # only the float closed form needs it
 
-    m = params.m
-    a, c = params.a, params.c
     C1f, C2f = float(params.C1), float(params.C2)
-    cf = float(c)
-    a_int = a.denominator == 1
+    floor = real_floor(params)
     # factors psi = prod (tau - root)^e, zero exponents dropped, with
     # whether e is an odd integer
     factors = [
-        (float(e), root, e.denominator == 1 and e.numerator % 2 == 1)
-        for e, root in ((1 - a, 2 * cf), (Fraction(-m), cf), (2 * m - 1 + a, 0.0))
+        (float(e), float(root), e.denominator == 1 and e.numerator % 2 == 1)
+        for e, root in psi_factors(params)
         if e != 0
     ]
 
@@ -329,7 +332,7 @@ def phi_closed_form(params):
         return float(np.ravel(tau)[np.argmax(np.ravel(bad))])
 
     def _check(tau):
-        real = True if a_int else (tau > 0.0) & (tau - 2 * cf > 0.0)
+        real = True if floor is None else tau > floor
         ok = real
         for _, root, _ in factors:
             ok = ok & (tau != root)
@@ -337,7 +340,7 @@ def phi_closed_form(params):
             return
         if not np.all(real):
             raise ValueError(
-                f"fractional exponent (a={a}) needs tau > 0 and tau > 2c, "
+                f"fractional exponent (a={params.a}) needs tau > 0 and tau > 2c, "
                 f"got tau={_first(tau, np.logical_not(real))}"
             )
         raise ValueError(

@@ -159,10 +159,6 @@ class Polynomial:
     def variable(cls):
         return cls((0, 1))
 
-    @classmethod
-    def constant(cls, value):
-        return cls((value,))
-
     @property
     def coeffs(self):
         """The coefficients, ascending, as Fractions."""

@@ -6,7 +6,7 @@ every check reads its tensor identity off that batch's arrays, at all
 points at once, and reports the worst absolute residual against a pinned
 tolerance, with the sample index and tau where it occurred.  Reports
 serialize to canonical JSON (sorted keys, no timestamps) so a rerun with
-the same seed is byte-identical, including its hash.
+the same seed is byte-identical.
 
 The arrays carry the point axis last, as in ``kahlerqe.charts``, so a
 check scales a 2-tensor (n, n, B) by a per-point scalar (B,) as it is,
@@ -15,10 +15,9 @@ with its inner loop over the contiguous batch.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -66,18 +65,6 @@ class CheckRecord:
     def __post_init__(self):
         if not self.status:
             self.status = "pass" if self.passed else "fail"
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "status": self.status,
-            "passed": self.passed,
-            "samples": self.samples,
-            "max_abs": self.max_abs,
-            "mean_abs": self.mean_abs,
-            "tolerance": self.tolerance,
-            "extra": self.extra,
-        }
 
 
 def _finish(name, residuals, tol, geos, extra=None):
@@ -283,26 +270,11 @@ class VerificationReport:
     def passed(self):
         return all(r.passed for r in self.records)
 
-    def to_dict(self):
-        return {
-            "label": self.label,
-            "params": self.params,
-            "base": self.base,
-            "interval": list(self.interval),
-            "seed": self.seed,
-            "samples": self.samples,
-            "tolerance_scale": self.tolerance_scale,
-            "excluded_points": self.excluded_points,
-            "passed": self.passed,
-            "checks": [r.to_dict() for r in self.records],
-        }
-
     def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    @property
-    def report_hash(self):
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        out = asdict(self)
+        out["checks"] = out.pop("records")
+        out["passed"] = self.passed
+        return json.dumps(out, sort_keys=True, indent=2)
 
     def summary_lines(self):
         out = []

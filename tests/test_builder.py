@@ -27,7 +27,7 @@ from kahlerqe.charts import is_positive_definite
 from kahlerqe.cli import NoWindowError, select_window
 from kahlerqe.jets import Jet
 from kahlerqe.numutil import PanelAntiderivative
-from kahlerqe.odes import ScalarProfile, SKRParams, phi_closed_form
+from kahlerqe.odes import ScalarProfile, SKRParams, phi_closed_form, real_floor
 from oracles import jets_at
 
 
@@ -92,6 +92,24 @@ def test_positivity_intervals():
     assert len(split) == 2
 
 
+@pytest.mark.parametrize("c, floor", ((1, 2.0), (-1, 0.0)))
+def test_real_floor_bounds_phi_the_window_and_the_window_search(c, floor):
+    """For a = 7/2 phi is real only above max(0, 2c); the closed form, the
+    window refusal and the window search all read that one floor."""
+    params = SKRParams.section6(m=2, a=Fraction(7, 2), c=c, C2=1, kappa=0, b=1)
+    base = BaseModel(kind=FLAT, dim_c=1, s=1)
+    assert real_floor(params) == floor
+    phi = phi_closed_form(params)
+    with pytest.raises(ValueError, match=rf"needs tau > 0 and tau > 2c, got tau={floor}$"):
+        phi.value(floor)
+    assert math.isfinite(phi.value(math.nextafter(floor, math.inf)))
+    with pytest.raises(ConstructionError, match=(
+            rf"^fractional a = 7/2 needs tau > max\(0, 2c\) = {floor:g} across the "
+            rf"whole window, but interval \({floor - 0.5}, {floor + 0.5}\) starts below it$")):
+        end_to_end(params, base, (floor - 0.5, floor + 0.5))
+    assert select_window(params, base, side=1)[0] > floor
+
+
 def test_refusal_message_has_plain_float_endpoints():
     # Q is positive on (-3, -1.657...) and on (2, 5); the automatic window
     # skips the first, which lies on the wrong side of c for sign_phi = +1
@@ -116,7 +134,7 @@ def test_warp_profile_roundtrip_and_monotonicity():
     warp = build_warp(p, phi, (0.35, 0.95))
     assert warp.roundtrip_error() < 1e-10
     # b > 0 and Q > 0: log r increases with tau
-    assert warp.logr_of_tau(0.7) > warp.logr_of_tau(0.6)
+    assert warp.antiderivative(0.7) > warp.antiderivative(0.6)
     lo, hi = warp.ell_range
     assert lo < hi
     rows = warp.csv_rows(50)
@@ -205,7 +223,7 @@ def test_closed_form_q_matches_mpmath_across_the_cuts(m, a, c, C2):
 def test_tau_of_logr_matches_mpmath(params, interval):
     mp = pytest.importorskip("mpmath").mp
     warp = build_warp(params, phi_closed_form(params), interval)
-    q, b, tau0 = _mp_q(params), mp.mpf(float(params.b)), mp.mpf(warp.tau0)
+    q, b, tau0 = _mp_q(params), mp.mpf(float(params.b)), mp.mpf(warp.antiderivative.anchor)
     lo, hi = warp.ell_range
     for i in range(1, 8):
         ell = lo + (hi - lo) * i / 8
@@ -234,11 +252,12 @@ def test_log_r_keeps_full_precision_near_a_zero_of_q():
     q = _mp_q(params)
     taus = (0.3625, 0.3625 + 7.5e-14)
     assert abs(warp.q.value(taus[0]) - 0.012) < 1e-4
-    ells = [warp.logr_of_tau(t) for t in taus]
+    ells = [warp.antiderivative(t) for t in taus]
     assert ells[0] != ells[1]
+    anchor = mp.mpf(warp.antiderivative.anchor)
     for tau, ell in zip(taus, ells):
         with mp.workdps(30):
-            ref = float(mp.quad(lambda x: 1 / q(x), [mp.mpf(warp.tau0), mp.mpf(tau)]))
+            ref = float(mp.quad(lambda x: 1 / q(x), [anchor, mp.mpf(tau)]))
         assert abs(ell - ref) <= 2 * np.spacing(abs(ref)), (tau, ell, ref)
 
 
@@ -266,12 +285,12 @@ def test_constant_q_warp_is_logarithmic():
     p = SKRParams(m=2, a=1, c=-2, k=Fraction(1, 4), b=1)  # c < interval
     Q0 = 3.0
     warp = WarpProfile.build(p, constant_q_profile(Q0, -2.0), (1.0, 2.0))
-    t0 = warp.tau0
+    t0 = warp.antiderivative.anchor
     for t in (1.2, 1.5, 1.9):
         expected = (t - t0) * float(p.b) / Q0
-        assert abs((warp.logr_of_tau(t) - warp.logr_of_tau(t0)) - expected) < 1e-10
+        assert abs((warp.antiderivative(t) - warp.antiderivative(t0)) - expected) < 1e-10
     # inversion: tau(log r) = tau0 + (Q0/b) log(r/r0)
-    ell0 = warp.logr_of_tau(t0)
+    ell0 = warp.antiderivative(t0)
     assert abs(warp.tau_of_logr(ell0 + 0.1) - (t0 + Q0 * 0.1)) < 1e-9
 
 

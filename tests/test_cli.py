@@ -285,6 +285,34 @@ samples = 4
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("a, c2, sign_phi, lo, hi, root", (
+    (1, -1, -1, 0.5, 1.5, "1"),
+    (1, -1, -1, -0.5, 0.5, "0"),
+    (1, -1, -1, -0.5, 0.4, "0"),  # the grid misses 0, but the warp integral diverges
+    (2, 1, 1, 1.5, 2.5, "2"),
+    (2, -1, 1, 1.5, 2.5, "2"),
+    (1, 1, 1, 1.5, 2.5, None),  # a = 1 drops the factor of 2c: the chart builds
+))
+def test_window_with_a_root_of_psi_inside_is_refused(tmp_path, capsys, a, c2, sign_phi,
+                                                      lo, hi, root):
+    # the 257-point grid of a window symmetric about a root lands on it; the
+    # root is named instead of the closed form raising there
+    cfg = (f"[params]\nm = 2\na = {a}\nc = 1\nc2 = {c2}\nb = 1\nsign_phi = {sign_phi}\n"
+           f"[base]\nkind = flat\n[interval]\nlo = {lo}\nhi = {hi}\n[run]\nsamples = 8\n")
+    if root is None:
+        cfg = cfg.replace("b = 1\n", "")  # the Kahler b of the window's side
+    cfgp = write(tmp_path, "root.ini", cfg)
+    rc = cli.main(["construct-verify", "--config", cfgp, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if root is None:
+        assert (rc, err) == (0, "")
+        return
+    assert rc == 3
+    assert err == (f"construction error: interval ({lo}, {hi}) contains tau = {root}, a root "
+                   "of a factor of psi, where phi or f = 1/tau + k is singular\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_error_exit(tmp_path, capsys):
     bad = write(tmp_path, "bad.ini", "[params]\nm = 2\nq = 1\n")
     assert cli.main(["certify", "--config", bad, "--out", str(tmp_path / "o")]) == 4

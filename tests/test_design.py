@@ -1,8 +1,10 @@
 """The design rule that no library function exists only for a test to call
 it: every function, method and class defined in ``src/kahlerqe`` is used
-by name somewhere in ``src/`` or ``perfbench/``; and every name a module
-of ``src/kahlerqe`` imports at module level is used by that module, so no
-module re-exports what another defines."""
+by name somewhere in ``src/`` or ``perfbench/`` (a class member through an
+attribute access or an identifier string, since a bare name such as a local
+variable is not a use of it); and every name a module of ``src/kahlerqe``
+imports at module level is used by that module, so no module re-exports
+what another defines."""
 
 import ast
 import os
@@ -13,6 +15,8 @@ SRC = os.path.join(ROOT, "src", "kahlerqe")
 # defined names that nothing in src/ or perfbench/ uses yet, with the reason
 ALLOWED = {
     "WarpProfile.roundtrip_error": "ROADMAP item 1 puts it in report.json",
+    "Polynomial.coeffs": "the documented public view of the representation; "
+                         "the rational tests read it",
 }
 
 # module.name imports that their module does not use, with the reason
@@ -46,24 +50,31 @@ def _definitions(tree):
     return walk(tree, "")
 
 
-def _uses(tree):
-    """Every name, attribute and identifier string in a module; imports are
-    not uses, so a re-export cannot keep a name alive."""
+def _uses(tree, names, members):
+    """Add a module's bare names to ``names``, and its attributes and
+    identifier strings to ``members``; imports are not uses, so a re-export
+    cannot keep a name alive."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            members.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
-                yield node.value
+                members.add(node.value)
 
 
 def test_every_definition_in_src_is_used_in_src_or_perfbench():
     defined = [name for _, tree in _modules(SRC) for name in _definitions(tree)]
-    used = {u for _, tree in _modules(SRC, os.path.join(ROOT, "perfbench"))
-            for u in _uses(tree)}
-    unused = sorted(name for name in defined if name.rsplit(".", 1)[-1] not in used)
+    names, members = set(), set()
+    for _, tree in _modules(SRC, os.path.join(ROOT, "perfbench")):
+        _uses(tree, names, members)
+
+    def used(name):
+        owner, _, last = name.rpartition(".")
+        return last in members or (not owner and last in names)
+
+    unused = sorted(name for name in defined if not used(name))
     assert unused == sorted(ALLOWED)
 
 

@@ -176,7 +176,7 @@ def test_panel_build_calls_the_integrand_twice_per_level(label):
         calls.append(np.shape(t))
         return warp.antiderivative.fn(t)
 
-    anti = PanelAntiderivative.build(fn, lo, hi, anchor=warp.tau0)
+    anti = PanelAntiderivative.build(fn, lo, hi, anchor=warp.antiderivative.anchor)
     widths = np.diff(anti.edges)
     levels = 1 + int(np.max(np.round(np.log2((hi - lo) / widths))))
     assert len(calls) == 2 * levels + 2  # GL7 and GL15 per level, then the anchor's two

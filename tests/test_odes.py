@@ -34,7 +34,7 @@ from kahlerqe.rational import ExactParameterError, Polynomial, RationalFunction,
 
 def test_params_validation():
     p = SKRParams(m=2, a=1, c=1, k="-1/2")
-    assert p.k == Fraction(-1, 2) and p.n == 4
+    assert p.k == Fraction(-1, 2) and p.m == 2
     assert SKRParams(m=3, a="7/2", c=-2, k=0).a == Fraction(7, 2)
     with pytest.raises(ExactParameterError):
         SKRParams(m=2, a=0.5, c=1, k=0)  # float contaminates the exact path

@@ -278,9 +278,8 @@ def test_report_deterministic(flat_skr, flat_report):
     skr, _ = flat_skr
     again = run_suite(skr, samples=25, seed=0)
     assert again.to_json() == flat_report.to_json()
-    assert again.report_hash == flat_report.report_hash
     other = run_suite(skr, samples=25, seed=1)
-    assert other.report_hash != flat_report.report_hash
+    assert other.to_json() != flat_report.to_json()
 
 
 def test_lambda_tampering_fails_quasi_einstein(flat_skr):
