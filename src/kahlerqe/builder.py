@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable
 
@@ -102,10 +103,15 @@ class BaseModel:
         tau = c: sigma = -2 b side."""
         return -side * self.sigma / 2
 
+    @cached_property
+    def _s_float(self):
+        """float(s), converted once: ``rho`` runs at every sample point."""
+        return float(self.s)
+
     def rho(self, x2):
         """(rho, k) of the bundle metric e^(-2 rho) at |x|^2 = x2, a float or a
         jet: d rho = k x.dx, with k = s (flat) or s/(1+|x|^2) (Fubini-Study)."""
-        s = float(self.s)
+        s = self._s_float
         if self.kind == FLAT:
             return 0.5 * s * x2, s
         denom = 1.0 + x2
@@ -118,19 +124,18 @@ def tau_side(interval, c):
 
 
 def q_from_phi(params, phi):
-    """Profile Q = 2 (tau - c) phi with two derivatives."""
+    """Profile Q = 2 (tau - c) phi; its Taylor triple comes from one of phi's."""
     c = float(params.c)
 
     def val(t):
         return 2.0 * (t - c) * phi.value(t)
 
-    def d1(t):
-        return 2.0 * phi.value(t) + 2.0 * (t - c) * phi.d1(t)
+    def taylor(t):
+        p0, p1, p2 = phi.taylor(t)
+        return (2.0 * (t - c) * p0, 2.0 * p0 + 2.0 * (t - c) * p1,
+                4.0 * p1 + 2.0 * (t - c) * p2)
 
-    def d2(t):
-        return 4.0 * phi.d1(t) + 2.0 * (t - c) * phi.d2(t)
-
-    return ScalarProfile(value=val, d1=d1, d2=d2)
+    return ScalarProfile(value=val, taylor=taylor)
 
 
 def positivity_intervals(profile, lo, hi, exclude=()):
@@ -142,7 +147,7 @@ def positivity_intervals(profile, lo, hi, exclude=()):
     found with array operations, and each sign change is solved by
     ``invert_monotone`` with the profile's derivative.  Fully deterministic.
     """
-    fn, d1 = profile.value, profile.d1
+    fn, d1 = profile.value, lambda t: profile.taylor(t)[1]
     cuts = sorted(x for x in set(float(e) for e in exclude) if lo < x < hi)
     segments = []
     left = lo
@@ -180,6 +185,7 @@ class WarpProfile:
     interval: tuple
     work_interval: tuple
     antiderivative: PanelAntiderivative
+    ell_range: tuple  # (min, max) of log r over the working interval
 
     @classmethod
     def build(cls, params, phi, interval):
@@ -210,17 +216,12 @@ class WarpProfile:
             raise ConstructionError(
                 f"the warp integral of b/Q did not converge on {interval}: {exc}"
             ) from exc
+        ends = anti(wlo), anti(whi)
         return cls(
             params=params, phi=phi, q=q, interval=(lo, hi),
             work_interval=(wlo, whi), antiderivative=anti,
+            ell_range=(min(ends), max(ends)),
         )
-
-    @property
-    def ell_range(self):
-        """(min, max) of log r over the working interval."""
-        a = self.antiderivative(self.work_interval[0])
-        b = self.antiderivative(self.work_interval[1])
-        return (a, b) if a < b else (b, a)
 
     def tau_of_logr(self, ell):
         """Invert log r = l(tau), for a float or an array of log r values in
@@ -228,17 +229,15 @@ class WarpProfile:
         anti = self.antiderivative
         return invert_monotone(anti, anti.fn, ell, *self.work_interval)
 
-    def tau_jet(self, ell):
-        """tau as a function of log r, with dtau/dl = Q/b propagated to jets;
-        all the points of a batch are inverted together."""
+    def jets(self, ell):
+        """(tau, Q(tau)) as jets of the jet log r, with dtau/dl = Q/b: all the
+        points of a batch are inverted together, and Q's Taylor triple at
+        them is evaluated once for both chain rules."""
         t0 = self.tau_of_logr(ell.val)
         bf = float(self.params.b)
-        qv = self.q.value(t0)
-        return ell.compose(t0, qv / bf, qv * self.q.d1(t0) / (bf * bf))
-
-    def q_jet(self, tau):
-        t0 = tau.val
-        return tau.compose(self.q.value(t0), self.q.d1(t0), self.q.d2(t0))
+        q0, q1, q2 = self.q.taylor(t0)
+        tau = ell.compose(t0, q0 / bf, q0 * q1 / (bf * bf))
+        return tau, tau.compose(q0, q1, q2)
 
     def roundtrip_error(self):
         """Largest |tau(log r(tau)) - tau| over ``ROUNDTRIP_POINTS`` points."""
@@ -322,9 +321,9 @@ def assemble_chart(base, warp):
         u, v = coords[2 * d], coords[2 * d + 1]
         rho, k = base.rho(sum((x * x for x in xs[1:]), xs[0] * xs[0]))
         wsq = u * u + v * v
-        tau = warp.tau_jet(0.5 * log_(wsq) - rho)
+        tau, q = warp.jets(0.5 * log_(wsq) - rho)
         hfac = 2.0 * sign_tc * (tau - cf)
-        vcoef = warp.q_jet(tau) * inv_b2
+        vcoef = q * inv_b2
         # alpha + i beta = 2 d'rho - dw/w
         alpha, beta = [], []
         for j in range(d):

@@ -393,3 +393,9 @@ class PointGeometry:
         """Hess tau on the ``horizontal`` frames, built once for every check."""
         return self.horizontal_block(self.hess_tau)
 
+    @cached_property
+    def phi_hat(self):
+        """The horizontal eigenvalue of Hess tau, tr(``hess_tau_horizontal``)
+        / (n - 2), built once for every check."""
+        return _esum("ii->", self.hess_tau_horizontal) / (self.g.shape[0] - 2)
+

@@ -81,12 +81,12 @@ class SKRParams:
 
 @dataclass(frozen=True)
 class ScalarProfile:
-    """A scalar function of one variable with two derivatives; the profiles
-    built here take a float or an array of arguments."""
+    """A scalar function of one variable: ``value(t)``, and ``taylor(t)``,
+    which returns (f, f', f'') from one evaluation.  The profiles built
+    here take a float or an array of arguments."""
 
     value: Callable
-    d1: Callable
-    d2: Callable
+    taylor: Callable
 
 
 @dataclass(frozen=True)
@@ -155,11 +155,8 @@ def gamma_from_phi(params, phi, alpha, tau):
     float or an array of tau values."""
     c = float(params.c)
     al = alpha(tau)
-    return (
-        al * phi.value(tau)
-        + (al * (tau - c) - (params.m + 1)) * phi.d1(tau)
-        - (tau - c) * phi.d2(tau)
-    )
+    p0, p1, p2 = phi.taylor(tau)
+    return al * p0 + (al * (tau - c) - (params.m + 1)) * p1 - (tau - c) * p2
 
 
 # -- the polynomial systems -------------------------------------------------
@@ -349,38 +346,29 @@ def phi_closed_form(params):
     def psi(tau):
         # numpy's array power leaves its vector fast path for a negative
         # base, about 30 times slower per element, so each power is taken
-        # of |tau - root| and an odd one gets the sign back; libm pow is
-        # sign-symmetric, so a float tau gives the same bits either way.  A
-        # fractional power's base is positive already (the domain check).
-        copysign = math.copysign if isinstance(tau, float) else np.copysign
+        # of |tau - root| and an odd one gets the sign back (libm pow is
+        # sign-symmetric).  A fractional power's base is positive already
+        # (the domain check).
         out = 1.0
         for e, root, odd in factors:
             base = tau - root
             p = abs(base) ** e
-            out = out * (copysign(p, base) if odd else p)
+            out = out * (np.copysign(p, base) if odd else p)
         return out
-
-    # psi'/psi = sum e/(tau-root) = -p
-    def pterm(tau):
-        return -sum(e / (tau - root) for e, root, _ in factors)
-
-    def pterm_d(tau):
-        return sum(e / (tau - root) ** 2 for e, root, _ in factors)
 
     def val(tau):
         _check(tau)
         return C1f + C2f * psi(tau)
 
-    def d1(tau):
+    def taylor(tau):
         _check(tau)
-        return -C2f * pterm(tau) * psi(tau)
+        ps = psi(tau)
+        # psi'/psi = sum e/(tau-root) = -p
+        pt = -sum(e / (tau - root) for e, root, _ in factors)
+        pt_d = sum(e / (tau - root) ** 2 for e, root, _ in factors)
+        return C1f + C2f * ps, -C2f * pt * ps, C2f * (pt * pt - pt_d) * ps
 
-    def d2(tau):
-        _check(tau)
-        pt = pterm(tau)
-        return C2f * (pt * pt - pterm_d(tau)) * psi(tau)
-
-    return ScalarProfile(value=val, d1=d1, d2=d2)
+    return ScalarProfile(value=val, taylor=taylor)
 
 
 def closed_form_certificate(params, ode):

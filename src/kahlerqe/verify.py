@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -153,19 +153,17 @@ def check_skr(skr, geos, tol=DEFAULT_TOLERANCES["skr-eigenstructure"]):
     vns = [_unit(v, G) for v in (v1, _esum("ij,j->i", geos.J, v1))]
     hs = geos.horizontal
     worst = np.zeros(len(geos))
-    for S, block, keep in ((geos.hess_tau, geos.hess_tau_horizontal, True),
-                           (geos.ricci, geos.horizontal_block(geos.ricci), False)):
-        lam = _esum("ii->", block) / (n - 2)
+    ricci_block = geos.horizontal_block(geos.ricci)
+    for S, block, lam in ((geos.hess_tau, geos.hess_tau_horizontal, geos.phi_hat),
+                          (geos.ricci, ricci_block, _esum("ii->", ricci_block) / (n - 2))):
         worst = np.maximum(worst, _max_entry(block - lam * np.eye(n - 2)[:, :, None]))
         hS = _esum("si,ij->sj", hs, S)
         for vn in vns:
             worst = np.maximum(worst, _max_entry(_esum("sj,j->s", hS, vn)))
-        if keep:
-            phi_hats = lam
     extra = {
-        "phi_estimate_min": float(np.min(phi_hats)),
-        "phi_estimate_max": float(np.max(phi_hats)),
-        "trivial_pair": bool(np.max(np.abs(phi_hats)) <= tol),
+        "phi_estimate_min": float(np.min(geos.phi_hat)),
+        "phi_estimate_max": float(np.max(geos.phi_hat)),
+        "trivial_pair": bool(np.max(np.abs(geos.phi_hat)) <= tol),
     }
     return _finish("skr-eigenstructure", worst, tol, geos, extra)
 
@@ -239,16 +237,15 @@ def check_profile_identities(skr, geos, tols=DEFAULT_TOLERANCES):
     phi, q = skr.warp.phi, skr.warp.q
     cf = float(params.c)
     m = params.m
-    n = skr.dim
     t = geos.tau
-    qt, pt = q.value(t), phi.value(t)
-    lam = _esum("ii->", geos.hess_tau_horizontal) / (n - 2)
+    qt = q.value(t)
+    pt, pt_d, _ = phi.taylor(t)
     out = []
     for name, errs in (
         ("grad-norm-identity", np.abs(geos.grad_tau_sq - qt)),
-        ("laplacian-identity", np.abs(geos.lap_tau - (2 * m * pt + 2 * (t - cf) * phi.d1(t)))),
+        ("laplacian-identity", np.abs(geos.lap_tau - (2 * m * pt + 2 * (t - cf) * pt_d))),
         ("c-recovery", np.abs((t - qt / (2 * pt)) - cf)),
-        ("hessian-eigenvalue", np.abs(lam - pt)),
+        ("hessian-eigenvalue", np.abs(geos.phi_hat - pt)),
     ):
         out.append(_finish(name, errs, tols[name], geos))
     return out
@@ -271,8 +268,8 @@ class VerificationReport:
         return all(r.passed for r in self.records)
 
     def to_json(self):
-        out = asdict(self)
-        out["checks"] = out.pop("records")
+        out = dict(vars(self))
+        out["checks"] = [vars(r) for r in out.pop("records")]
         out["passed"] = self.passed
         return json.dumps(out, sort_keys=True, indent=2)
 

@@ -116,8 +116,8 @@ def test_criterion_2_appendix_obstruction():
 
 def ode_residual(ode, profile, x):
     """A phi'' + B phi' + C phi - D of one system member at x."""
-    return (ode.A(x) * profile.d2(x) + ode.B(x) * profile.d1(x)
-            + ode.C(x) * profile.value(x) - ode.D(x))
+    f, d1, d2 = profile.taylor(x)
+    return ode.A(x) * d2 + ode.B(x) * d1 + ode.C(x) * f - ode.D(x)
 
 
 def test_criterion_3_closed_form_solves_system():

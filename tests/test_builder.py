@@ -67,27 +67,28 @@ def test_q_from_phi():
     qc = q_from_phi(const, phi_closed_form(const))
     assert abs(qc.value(1.0 + 1e-12)) < 1e-11  # Q vanishes at tau = c
     for t in (0.3, 1.75, 2.6):
+        q0, q1, q2 = qc.taylor(t)
         assert abs(qc.value(t) - 2.0 * (t - 1.0)) < 1e-14
-        assert abs(qc.d1(t) - 2.0) < 1e-14
-        assert abs(qc.d2(t)) < 1e-14
+        assert q0 == qc.value(t)
+        assert abs(q1 - 2.0) < 1e-14
+        assert abs(q2) < 1e-14
     # derivative consistency by finite differences
     h = 1e-6
     for t in (1.4, 1.9):
         fd = (q.value(t + h) - q.value(t - h)) / (2 * h)
-        assert abs(fd - q.d1(t)) < 1e-6
+        assert abs(fd - q.taylor(t)[1]) < 1e-6
 
 
 def test_positivity_intervals():
-    par = ScalarProfile(
-        value=lambda t: t * t - 1.0, d1=lambda t: 2 * t, d2=lambda t: 2.0
-    )
+    par = ScalarProfile(value=lambda t: t * t - 1.0,
+                        taylor=lambda t: (t * t - 1.0, 2 * t, 2.0))
     ivs = positivity_intervals(par, -3.0, 3.0)
     assert len(ivs) == 2
     npt.assert_allclose(ivs[0], (-3.0, -1.0), atol=1e-6)
     npt.assert_allclose(ivs[1], (1.0, 3.0), atol=1e-6)
     assert positivity_intervals(par, -0.9, 0.9) == []
     # excluded points split intervals even where the profile stays positive
-    pos = ScalarProfile(value=lambda t: 1.0, d1=lambda t: 0.0, d2=lambda t: 0.0)
+    pos = ScalarProfile(value=lambda t: 1.0, taylor=lambda t: (1.0, 0.0, 0.0))
     split = positivity_intervals(pos, 0.0, 2.0, exclude=(1.0,))
     assert len(split) == 2
 
@@ -137,6 +138,8 @@ def test_warp_profile_roundtrip_and_monotonicity():
     assert warp.antiderivative(0.7) > warp.antiderivative(0.6)
     lo, hi = warp.ell_range
     assert lo < hi
+    # set once by build, from the two ends of the working interval
+    assert (lo, hi) == tuple(sorted(warp.antiderivative(t) for t in warp.work_interval))
     rows = warp.csv_rows(50)
     assert len(rows) == 50
     taus = [r[0] for r in rows]
@@ -160,11 +163,16 @@ def test_warp_tau_jet_derivatives():
     warp = build_warp(p, phi_closed_form(p), (0.35, 0.95))
     lo, hi = warp.ell_range
     ell0 = 0.5 * (lo + hi)
-    jet = warp.tau_jet(Jet.seed(np.array([ell0]))[0])
+    jet, qjet = warp.jets(Jet.seed(np.array([ell0]))[0])
     t0 = warp.tau_of_logr(ell0)
     assert abs(jet.val - t0) < 1e-12
     # dtau/dl = Q/b
     assert abs(jet.grad[0] - warp.q.value(t0) / float(p.b)) < 1e-9
+    # Q(tau) by the chain rule through the same tau
+    q0, q1, q2 = warp.q.taylor(jet.val)
+    assert qjet.val == q0
+    assert qjet.grad[0] == q1 * jet.grad[0]
+    assert abs(qjet.hess[0, 0] - (q1 * jet.hess[0, 0] + q2 * jet.grad[0] ** 2)) < 1e-12
     h = 1e-5
     fd2 = (
         warp.tau_of_logr(ell0 + h) - 2 * t0 + warp.tau_of_logr(ell0 - h)
@@ -208,8 +216,9 @@ def test_closed_form_q_matches_mpmath_across_the_cuts(m, a, c, C2):
             8 * eps * (2 * C1 + 2 * w + 2 * np.abs(ts - c) * w * s1),
             8 * eps * (4 * w * s1 + 2 * np.abs(ts - c) * w * (s1 * s1 + s2)),
         )
-        for k, (fn, ref, bound) in enumerate(zip((q.value, q.d1, q.d2), refs, bounds)):
-            got = fn(ts)
+        # Q's value is checked once from each of its two entry points
+        npt.assert_array_equal(q.value(ts), q.taylor(ts)[0])
+        for k, (got, ref, bound) in enumerate(zip(q.taylor(ts), refs, bounds)):
             assert np.all(np.abs(got - ref) <= bound), (kappa, k)
             big = np.abs(ref) > bound
             assert np.array_equal(np.sign(got[big]), np.sign(ref[big])), (kappa, k)
@@ -276,8 +285,8 @@ def constant_q_profile(Q0, c):
     """phi = Q0 / (2 (tau - c)), so Q = 2 (tau - c) phi = Q0 identically."""
     return ScalarProfile(
         value=lambda t: Q0 / (2.0 * (t - c)),
-        d1=lambda t: -Q0 / (2.0 * (t - c) ** 2),
-        d2=lambda t: Q0 / (t - c) ** 3,
+        taylor=lambda t: (Q0 / (2.0 * (t - c)), -Q0 / (2.0 * (t - c) ** 2),
+                          Q0 / (t - c) ** 3),
     )
 
 

@@ -93,8 +93,8 @@ def dtau_dtau_coefficient(fprofile, tau, a):
     Equals (a/f)(f'' + 2 f'/tau); identically zero iff f is affine in
     1/tau, which is what singles out f = 1/tau + k.
     """
-    f = fprofile.value(tau)
-    return (a / f) * (fprofile.d2(tau) + 2.0 * fprofile.d1(tau) / tau)
+    f, d1, d2 = fprofile.taylor(tau)
+    return (a / f) * (d2 + 2.0 * d1 / tau)
 
 
 def mek_residual(params, phi, alpha, tau):
@@ -106,10 +106,11 @@ def mek_residual(params, phi, alpha, tau):
     c = float(params.c)
     m = params.m
     al = alpha(tau)
+    p0, p1, p2 = phi.taylor(tau)
     return (
-        (tau - c) ** 2 * phi.d2(tau)
-        + (tau - c) * (m - (tau - c) * al) * phi.d1(tau)
-        - m * phi.value(tau)
+        (tau - c) ** 2 * p2
+        + (tau - c) * (m - (tau - c) * al) * p1
+        - m * p0
         + params.sign_phi * float(params.kappa) / 2.0
     )
 
@@ -123,15 +124,16 @@ def test_rh_coefficients_consistency():
     alpha = lambda t: float(aprof(t))
     cf = float(p.c)
     for tau in (1.31, 1.5, 1.87):
-        q = 2.0 * (tau - cf) * phi.value(tau)
-        lap = 2 * p.m * phi.value(tau) + 2.0 * (tau - cf) * phi.d1(tau)
+        p0, p1, _ = phi.taylor(tau)
+        q = 2.0 * (tau - cf) * p0
+        lap = 2 * p.m * p0 + 2.0 * (tau - cf) * p1
         al, ga = rh_coefficients(p, tau, q, lap)
         assert abs(al - alpha(tau)) < 1e-12
         assert abs(ga - gamma_from_phi(p, phi, alpha, tau)) < 1e-8
 
 
 def _profile(v, d1, d2):
-    return ScalarProfile(value=v, d1=d1, d2=d2)
+    return ScalarProfile(value=v, taylor=lambda t: (v(t), d1(t), d2(t)))
 
 
 def test_dtau_coefficient_examples():
@@ -225,8 +227,8 @@ def _qe_exact(p, tau, phi, dphi, ddphi):
 
 def ode_residual(ode, profile, x):
     """A phi'' + B phi' + C phi - D of one system member at x."""
-    return (ode.A(x) * profile.d2(x) + ode.B(x) * profile.d1(x)
-            + ode.C(x) * profile.value(x) - ode.D(x))
+    f, d1, d2 = profile.taylor(x)
+    return ode.A(x) * d2 + ode.B(x) * d1 + ode.C(x) * f - ode.D(x)
 
 
 def test_system_rederived_from_scalar_formulas():
@@ -382,8 +384,7 @@ def test_phi_closed_form_examples():
     phi = phi_closed_form(flat)
     for tau in (0.4, 0.9, 5.0):
         assert phi.value(tau) == float(flat.C1)
-        assert phi.d1(tau) == 0.0
-        assert phi.d2(tau) == 0.0
+        assert phi.taylor(tau) == (float(flat.C1), 0.0, 0.0)
 
     p = SKRParams.section6(m=2, a=1, c=1, C2=1, kappa=0)
     assert abs(phi_closed_form(p).value(2.0) - 16.0) < 1e-12
@@ -395,7 +396,8 @@ def test_phi_log_derivative_matches_reduction():
         phi = phi_closed_form(p)
         dlog = closed_form_log_derivative(p)
         for tau in (2.2, 2.9, 4.0):  # beyond 2c so fractional powers evaluate
-            got = phi.d1(tau) / phi.value(tau)
+            f, d1, _ = phi.taylor(tau)
+            got = d1 / f
             assert abs(got - float(dlog(Fraction(tau).limit_denominator(10**6)))) < 1e-9
 
 
@@ -419,15 +421,16 @@ def test_phi_closed_form_on_arrays():
     intp = SKRParams.section6(m=2, a=2, c=1, C2=1)
     phi = phi_closed_form(intp)
     taus = np.array([0.5, 1.5, 2.5, 3.0])
-    for prof in (phi.value, phi.d1, phi.d2):
+    for k, prof in enumerate((phi.value, lambda t: phi.taylor(t)[0],
+                              lambda t: phi.taylor(t)[1], lambda t: phi.taylor(t)[2])):
         got = prof(taus)
-        assert got.shape == taus.shape
+        assert got.shape == taus.shape, k
         npt.assert_allclose(got, [prof(float(t)) for t in taus], rtol=1e-14)
     with pytest.raises(ValueError, match=r"excluded value tau=2\.0$"):
         phi.value(np.array([0.5, 1.5, 2.0, 3.0]))
     frac = SKRParams.section6(m=2, a=Fraction(7, 2), c=1, C2=1)
     with pytest.raises(ValueError, match=r"got tau=1\.5$"):
-        phi_closed_form(frac).d1(np.array([2.5, 3.0, 1.5, 1.0]))
+        phi_closed_form(frac).taylor(np.array([2.5, 3.0, 1.5, 1.0]))
     # alpha and gamma take the same arrays
     alpha = alpha_profile(intp)
     npt.assert_allclose(alpha(taus), [alpha(float(t)) for t in taus], rtol=0)

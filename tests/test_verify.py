@@ -22,7 +22,7 @@ from kahlerqe.builder import (
 from kahlerqe.charts import MetricChart, PointGeometry, conformal_jets
 from kahlerqe.jets import Jet, log_
 from oracles import conformal_scale, cos_, curvature_at, jets_at, point, points, sin_
-from kahlerqe.odes import SKRParams, phi_closed_form
+from kahlerqe.odes import ScalarProfile, SKRParams, phi_closed_form
 from kahlerqe.verify import (
     DEFAULT_TOLERANCES,
     check_positive_definite,
@@ -144,6 +144,43 @@ def test_one_warp_inversion_per_sample_point(flat_skr, fs_skr, monkeypatch):
         assert len(inversions) == len(evaluated)
         assert [len(ell) for ell in inversions] == evaluated
         assert len(np.unique(np.concatenate(inversions))) == sum(evaluated)
+
+
+def test_one_taylor_triple_of_q_per_batch_and_of_phi_per_check(fs_skr, monkeypatch):
+    """A batch evaluates Q's (Q, Q', Q'') once, inside ``WarpProfile.jets``,
+    for both tau and Q(tau); the suite evaluates phi's (phi, phi', phi'')
+    once in each check that reads phi's derivatives, and nowhere else."""
+    calls = []
+
+    def traced(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            out = fn(*args, **kwargs)
+            calls.append("/" + name)
+            return out
+        return wrapper
+
+    def counted(profile, name):
+        def taylor(t):
+            calls.append(name)
+            return profile.taylor(t)
+        return ScalarProfile(value=profile.value, taylor=taylor)
+
+    warp = fs_skr.warp
+    monkeypatch.setattr(WarpProfile, "jets", traced("jets", WarpProfile.jets))
+    monkeypatch.setattr(warp, "q", counted(warp.q, "q.taylor"))
+    monkeypatch.setattr(warp, "phi", counted(warp.phi, "phi.taylor"))
+    for name in ("check_ricci_hessian", "check_profile_identities"):
+        monkeypatch.setattr(verify, name, traced(name, getattr(verify, name)))
+    geos, _ = gather_points(fs_skr, 8, seed=0)
+    assert len(geos) == 8
+    assert calls == ["jets", "q.taylor", "/jets"]
+    calls.clear()
+    report = run_suite(fs_skr, samples=8, seed=0)
+    assert report.passed
+    assert calls == ["jets", "q.taylor", "/jets",
+                     "check_ricci_hessian", "phi.taylor", "/check_ricci_hessian",
+                     "check_profile_identities", "phi.taylor", "/check_profile_identities"]
 
 
 def _sphere_fields_fixture():
