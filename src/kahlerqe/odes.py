@@ -4,7 +4,9 @@ The scalar tau is the conformal factor; phi(tau) is the common eigenvalue
 of the Hessian of tau on the distribution orthogonal to {grad tau, J grad
 tau}.  Everything symbolic here is a polynomial or rational function in
 tau with Fraction coefficients, so identities are decided exactly, not to
-a tolerance.
+a tolerance.  ``LinearODE2`` holds polynomials, and each compatibility
+quantity and closed-form residual is one numerator over its known
+denominator, reduced once by the ``RationalFunction`` constructor.
 
 Parameter conventions: n = 2m is the real dimension, a > 0 the warped
 Einstein exponent, f = 1/tau + k the warping-related profile, c the value
@@ -91,19 +93,12 @@ class ScalarProfile:
 
 @dataclass(frozen=True)
 class LinearODE2:
-    """A phi'' + B phi' + C phi = D with rational-function coefficients; a
-    Polynomial coefficient is made a RationalFunction on construction."""
+    """A phi'' + B phi' + C phi = D with polynomial coefficients."""
 
-    A: RationalFunction
-    B: RationalFunction
-    C: RationalFunction
-    D: RationalFunction
-
-    def __post_init__(self):
-        for name in ("A", "B", "C", "D"):
-            value = getattr(self, name)
-            if not isinstance(value, RationalFunction):
-                object.__setattr__(self, name, RationalFunction(value))
+    A: Polynomial
+    B: Polynomial
+    C: Polynomial
+    D: Polynomial
 
     def render(self, var="t"):
         return (
@@ -200,9 +195,10 @@ def system_12(params):
 def first_order_reduction(system, m1, m2):
     """Eliminate phi'' from the pair by the combination m1*(first) + m2*(second).
 
-    Returns phi' + p phi = q normalized by the combination's phi'
-    coefficient.  ``system_12`` takes (tau, -(tau - c)), whose phi'
-    coefficient is tau (tau-c)(tau-2c)(1+k tau); the f-variable pair of
+    The multipliers are polynomials or numbers.  Returns phi' + p phi = q
+    normalized by the combination's phi' coefficient.  ``system_12`` takes
+    (tau, -(tau - c)), whose phi' coefficient is
+    tau (tau-c)(tau-2c)(1+k tau); the f-variable pair of
     ``appendix_system`` takes (1, f - c).  Multipliers that leave a phi''
     term, or no phi' term, are refused.
     """
@@ -213,8 +209,8 @@ def first_order_reduction(system, m1, m2):
     W = m1 * eq1.B + m2 * eq2.B
     if W.is_zero:
         raise ValueError("reduction degenerated: phi' coefficient vanished identically")
-    p = (m1 * eq1.C + m2 * eq2.C) / W
-    q = (m1 * eq1.D + m2 * eq2.D) / W
+    p = RationalFunction(m1 * eq1.C + m2 * eq2.C, W)
+    q = RationalFunction(m1 * eq1.D + m2 * eq2.D, W)
     return LinearODE1(p, q)
 
 
@@ -223,12 +219,17 @@ def lemma_quantities(reduced, ode2):
 
     Substituting the first into the second leaves E1*phi = E2 with
     E1 = A(p^2 - p') - Bp + C and E2 = D - A(q' - pq) - Bq; if E1 is not
-    identically zero the system forces phi = E2/E1.
+    identically zero the system forces phi = E2/E1.  With p = P/U, q = V/W:
+    E1 = [A(P^2 - P'U + PU') - BPU + CU^2] / U^2 and
+    E2 = [DUW^2 - A((V'W - VW')U - PVW) - BVUW] / (UW^2).
     """
-    p, q = reduced.p, reduced.q
-    E1 = ode2.A * (p * p - p.derivative()) - ode2.B * p + ode2.C
-    E2 = ode2.D - ode2.A * (q.derivative() - p * q) - ode2.B * q
-    return E1, E2
+    A, B, C, D = ode2.A, ode2.B, ode2.C, ode2.D
+    P, U, V, W = reduced.p.num, reduced.p.den, reduced.q.num, reduced.q.den
+    UU, UW = U * U, U * W
+    UWW = UW * W
+    E1 = A * (P * P - P.derivative() * U + P * U.derivative()) - B * P * U + C * UU
+    E2 = D * UWW - A * ((V.derivative() * W - V * W.derivative()) * U - P * V * W) - B * V * UW
+    return RationalFunction(E1, UU), RationalFunction(E2, UWW)
 
 
 FORCED_ZERO = "forced-zero"
@@ -299,9 +300,11 @@ def closed_form_log_derivative(params):
     Rational for every rational a; equals -p of the first-order reduction
     on the distinguished branch.
     """
-    terms = [RationalFunction(e, Polynomial((-root, 1))) for e, root in psi_factors(params)]
-    # summed from the first term, not from 0: each sum costs a gcd
-    return sum(terms[1:], terms[0])
+    t = Polynomial.variable()
+    num, den = Polynomial(), Polynomial((1,))
+    for e, root in psi_factors(params):
+        num, den = num * (t - root) + e * den, den * (t - root)
+    return RationalFunction(num, den)
 
 
 def phi_closed_form(params):
@@ -371,19 +374,22 @@ def phi_closed_form(params):
     return ScalarProfile(value=val, taylor=taylor)
 
 
-def closed_form_certificate(params, ode):
+def closed_form_certificate(params, ode, L):
     """Exact residual of the closed-form phi in a second-order member.
 
-    With psi the nonconstant mode and L = psi'/psi (rational for every
-    rational a), the residual of phi = C1 + C2 psi is C2 psi E + (C C1 - D)
-    where E = A(L' + L^2) + B L + C.  Returns the rational functions
+    With psi the nonconstant mode and L = psi'/psi = N/D (rational for every
+    rational a; ``closed_form_log_derivative``), the residual of
+    phi = C1 + C2 psi is C2 psi E + (C C1 - D), where E = A(L' + L^2) + BL + C
+    = [A(N'D - ND' + N^2) + BND + CD^2] / D^2.  Returns the rational functions
     (C2 E, C C1 - D); the closed form solves the member when both are
     identically zero.  For integer a, psi is itself rational, so the test
     is sufficient but not necessary: it can only fail closed.
     """
-    L = closed_form_log_derivative(params)
-    E, _ = lemma_quantities(LinearODE1(-L, RationalFunction.constant(0)), ode)
-    return params.C2 * E, ode.C * params.C1 - ode.D
+    N, D = L.num, L.den
+    DD = D * D
+    E = ode.A * (N.derivative() * D - N * D.derivative() + N * N) + ode.B * N * D + ode.C * DD
+    return (RationalFunction(params.C2 * E, DD),
+            RationalFunction(ode.C * params.C1 - ode.D))
 
 
 def appendix_system(params):

@@ -234,12 +234,11 @@ def check_profile_identities(skr, geos, tols=DEFAULT_TOLERANCES):
     |grad tau|^2 = Q(tau), lap tau = 2m phi + 2(tau-c) phi', recovery of the
     constant c, and phi as the horizontal Hessian eigenvalue."""
     params = skr.params
-    phi, q = skr.warp.phi, skr.warp.q
     cf = float(params.c)
     m = params.m
     t = geos.tau
-    qt = q.value(t)
-    pt, pt_d, _ = phi.taylor(t)
+    pt, pt_d, _ = skr.warp.phi.taylor(t)
+    qt = 2.0 * (t - cf) * pt  # Q = 2 (tau - c) phi, as q_from_phi forms it
     out = []
     for name, errs in (
         ("grad-norm-identity", np.abs(geos.grad_tau_sq - qt)),

@@ -21,6 +21,12 @@ either, so the trace of this tensor is an independent check of it.
 loop forms of ``charts._esum`` and ``PanelAntiderivative.build``; the
 vectorized forms must reproduce them bit for bit.  ``conformal_scale`` is
 the chart of g / tau^2, against which ``charts.conformal_jets`` is checked.
+
+``log_derivative_rf``, ``lemma_quantities_rf`` and
+``closed_form_certificate_rf`` are the exact ODE layer's earlier forms:
+the plain rational-function formulas, one operator (and one reduction) at a
+time.  The package forms each quantity as one numerator over its known
+denominator and reduces it once; canonical form makes the two equal.
 """
 
 import itertools
@@ -32,6 +38,8 @@ from kahlerqe import charts
 from kahlerqe.charts import MetricChart
 from kahlerqe.jets import Jet
 from kahlerqe.numutil import _GL7, _GL15, ConvergenceError, _gl
+from kahlerqe.odes import psi_factors
+from kahlerqe.rational import Polynomial, RationalFunction
 
 
 def value(x):
@@ -209,3 +217,28 @@ def conformal_scale(chart, fn):
         domain=domain,
         name=f"{chart.name}/tau^2" if chart.name else "conformal",
     )
+
+
+# -- the exact ODE layer by plain rational-function formulas ---------------
+
+
+def log_derivative_rf(params):
+    """L = psi'/psi as the sum of e/(tau - root) over ``psi_factors``."""
+    terms = [RationalFunction(e, Polynomial((-root, 1))) for e, root in psi_factors(params)]
+    return sum(terms[1:], terms[0])
+
+
+def lemma_quantities_rf(p, q, ode2):
+    """E1 = A(p^2 - p') - Bp + C and E2 = D - A(q' - pq) - Bq for
+    phi' + p phi = q and the member A phi'' + B phi' + C phi = D."""
+    A, B, C, D = (RationalFunction(x) for x in (ode2.A, ode2.B, ode2.C, ode2.D))
+    E1 = A * (p * p - p.derivative()) - B * p + C
+    E2 = D - A * (q.derivative() - p * q) - B * q
+    return E1, E2
+
+
+def closed_form_certificate_rf(params, ode2, L):
+    """(C2 E, C C1 - D) with E = A(L' + L^2) + BL + C, the E1 of the
+    reduction phi' - L phi = 0."""
+    E, _ = lemma_quantities_rf(-L, RationalFunction.constant(0), ode2)
+    return params.C2 * E, RationalFunction(ode2.C * params.C1 - ode2.D)

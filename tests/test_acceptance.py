@@ -29,6 +29,7 @@ from kahlerqe.odes import (
     SKRParams,
     appendix_system,
     closed_form_certificate,
+    closed_form_log_derivative,
     first_order_reduction,
     lemma_quantities,
     nonexistence_decision,
@@ -36,7 +37,7 @@ from kahlerqe.odes import (
     solsys_system,
     system_12,
 )
-from kahlerqe.rational import RationalFunction
+from kahlerqe.rational import Polynomial, RationalFunction
 from kahlerqe.verify import check_conformal_formulas, gather_points, run_suite
 from oracles import curvature_at, exp_, jets_at, riemann, sin_
 
@@ -53,7 +54,7 @@ def _line(n, desc, ok):
 def test_criterion_1_symbolic_certification():
     t0 = time.perf_counter()
     rng = random.Random(2026)
-    t = RationalFunction.variable()
+    t, tp = RationalFunction.variable(), Polynomial.variable()
     ok = True
     tuples = 0
     while tuples < 20:
@@ -67,7 +68,7 @@ def test_criterion_1_symbolic_certification():
                            kappa=Fraction(rng.randint(-3, 3)),
                            lam=Fraction(rng.randint(-3, 3)))
         eq1, eq2 = system_12(params)
-        e1, e2 = lemma_quantities(first_order_reduction((eq1, eq2), t, -(t - c)), eq1)
+        e1, e2 = lemma_quantities(first_order_reduction((eq1, eq2), tp, -(tp - c)), eq1)
         expected = (a * (t - c) ** 2 * (2 * c * k + 1)) / ((t - 2 * c) * (t * k + 1))
         ok = ok and e1 == expected and e2.is_zero
         tuples += 1
@@ -129,9 +130,10 @@ def test_criterion_3_closed_form_solves_system():
             for c in (Fraction(1), Fraction(-1), Fraction(3)):
                 for C2 in (Fraction(0), Fraction(1), Fraction(-1), Fraction(5)):
                     params = SKRParams.section6(m=m, a=a, c=c, C2=C2, kappa=2 * m)
+                    L = closed_form_log_derivative(params)
                     cells += 1
                     for eq in solsys_system(params):
-                        r0, r1 = closed_form_certificate(params, eq)
+                        r0, r1 = closed_form_certificate(params, eq, L)
                         ok = ok and r0.is_zero and r1.is_zero
                         # evaluate the certified residual at 100 rational
                         # tau values clear of the excluded points
@@ -174,7 +176,7 @@ def test_criterion_3_closed_form_solves_system():
 def test_criterion_4_nonexistence_crosscheck():
     t0 = time.perf_counter()
     rng = random.Random(2028)
-    t = RationalFunction.variable()
+    tp = Polynomial.variable()
     ok = True
     tried = 0
     while tried < 12:
@@ -186,7 +188,7 @@ def test_criterion_4_nonexistence_crosscheck():
             continue
         params = SKRParams(m=m, a=a, c=c, k=k)
         eq1, eq2 = system_12(params)
-        e1, e2 = lemma_quantities(first_order_reduction((eq1, eq2), t, -(t - c)), eq1)
+        e1, e2 = lemma_quantities(first_order_reduction((eq1, eq2), tp, -(tp - c)), eq1)
         # the forced value phi = E2/E1 is the zero rational function
         ok = ok and (not e1.is_zero) and (e2 / e1).is_zero
         ok = ok and nonexistence_decision(params) == FORCED_ZERO

@@ -14,6 +14,7 @@ import pytest
 from kahlerqe import cli
 from kahlerqe.builder import FLAT, BaseModel
 from kahlerqe.odes import SKRParams
+from kahlerqe.rational import Polynomial
 
 
 FLAT_PARAMS = """\
@@ -117,6 +118,10 @@ GOLDEN_CELLS = {
     "certificate_m4_a7-2.json": (4, Fraction(7, 2), 3, 2, 8),
     # the tail cell of the certify grid: its largest integers
     "certificate_m12_a21-2.json": (12, Fraction(21, 2), 1, 1, 24),
+    # a = 1 keeps a zero exponent in psi_factors, here with negative c
+    "certificate_m2_a1_c-1.json": (2, 1, -1, -3, 4),
+    # integer a: psi itself is rational
+    "certificate_m3_a2.json": (3, 2, 3, -4, 6),
 }
 
 
@@ -130,6 +135,25 @@ def test_certificate_matches_golden(name):
     text = json.dumps(cli.certify_params(params), sort_keys=True, indent=2) + "\n"
     with open(os.path.join(GOLDEN, name)) as fh:
         assert text == fh.read()
+
+
+def test_certify_reduces_each_identity_once(monkeypatch):
+    # each compatibility quantity and closed-form residual is one numerator
+    # over its known denominator, reduced once, and L is formed once; the
+    # earlier operator-by-operator forms ran 62 Euclid gcds on this cell,
+    # and summing L term by term would add one (8)
+    runs = []
+    gcd = Polynomial.gcd
+
+    def counted(p, q):
+        if p.degree > 0 and q.degree > 0:
+            runs.append((p, q))
+        return gcd(p, q)
+
+    monkeypatch.setattr(Polynomial, "gcd", counted)
+    m, a, c, C2, kappa = GOLDEN_CELLS["certificate_m12_a21-2.json"]
+    assert cli.certify_params(SKRParams.section6(m=m, a=a, c=c, C2=C2, kappa=kappa))["passed"]
+    assert len(runs) == 7
 
 
 GOLDEN_CONFIGS = {

@@ -10,6 +10,8 @@ from fractions import Fraction
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kahlerqe.odes import (
     CONSTANTS_ADMITTED,
@@ -30,6 +32,7 @@ from kahlerqe.odes import (
     system_12,
 )
 from kahlerqe.rational import ExactParameterError, Polynomial, RationalFunction, as_fraction
+from oracles import closed_form_certificate_rf, lemma_quantities_rf, log_derivative_rf
 
 
 def test_params_validation():
@@ -265,12 +268,10 @@ def test_system_rederived_from_scalar_formulas():
 def test_reduction_literals_and_example_value():
     p = SKRParams(m=2, a=1, c=1, k=Fraction(-1, 2))
     eq1, eq2 = system_12(p)
-    t = RationalFunction.variable()
+    t = Polynomial.variable()
     # the phi'' coefficients cancel under tau*(first) - (tau-c)*(second)
     assert (t * eq1.A - (t - p.c) * eq2.A).is_zero
-    comb = t * eq1.C - (t - p.c) * eq2.C
-    assert comb.is_polynomial
-    poly = comb.num
+    poly = t * eq1.C - (t - p.c) * eq2.C
     m, a, c, k = p.m, p.a, p.c, p.k
     assert poly.coeffs[3] == -m * k
     assert poly.coeffs[2] == -(m + a - 2 * c * (2 * m - 1) * k)
@@ -279,7 +280,7 @@ def test_reduction_literals_and_example_value():
 
 
 def _tau_pair(p):
-    t = RationalFunction.variable()
+    t = Polynomial.variable()
     return system_12(p), t, -(t - p.c)
 
 
@@ -306,8 +307,8 @@ def test_reduction_partial_fractions_on_branch():
     (a-1)/(t-2c) + m/(t-c) + (1-a-2m)/t."""
     for (m, a, c) in ((2, Fraction(1), Fraction(1)), (3, Fraction(7, 2), Fraction(-2))):
         p = SKRParams.section6(m=m, a=a, c=c, C2=1)
-        t = RationalFunction.variable()
-        red = first_order_reduction(system_12(p), t, -(t - c))
+        t, tp = RationalFunction.variable(), Polynomial.variable()
+        red = first_order_reduction(system_12(p), tp, -(tp - c))
         split = (
             RationalFunction.constant(a - 1) / (t - 2 * c)
             + RationalFunction.constant(m) / (t - c)
@@ -320,7 +321,7 @@ def test_reduction_partial_fractions_on_branch():
 def test_lemma_quantities_closed_forms():
     """Closed forms: E1 = a (t-c)^2 (2ck+1) / ((t-2c)(tk+1)), E2 = 0."""
     rng = random.Random(11)
-    t = RationalFunction.variable()
+    t, tp = RationalFunction.variable(), Polynomial.variable()
     for _ in range(10):
         m = rng.randint(2, 5)
         a = Fraction(rng.randint(1, 8), rng.choice((1, 2)))
@@ -329,7 +330,7 @@ def test_lemma_quantities_closed_forms():
         p = SKRParams(m=m, a=a, c=c, k=k, kappa=Fraction(rng.randint(-2, 2)),
                       lam=Fraction(rng.randint(-2, 2)))
         eq1, eq2 = system_12(p)
-        e1, e2 = lemma_quantities(first_order_reduction((eq1, eq2), t, -(t - c)), eq1)
+        e1, e2 = lemma_quantities(first_order_reduction((eq1, eq2), tp, -(tp - c)), eq1)
         expected = (a * (t - c) ** 2 * (2 * c * k + 1)) / ((t - 2 * c) * (t * k + 1))
         assert e1 == expected
         assert e2.is_zero
@@ -443,7 +444,7 @@ def _certified(params):
     return all(
         part.is_zero
         for eq in solsys_system(params)
-        for part in closed_form_certificate(params, eq)
+        for part in closed_form_certificate(params, eq, closed_form_log_derivative(params))
     )
 
 
@@ -455,13 +456,13 @@ def test_certificates_vanish_and_detect_tampering():
     ):
         p = SKRParams.section6(m=m, a=a, c=c, C2=C2, kappa=kap)
         for eq in solsys_system(p):
-            r0, r1 = closed_form_certificate(p, eq)
+            r0, r1 = closed_form_certificate(p, eq, closed_form_log_derivative(p))
             assert r0.is_zero and r1.is_zero
 
     good = SKRParams.section6(m=2, a=2, c=1, C2=1, kappa=4)
     bad = replace(good, lam=good.lam + 1)
     _, eq2 = solsys_system(bad)
-    r0, r1 = closed_form_certificate(bad, eq2)
+    r0, r1 = closed_form_certificate(bad, eq2, closed_form_log_derivative(bad))
     assert not (r0.is_zero and r1.is_zero)
 
     # a = 1/3 has no radical expansion, but the log-derivative certificate
@@ -524,7 +525,7 @@ def test_certificate_matches_radical_expansion():
         good = SKRParams.section6(m=m, a=a, c=c, C2=-2, kappa=2 * m)
         for p in (good, replace(good, lam=good.lam + 1), replace(good, C1=good.C1 + 1)):
             for eq in solsys_system(p):
-                psi_part, rat_part = closed_form_certificate(p, eq)
+                psi_part, rat_part = closed_form_certificate(p, eq, closed_form_log_derivative(p))
                 r0, r1, u = _expansion_residual(p, eq)
                 if a.denominator == 1:
                     # psi = u is rational: the two parts recombine exactly
@@ -554,3 +555,68 @@ def test_appendix_system_structure():
         assert e1 == (-a * (t - c)) / t  # never the zero function for a > 0
         assert e2.is_zero
         assert not e1.is_zero
+
+
+_fracs = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3)))
+
+
+@st.composite
+def _certify_cells(draw):
+    """Parameters on or off the branch k = -1/(2c), with integer or
+    fractional a, either sign_phi, and constants matched to the closed form
+    (as ``SKRParams.section6`` matches them) or drawn freely."""
+    m = draw(st.integers(2, 6))
+    a = draw(st.one_of(
+        st.integers(1, 8).map(Fraction),
+        st.builds(Fraction, st.integers(1, 15), st.sampled_from((2, 3, 7)))
+        .filter(lambda x: x.denominator != 1)))
+    c = draw(_fracs.filter(bool))
+    branch = Fraction(-1) / (2 * c)
+    k = draw(st.one_of(st.just(branch), _fracs.filter(lambda x: x != branch)))
+    sign_phi = draw(st.sampled_from((1, -1)))
+    kappa = Fraction(0) if sign_phi == -1 else draw(_fracs)
+    C2 = draw(_fracs)
+    if draw(st.booleans()):
+        C1 = kappa / (2 * m)
+        lam = 2 * c * (a + 2 * m - 1) * C1
+    else:
+        C1, lam = draw(_fracs), draw(_fracs)
+    return SKRParams(m=m, a=a, c=c, k=k, kappa=kappa, lam=lam, C1=C1, C2=C2,
+                     sign_phi=sign_phi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_certify_cells(), _fracs.filter(bool))
+@example(SKRParams.section6(m=2, a=1, c=-1, C2=-3, kappa=4), Fraction(1))
+@example(SKRParams(m=3, a=Fraction(5, 2), c=2, k=Fraction(1, 3), kappa=6, lam=1,
+                   C1=Fraction(1, 2), C2=3, sign_phi=-1), Fraction(-1, 2))
+def test_one_reduction_matches_rational_function_formulas(params, tamper):
+    """Each compatibility quantity and closed-form residual, formed as one
+    numerator over its known denominator, equals the plain rational-function
+    formula for every member of system_12, solsys_system and
+    appendix_system; on the branch with matched constants the residuals
+    vanish, and a tampered lambda leaves a nonzero one."""
+    t = Polynomial.variable()
+    L = closed_form_log_derivative(params)
+    assert L == log_derivative_rf(params)
+    sys12 = system_12(params)
+    red = first_order_reduction(sys12, t, -(t - params.c))
+    mek_f, qe2_f, red_f = appendix_system(params)
+    families = [(red, sys12), (red_f, (mek_f, qe2_f))]
+    if params.on_distinguished_branch():
+        families.append((red, solsys_system(params)))
+    for reduced, members in families:
+        for member in members:
+            assert lemma_quantities(reduced, member) == lemma_quantities_rf(
+                reduced.p, reduced.q, member)
+            assert closed_form_certificate(params, member, L) == closed_form_certificate_rf(
+                params, member, L)
+
+    matched = params.lam == 2 * params.c * (params.a + 2 * params.m - 1) * params.C1
+    if params.on_distinguished_branch() and matched and params.C1 * 2 * params.m == params.kappa:
+        assert _certified(params)
+        bad = replace(params, lam=params.lam + tamper)
+        _, eq2 = solsys_system(bad)
+        residual = closed_form_certificate(bad, eq2, L)
+        assert residual == closed_form_certificate_rf(bad, eq2, L)
+        assert not residual[1].is_zero
