@@ -413,8 +413,10 @@ def admitted_phi(params, base):
     return phi_closed_form(params)
 
 
-def end_to_end(params, base, interval):
-    """Build the warp on a tau-window and assemble the chart.
+def end_to_end(params, base, interval, warp=None):
+    """Build the warp on a tau-window and assemble the chart; ``warp``, if
+    given, is one already built for ``params`` on ``interval`` (the one
+    ``cli.select_window`` returns), and the chart uses it as it is.
 
     After the refusals of ``admitted_phi``, refuses a window off the
     sgn(tau - c) = sign_phi side, where Q = 2 (tau - c) phi cannot be
@@ -443,6 +445,10 @@ def end_to_end(params, base, interval):
                 f"interval {interval} contains tau = {float(root):g}, a root of a "
                 "factor of psi, where phi or f = 1/tau + k is singular"
             )
-    warp = build_warp(params, phi, interval)
+    if warp is None:
+        warp = build_warp(params, phi, interval)
+    elif warp.params != params or warp.interval != interval:
+        raise ValueError(f"the warp was built on {warp.interval} or for other "
+                         f"parameters, not on {interval}")
     skr = assemble_chart(base, warp)
     return skr, phi

@@ -19,12 +19,20 @@ verification suite needs from that one evaluation with the batch kernels
 point is the batch B = 1.
 
 Contractions sum in a fixed order with elementwise operations only
-(``_esum``): one broadcast product of the operands, laid out as (summed
-indices, output indices, point), holds every term, and the terms are added
-one summed index tuple at a time, in lexicographic order.  A numpy reduce
-would sum pairwise wherever the reduced run is contiguous, which depends
-on the batch size; the sequential sum does not, so a point's geometry is
-bit for bit the same whichever batch it is evaluated in.  ``np.linalg``
+(``_esum``): one C-ordered broadcast product of the operands, laid out as
+(summed indices, output indices, point), holds every term, and the terms
+are added one summed index tuple at a time, in lexicographic order.  A
+numpy reduce would sum pairwise wherever the reduced run is contiguous,
+which depends on the batch size; the sequential sum does not, so a point's
+geometry is bit for bit the same whichever batch it is evaluated in.  The
+same holds where a kernel is batched over a tensor index instead of looped
+over it: ``conformal_jets`` adds its three product-rule terms to each
+(k, l) entry in the same order from one (n, n, n, B) block per k, and the
+horizontal frame (``_horizontal_frame``) is modified Gram-Schmidt applied
+right-looking, so that every coordinate vector sees the projections on
+grad tau, J grad tau and the frame vectors accepted before it, in that
+order, as in the left-looking loop, each projection one ``_esum``
+contraction for all remaining vectors at once.  ``np.linalg``
 takes stacks point-first, so the inverse and the solve for grad tau are
 handed ``np.moveaxis(x, -1, 0)``.  Ricci is formed from contractions of
 the second derivatives of g; neither dGamma nor the Riemann tensor is
@@ -67,15 +75,17 @@ class MetricChart:
 @functools.cache
 def _esum_plan(spec):
     """Per operand of ``spec``: the no-summation einsum that lays it out as
-    (its summed axes, its output axes, point), and the index that inserts
-    length-1 axes for the summed and output letters it lacks."""
+    (its summed axes, its output axes, point), or None where the operand is
+    in that order already, and the index that inserts length-1 axes for the
+    summed and output letters it lacks, or None where it lacks none."""
     ins, out = spec.split("->")
     summed = sorted(set(ins) - set(out) - {","})
     axes, plans = summed + list(out), []
     for letters in ins.split(","):
         have = "".join(c for c in axes if c in letters)
         expand = tuple(slice(None) if c in letters else None for c in axes)
-        plans.append((f"{letters}...->{have}...", expand))
+        plans.append((None if have == letters else f"{letters}...->{have}...",
+                      expand if None in expand else None))
     return len(summed), tuple(plans)
 
 
@@ -85,28 +95,27 @@ def _esum(spec, *ops):
     ``spec`` names the axes before the point axis, e.g. ``"ka,aij->kij"``;
     a summed index may repeat within an operand (a trace).  Each operand is
     laid out as (summed..., out..., point) by an einsum that only takes
-    diagonals and transposes, so its entries are copied exactly.  The
-    operands are multiplied left to right into one C-ordered buffer of
-    shape (S, out..., B), whose first axis runs over the S tuples of summed
-    values in lexicographic order, and the terms are added one tuple at a
-    time, first to last.  That is the same products and the same sequential
-    sum as a loop over the tuples.  The point axis is last, so every
-    multiply and add runs its inner loop over the B points, contiguous in
-    the buffer.  A reduce (``np.sum``, ``einsum``) is not used: where the
-    reduced run is contiguous (one point, scalar output) numpy sums it
-    pairwise, and the result would depend on the batch size.
+    diagonals and transposes, so its entries are copied exactly; an operand
+    already in that order is used as it is.  The operands are multiplied
+    left to right into a C-ordered product of shape (S, out..., B), whose
+    first axis runs over the S tuples of summed values in lexicographic
+    order, and the terms are added one tuple at a time, first to last.
+    That is the same products and the same sequential sum as a loop over
+    the tuples.  The point axis is last, so every multiply and add runs its
+    inner loop over the B points, contiguous in the product.  A reduce
+    (``np.sum``, ``einsum``) is not used: where the reduced run is
+    contiguous (one point, scalar output) numpy sums it pairwise, and the
+    result would depend on the batch size.
     """
     k, plans = _esum_plan(spec)
-    views = [np.einsum(sub, op)[expand] for (sub, expand), op in zip(plans, ops)]
-    shape = np.broadcast_shapes(*(v.shape for v in views))
-    t = np.empty(shape, dtype=np.result_type(*views))
-    if len(views) == 1:
-        t[...] = views[0]
-    else:
-        np.multiply(views[0], views[1], out=t)
-    for v in views[2:]:
-        np.multiply(t, v, out=t)
-    t = t.reshape((-1,) + shape[k:])
+    views = []
+    for (sub, expand), op in zip(plans, ops):
+        v = op if sub is None else np.einsum(sub, op)
+        views.append(v if expand is None else v[expand])
+    t = views[0]
+    for v in views[1:]:
+        t = np.multiply(t, v, order="C")
+    t = t.reshape((-1,) + t.shape[k:])
     acc = t[0].copy()
     for term in t[1:]:
         acc += term
@@ -204,18 +213,19 @@ def conformal_jets(g, dg, d2g, tau_jet):
     t = Jet(*tau_jet)
     w = 1.0 / (t * t)
     wv = w.val
-    # the Hessians are summed in place over d2g, one (k, l) block at a time
+    # the Hessians are summed in place over d2g, one (n, n, n, B) block per k
     # so that no second array of n^4 entries per point exists, in the order
-    # of ``Jet.__mul__``: then the cross term dg (x) dw and its transpose
+    # of ``Jet.__mul__``: w's Hessian times g, then the cross term
+    # dg (x) dw and its transpose; each entry [k, l] receives the same three
+    # terms in the same order as in a loop over (k, l)
     d2 = d2g
     d2 *= wv
-    n = g.shape[0]
-    for k in range(n):
-        for l in range(n):
-            d2[k, l] += w.hess[k, l] * g
-            d2[k, l] += dg[k] * w.grad[l]
-            d2[k, l] += dg[l] * w.grad[k]
-    return g * wv, dg * wv + w.grad[:, None, None] * g, d2
+    grad = w.grad[:, None, None]
+    for k in range(g.shape[0]):
+        d2[k] += w.hess[k][:, None, None] * g
+        d2[k] += dg[k] * grad
+        d2[k] += dg * w.grad[k]
+    return g * wv, dg * wv + grad * g, d2
 
 
 def _quad(a, S, b):
@@ -252,30 +262,53 @@ def _max_entry(x):
 DROP_TOL = 1e-8
 
 
+def _project_out(W, G, u):
+    """Each vector W[r] of a stack (R, dim, B) less its G-projection on the
+    G-unit u, at each point: w - (w G u) u, the contraction of ``_quad``
+    for all R vectors at once."""
+    return W - _esum("rj,j->r", _esum("ri,ij->rj", W, G), u)[:, None] * u
+
+
 def _horizontal_frame(G, v1, v2):
     """G-orthonormal frames (dim-2, dim, B) of the complements of span{v1, v2}.
 
-    Deterministic: projects the coordinate basis and runs modified
-    Gram-Schmidt in index order, skipping directions that collapse (squared
-    G-norm at most ``DROP_TOL``), at every point at once.
+    Deterministic: modified Gram-Schmidt on the coordinate basis in index
+    order, skipping directions that collapse (squared G-norm at most
+    ``DROP_TOL``), at every point at once.  Coordinate vector i sees, in
+    order, the projections on the G-units of v1 and of v2, then on each
+    frame vector accepted before it at that point, in the order they were
+    accepted; then it is normalised, and taken where it does not collapse.
+    The projections are applied right-looking: the two fixed directions
+    are projected out of all dim vectors in one batched contraction each,
+    and a frame vector accepted at some points is projected out of every
+    later coordinate vector in one, masked to those points.  Each vector
+    thus sees the same projections in the same order as in the
+    left-looking loop over vectors (Bjorck, Linear Algebra Appl. 197-198
+    (1994) 297-316), and each projection is the same products and sums of
+    ``_esum``, so the frame is bit for bit that loop's.
     """
     dim, B = v1.shape
-    frame = [_unit(v, G) for v in (v1, v2)]
+    W = np.zeros((dim, dim, B))
+    W[np.arange(dim), np.arange(dim)] = 1.0
+    for v in (v1, v2):
+        W = _project_out(W, G, _unit(v, G))
     out = np.zeros((dim - 2, dim, B))
     count = np.zeros(B, dtype=int)
     for i in range(dim):
-        w = np.zeros((dim, B))
-        w[i] = 1.0
-        for u in frame:
-            w = w - _quad(w, G, u) * u
-        for s in range(dim - 2):
-            u = out[s]
-            w = np.where(s < count, w - _quad(w, G, u) * u, w)
+        w = W[i]
         nw = _quad(w, G, w)
         take = (nw > DROP_TOL) & (count < dim - 2)
         cols = np.nonzero(take)[0]
-        out[count[cols], :, cols] = (w[:, cols] / np.sqrt(nw[cols])).T
+        if not cols.size:
+            continue
+        u = np.zeros((dim, B))
+        u[:, cols] = w[:, cols] / np.sqrt(nw[cols])
+        out[count[cols], :, cols] = u[:, cols].T
         count += take
+        if i + 1 == dim or np.all(count == dim - 2):
+            break
+        rest = W[i + 1:]
+        W[i + 1:] = np.where(take, _project_out(rest, G, u), rest)
     if np.any(count != dim - 2):
         raise RuntimeError("failed to build a frame for the horizontal complement")
     return out

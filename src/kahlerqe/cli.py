@@ -355,9 +355,11 @@ def cmd_construct_verify(cfg, run):
     interval = interval_from_config(cfg)
     seed, samples, out_dir = run["seed"], run["samples"], run["out"]
 
+    warp = None
     if interval is None:
-        interval = select_window(params, base, side=params.sign_phi)
-    skr, _ = end_to_end(params, base, interval)
+        warp = select_window(params, base, side=params.sign_phi)
+        interval = warp.interval
+    skr, _ = end_to_end(params, base, interval, warp)
     print(
         f"chart: {skr.chart.name}  interval=({skr.warp.interval[0]:.6g}, "
         f"{skr.warp.interval[1]:.6g})  expected_kahler={expected_kahler(base, params, skr.warp.interval)}"
@@ -405,22 +407,36 @@ QCAP = 50.0
 SPAN_CAP = 6.0
 
 
+def _nearest_one(qs):
+    """Index of the first grid value Q with |log Q| least (Q floored at
+    1e-300): ``math.log`` on each value, and ``list.index`` of the least,
+    which picks the same index as a ``min`` over the indices with that key."""
+    keys = list(map(abs, map(math.log, np.maximum(qs, 1e-300).tolist())))
+    return keys.index(min(keys))
+
+
 def _clamp_window(params, phi, iv):
-    """Shrink a positivity interval to a numerically comfortable window.
+    """Shrink a positivity interval to a numerically comfortable window, and
+    return the warp of ``params`` built on it (the window is its
+    ``interval``), which the chart then uses as it is.
 
     Two failure modes bound the usable range: where Q is tiny the integral
     of b/Q makes log r diverge (exp overflows any sampling shell), and
     where Q is huge the metric entries dwarf each check's absolute tolerance.
     Center on the grid point with Q nearest 1, grow while Q <= ``QCAP``,
-    then cap the log r span at ``SPAN_CAP``.
+    then cap the log r span at ``SPAN_CAP``: a window the cap shrinks ends
+    at the tau of two log r values, both inverted in one ``tau_of_logr``
+    call, and gets a second warp.  The window depends on b only through |b|:
+    negating b negates the warp's log r exactly, and the cap's window with
+    it.
     """
     q = q_from_phi(params, phi)
     lo, hi = iv
     pad = 1e-4 * (hi - lo)
     grid = [lo + pad + (hi - lo - 2 * pad) * i / 512 for i in range(513)]
-    qs = q.value(np.array(grid)).tolist()
-    jstar = min(range(513), key=lambda j: abs(math.log(max(qs[j], 1e-300))))
-    j0 = j1 = jstar
+    qs = q.value(np.array(grid))
+    j0 = j1 = _nearest_one(qs)
+    qs = qs.tolist()
     while j0 > 0 and qs[j0 - 1] <= QCAP:
         j0 -= 1
     while j1 < 512 and qs[j1 + 1] <= QCAP:
@@ -431,20 +447,19 @@ def _clamp_window(params, phi, iv):
     warp = build_warp(params, phi, iv)
     lo_l, hi_l = warp.ell_range
     if hi_l - lo_l <= SPAN_CAP:
-        return iv
+        return warp
     half = SPAN_CAP / 2.0
     t0, t1 = warp.work_interval
     wgrid = [t0 + (t1 - t0) * i / 256 for i in range(257)]
-    wqs = warp.q.value(np.array(wgrid)).tolist()
-    tstar = wgrid[min(range(257), key=lambda i: abs(math.log(max(wqs[i], 1e-300))))]
+    tstar = wgrid[_nearest_one(warp.q.value(np.array(wgrid)))]
     lstar = warp.antiderivative(tstar)
     llo, lhi = lstar - half, lstar + half
     if llo < lo_l:
         llo, lhi = lo_l, lo_l + SPAN_CAP
     elif lhi > hi_l:
         llo, lhi = hi_l - SPAN_CAP, hi_l
-    ta, tb = warp.tau_of_logr(llo), warp.tau_of_logr(lhi)
-    return (min(ta, tb), max(ta, tb))
+    ta, tb = warp.tau_of_logr(np.array([llo, lhi])).tolist()
+    return build_warp(params, phi, (min(ta, tb), max(ta, tb)))
 
 
 class NoWindowError(ConstructionError):
@@ -452,12 +467,17 @@ class NoWindowError(ConstructionError):
 
 
 def select_window(params, base, side=None):
-    """The automatic tau-window, after the refusals of ``admitted_phi``.
+    """The warp on the automatic tau-window, after the refusals of
+    ``admitted_phi``; the window is the warp's ``interval``.
 
     Q is scanned around the roots 0, c and 2c of ``psi_factors``, cut at
     each (fractional a: only above ``real_floor``, where phi is real); the
     first positivity interval wider than 1e-2 on the allowed side of tau = c
-    (side = +1 or -1, None for either) is clamped by ``_clamp_window``.
+    (side = +1 or -1, None for either) is clamped by ``_clamp_window``,
+    whose warp is returned.  Its ``params`` are those of the window's side:
+    a window off ``params.sign_phi`` (only with side=None) is clamped with
+    sign_phi and b negated, so b keeps its sign relative to the side (a
+    Kahler b stays Kahler) and the window is the one the given b selects.
     """
     phi = admitted_phi(params, base)
     cf = float(params.c)
@@ -473,7 +493,10 @@ def select_window(params, base, side=None):
     if not candidates:
         where = "" if side is None else f" on the sgn(tau - c) = {side} side"
         raise NoWindowError(f"no positivity interval of Q found in ({lo:.6g}, {hi:.6g}){where}")
-    return _clamp_window(params, phi, candidates[0])
+    iv = candidates[0]
+    if tau_side(iv, cf) != params.sign_phi:
+        params = dataclasses.replace(params, b=-params.b, sign_phi=-params.sign_phi)
+    return _clamp_window(params, phi, iv)
 
 
 def _sweep_cell(index, m, a, c, C2, k, base, samples, seed):
@@ -494,9 +517,10 @@ def _sweep_cell(index, m, a, c, C2, k, base, samples, seed):
                     row["status"] = "refused"
                     row["note"] = "obstruction a(2ck+1) != 0 forces phi = 0"
                     return row
-            # any admitted cell sits on k = -1/(2c); take the matched constants.
-            # The window depends on b only through |b| (the log r span), so
-            # the b of either side selects the window construct-verify picks
+            # any admitted cell sits on k = -1/(2c); take the matched constants,
+            # with the b that makes the chart Kahler above tau = c.  A window
+            # below c comes back with sign_phi and b negated: the b that makes
+            # the chart Kahler on that side
             params = SKRParams.section6(m=m, a=a, c=c, C2=C2, kappa=base.kappa,
                                         b=base.kahler_b(1))
         except (ValueError, ExactParameterError) as exc:
@@ -505,15 +529,13 @@ def _sweep_cell(index, m, a, c, C2, k, base, samples, seed):
             return row
         # section6 admits kappa != 0 only with sign_phi = +1, i.e. tau > c
         try:
-            iv = select_window(params, base, side=None if base.kappa == 0 else 1)
+            warp = select_window(params, base, side=None if base.kappa == 0 else 1)
         except NoWindowError as exc:
             row["status"] = "no-interval"
             row["note"] = str(exc)
             return row
-        # the b that makes the chart Kahler on the window's side of tau = c
-        sgn = tau_side(iv, c)
-        params = dataclasses.replace(params, b=base.kahler_b(sgn), sign_phi=sgn)
-        skr, _ = end_to_end(params, base, iv)
+        iv = warp.interval
+        skr, _ = end_to_end(warp.params, base, iv, warp)
         # absolute residuals grow with the metric's magnitude; grade each
         # cell relative to the profile scale on its own window
         t0, t1 = skr.warp.work_interval

@@ -35,18 +35,21 @@ PANEL_RTOL = 1e-13
 def _gl(fn, lo, hi, rule):
     """Gauss-Legendre rule on [lo, hi], or on each [lo[i], hi[i]] of arrays.
 
-    ``fn`` is called once, on every node of every interval; the weighted
-    values are summed node by node in order, so each interval's result is
-    the same in any batch.
+    ``fn`` is called once, on every node of every interval.  The weighted
+    values w_k f(x_k) are formed in one product and summed node by node in
+    order, 0.0 + t_0 + t_1 + ..., by one ``np.add.accumulate`` along the
+    node axis, which adds sequentially by definition (a reduce would sum
+    pairwise where the node axis is contiguous).  Each interval's result is
+    therefore the same in any batch, and the same bits as a loop over the
+    nodes; the leading 0.0 turns a first term of -0.0 into 0.0, as that
+    loop's ``acc = 0.0`` does.
     """
     nodes, weights = rule
     mid, half = np.asarray(0.5 * (lo + hi)), np.asarray(0.5 * (hi - lo))
     at = mid[..., None] + half[..., None] * nodes
-    vals = np.broadcast_to(fn(at), at.shape)
-    acc = 0.0
-    for k, w in enumerate(weights):
-        acc = acc + w * vals[..., k]
-    return half * acc
+    terms = weights * np.broadcast_to(fn(at), at.shape)
+    terms[..., 0] += 0.0
+    return half * np.add.accumulate(terms, axis=-1)[..., -1]
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,8 @@ pays gcd(b, d), 1 at once for a constant b or d, and a second gcd against it
 only when it is not 1; a product pays gcd(a, d) and gcd(c, b), each skipped
 when one of its operands is constant; division multiplies by the inverse,
 which is coprime already and only made monic.  Negation, powers, and int or
-Fraction operands run no Euclid at all; ``derivative`` goes through the
-constructor, since a denominator with repeated factors leaves a real common
-factor.
+Fraction operands run no Euclid at all.  There is no rational-function
+derivative: the package differentiates polynomials only.
 
 Coefficients must be exact (int, Fraction, or a string Fraction() accepts);
 floats and bools are rejected to preserve exactness end to end.  Only the
@@ -524,19 +523,6 @@ class RationalFunction:
                 raise ZeroDivisionError("negative power of zero")
             return self._inverse() ** (-n)
         return _rf(self.num**n, self.den**n)
-
-    def derivative(self):
-        # with g = gcd(d, d') and e = d/g, (n/d)' = (n'e - n (d'/g)) / (d e),
-        # already coprime: e is the squarefree part of d, so each prime factor
-        # of d e divides n'e but not n (d'/g) (Yun, SYMSAC 1976); g is monic,
-        # so e and d e are too
-        n, d = self.num, self.den
-        if d.degree == 0:
-            return _rf(n.derivative(), d)
-        dd = d.derivative()
-        g = d.gcd(dd)
-        e, dg = (d, dd) if g.degree == 0 else (d // g, dd // g)
-        return _rf(n.derivative() * e - n * dg, d * e)
 
     def __call__(self, x):
         # an array (or numpy scalar) is checked elementwise, a number as is

@@ -17,9 +17,11 @@ dGamma from the jets of g, then R from dGamma and Gamma with ``np.einsum``.
 The package forms Ricci from contracted second derivatives of g without
 either, so the trace of this tensor is an independent check of it.
 
-``esum_loop`` and ``panel_build_depth_first`` are the package's earlier
-loop forms of ``charts._esum`` and ``PanelAntiderivative.build``; the
-vectorized forms must reproduce them bit for bit.  ``conformal_scale`` is
+``esum_loop``, ``panel_build_depth_first``, ``gl_loop`` and
+``horizontal_frame_left_looking`` are the package's earlier loop forms of
+``charts._esum``, ``PanelAntiderivative.build``, ``numutil._gl`` and
+``charts._horizontal_frame``; the vectorized forms must reproduce them bit
+for bit.  ``conformal_scale`` is
 the chart of g / tau^2, against which ``charts.conformal_jets`` is checked.
 
 ``log_derivative_rf``, ``lemma_quantities_rf`` and
@@ -27,6 +29,8 @@ the chart of g / tau^2, against which ``charts.conformal_jets`` is checked.
 the plain rational-function formulas, one operator (and one reduction) at a
 time.  The package forms each quantity as one numerator over its known
 denominator and reduces it once; canonical form makes the two equal.
+``derivative_rf`` differentiates a ``RationalFunction``, which only these
+forms and the tests do; the package differentiates polynomials only.
 """
 
 import itertools
@@ -39,7 +43,7 @@ from kahlerqe.charts import MetricChart
 from kahlerqe.jets import Jet
 from kahlerqe.numutil import _GL7, _GL15, ConvergenceError, _gl
 from kahlerqe.odes import psi_factors
-from kahlerqe.rational import Polynomial, RationalFunction
+from kahlerqe.rational import Polynomial, RationalFunction, _rf
 
 
 def value(x):
@@ -199,6 +203,47 @@ def panel_build_depth_first(fn, lo, hi, anchor, rtol=1e-13, max_depth=40):
     return tuple(edges), tuple(cum)
 
 
+def gl_loop(fn, lo, hi, rule):
+    """``numutil._gl`` with the weighted node values added one node at a
+    time onto 0.0, first node to last."""
+    nodes, weights = rule
+    mid, half = np.asarray(0.5 * (lo + hi)), np.asarray(0.5 * (hi - lo))
+    at = mid[..., None] + half[..., None] * nodes
+    vals = np.broadcast_to(fn(at), at.shape)
+    acc = 0.0
+    for k, w in enumerate(weights):
+        acc = acc + w * vals[..., k]
+    return half * acc
+
+
+def horizontal_frame_left_looking(G, v1, v2):
+    """``charts._horizontal_frame`` as left-looking modified Gram-Schmidt:
+    coordinate vector i is projected on the G-units of v1 and v2, then on
+    each frame vector accepted so far, one projection at a time, before it
+    is normalised and taken where it does not collapse."""
+    quad, unit = charts._quad, charts._unit
+    dim, B = v1.shape
+    frame = [unit(v, G) for v in (v1, v2)]
+    out = np.zeros((dim - 2, dim, B))
+    count = np.zeros(B, dtype=int)
+    for i in range(dim):
+        w = np.zeros((dim, B))
+        w[i] = 1.0
+        for u in frame:
+            w = w - quad(w, G, u) * u
+        for s in range(dim - 2):
+            u = out[s]
+            w = np.where(s < count, w - quad(w, G, u) * u, w)
+        nw = quad(w, G, w)
+        take = (nw > charts.DROP_TOL) & (count < dim - 2)
+        cols = np.nonzero(take)[0]
+        out[count[cols], :, cols] = (w[:, cols] / np.sqrt(nw[cols])).T
+        count += take
+    if np.any(count != dim - 2):
+        raise RuntimeError("failed to build a frame for the horizontal complement")
+    return out
+
+
 def conformal_scale(chart, fn):
     """Chart for g-hat = g / tau^2; domain excludes zeros of tau."""
 
@@ -222,6 +267,23 @@ def conformal_scale(chart, fn):
 # -- the exact ODE layer by plain rational-function formulas ---------------
 
 
+def derivative_rf(r):
+    """(n/d)' of a RationalFunction, canonical without a full reduction.
+
+    With g = gcd(d, d') and e = d/g, (n/d)' = (n'e - n (d'/g)) / (d e) is
+    already coprime: e is the squarefree part of d, so each prime factor of
+    d e divides n'e but not n (d'/g) (Yun, SYMSAC 1976); g is monic, so e
+    and d e are too.
+    """
+    n, d = r.num, r.den
+    if d.degree == 0:
+        return _rf(n.derivative(), d)
+    dd = d.derivative()
+    g = d.gcd(dd)
+    e, dg = (d, dd) if g.degree == 0 else (d // g, dd // g)
+    return _rf(n.derivative() * e - n * dg, d * e)
+
+
 def log_derivative_rf(params):
     """L = psi'/psi as the sum of e/(tau - root) over ``psi_factors``."""
     terms = [RationalFunction(e, Polynomial((-root, 1))) for e, root in psi_factors(params)]
@@ -232,8 +294,8 @@ def lemma_quantities_rf(p, q, ode2):
     """E1 = A(p^2 - p') - Bp + C and E2 = D - A(q' - pq) - Bq for
     phi' + p phi = q and the member A phi'' + B phi' + C phi = D."""
     A, B, C, D = (RationalFunction(x) for x in (ode2.A, ode2.B, ode2.C, ode2.D))
-    E1 = A * (p * p - p.derivative()) - B * p + C
-    E2 = D - A * (q.derivative() - p * q) - B * q
+    E1 = A * (p * p - derivative_rf(p)) - B * p + C
+    E2 = D - A * (derivative_rf(q) - p * q) - B * q
     return E1, E2
 
 

@@ -3,6 +3,7 @@ intervals, the warp (tau <-> log r) correspondence and its inversion
 against an mpmath oracle, chart assembly, and the end-to-end refusal
 logic."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -108,7 +109,7 @@ def test_real_floor_bounds_phi_the_window_and_the_window_search(c, floor):
             rf"^fractional a = 7/2 needs tau > max\(0, 2c\) = {floor:g} across the "
             rf"whole window, but interval \({floor - 0.5}, {floor + 0.5}\) starts below it$")):
         end_to_end(params, base, (floor - 0.5, floor + 0.5))
-    assert select_window(params, base, side=1)[0] > floor
+    assert select_window(params, base, side=1).interval[0] > floor
 
 
 def test_refusal_message_has_plain_float_endpoints():
@@ -116,7 +117,7 @@ def test_refusal_message_has_plain_float_endpoints():
     # skips the first, which lies on the wrong side of c for sign_phi = +1
     base = BaseModel(kind=FUBINI_STUDY, dim_c=2, s=1)
     params = SKRParams.section6(m=3, a=2, c=1, C2=1, kappa=3, b=Fraction(-1, 2))
-    lo, hi = select_window(params, base, side=params.sign_phi)
+    lo, hi = select_window(params, base, side=params.sign_phi).interval
     assert 2.0 <= lo < hi <= 5.0
     skr, _ = end_to_end(params, base, (lo, hi))
     assert skr.dim == 6
@@ -418,6 +419,18 @@ def test_end_to_end_flat():
         assert 0.35 < tau < 0.95
         assert abs(fval - (1.0 / tau + kf)) < 1e-12
         assert is_positive_definite(jets_at(skr.chart, pt)[0])
+
+
+def test_end_to_end_uses_a_given_warp_only_on_its_window():
+    p = flat_params(a=2, C2=1, sign_phi=-1)
+    base = BaseModel(kind=FLAT, dim_c=1, s=1)
+    warp = WarpProfile.build(p, phi_closed_form(p), (0.35, 0.95))
+    skr, _ = end_to_end(p, base, (0.35, 0.95), warp)
+    assert skr.warp is warp
+    with pytest.raises(ValueError, match=r"built on \(0\.35, 0\.95\)"):
+        end_to_end(p, base, (0.4, 0.95), warp)
+    with pytest.raises(ValueError, match="other parameters"):
+        end_to_end(dataclasses.replace(p, b=2), base, (0.35, 0.95), warp)
 
 
 def test_end_to_end_fubini_study():

@@ -18,8 +18,12 @@ from kahlerqe.builder import FLAT, BaseModel, end_to_end
 from kahlerqe.charts import (
     MetricChart,
     PointGeometry,
+    DROP_TOL,
     SingularMetricError,
     _esum,
+    _horizontal_frame,
+    _quad,
+    _unit,
     inverse_metric,
     is_positive_definite,
 )
@@ -31,6 +35,7 @@ from oracles import (
     curvature_at,
     esum_loop,
     exp_,
+    horizontal_frame_left_looking,
     jets_at,
     point,
     riemann,
@@ -401,3 +406,34 @@ def test_esum_matches_loop_oracle_bit_for_bit():
                 got, want = _esum(spec, *ops), esum_loop(spec, *ops)
                 assert got.shape == want.shape, (spec, n, B)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (spec, n, B)
+
+
+def test_horizontal_frame_matches_left_looking_oracle_bit_for_bit():
+    """Right-looking modified Gram-Schmidt applies the same projections to
+    each coordinate vector in the same order as the left-looking loop, so
+    the frames agree bit for bit: on random positive-definite batches, at
+    B = 1, and where the first coordinate direction collapses (squared
+    G-norm at most ``DROP_TOL``) at some points only, so that the points
+    take different coordinate vectors into their frames."""
+    rng = np.random.default_rng(25)
+    for n in (4, 6, 8):
+        for B in (1, 2, 37):
+            A = rng.standard_normal((n, n, B))
+            G = np.einsum("ikb,jkb->ijb", A, A) + n * np.eye(n)[:, :, None]
+            v1, v2 = rng.standard_normal((2, n, B))
+            along = v1.copy()
+            along[:, ::2] = 0.0
+            along[0, ::2] = 1.0 + rng.uniform(size=along[0, ::2].shape)
+            # e_0 less its projections on the units of v1 and v2, at each point
+            w = np.zeros((n, B))
+            w[0] = 1.0
+            for u in (_unit(along, G), _unit(v2, G)):
+                w = w - _quad(w, G, u) * u
+            collapsed = _quad(w, G, w) <= DROP_TOL
+            assert collapsed.tolist() == [b % 2 == 0 for b in range(B)]
+            for d1 in (v1, along):
+                got = _horizontal_frame(G, d1, v2)
+                want = horizontal_frame_left_looking(G, d1, v2)
+                assert got.shape == want.shape == (n - 2, n, B)
+                assert got.tobytes() == want.tobytes(), (n, B)
+

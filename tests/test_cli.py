@@ -9,6 +9,7 @@ import re
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kahlerqe import cli
@@ -405,6 +406,57 @@ def test_sweep_with_workers_writes_the_serial_csv(tmp_path, monkeypatch):
             assert fh.read() == golden, workers
 
 
+GOLDEN_SWEEP_FS = os.path.join(GOLDEN, "sweep_fs_small.csv")
+
+
+def test_sweep_fubini_study_grid_matches_the_golden_csv(tmp_path):
+    """The Fubini-Study sweep grid (m in {2, 3}, a in {1, 2}, c = +-1,
+    C2 = +-1, 6 samples, seed 0) writes the golden sweep.csv byte for byte."""
+    grid = ("[sweep]\nm = 2, 3\na = 1, 2\nc = 1, -1\nc2 = 1, -1\nsamples = 6\n"
+            "[base]\nkind = fubini-study\n[run]\nseed = 0\n")
+    cfgp = write(tmp_path, "fs-grid.ini", grid)
+    out = str(tmp_path / "sw")
+    assert cli.main(["sweep", "--config", cfgp, "--out", out]) == 0
+    with open(os.path.join(out, "sweep.csv"), "rb") as fh, open(GOLDEN_SWEEP_FS, "rb") as gh:
+        assert fh.read() == gh.read()
+
+
+def test_sweep_cell_builds_one_warp_per_window(monkeypatch):
+    """The warp ``_clamp_window`` builds on the window it returns is the
+    chart's warp.  A cell whose clamp keeps its window builds one
+    WarpProfile; a cell whose log r span is capped builds a second on the
+    capped window, and inverts both of its ends in one call.  The other
+    inversion is the chart's, of the sample points."""
+    import kahlerqe.builder as builder
+
+    builds, inversions = [], []
+    build = builder.WarpProfile.build.__func__
+    invert = builder.invert_monotone
+
+    def counted_build(cls, params, phi, interval):
+        builds.append(interval)
+        return build(cls, params, phi, interval)
+
+    def counted_invert(fn, dfn, target, lo, hi):
+        inversions.append(np.shape(target))
+        return invert(fn, dfn, target, lo, hi)
+
+    monkeypatch.setattr(builder.WarpProfile, "build", classmethod(counted_build))
+    monkeypatch.setattr(builder, "invert_monotone", counted_invert)
+    base = BaseModel(kind=FLAT, dim_c=1, s=1)
+    # flat m = 2, a = 1, c = 1: C2 = 1 keeps its clamped window, C2 = -1 is capped
+    for C2, count, shapes in ((1, 1, [(6,)]), (-1, 2, [(2,), (6,)])):
+        builds.clear()
+        inversions.clear()
+        row = cli._sweep_cell(0, 2, Fraction(1), Fraction(1), Fraction(C2), None,
+                              base=base, samples=6, seed=0)
+        assert row["status"] == "ok" and row["passed"] == "True"
+        assert len(builds) == count, C2
+        assert (f"{builds[-1][0]:.9g}", f"{builds[-1][1]:.9g}") == (
+            row["interval_lo"], row["interval_hi"])
+        assert inversions == shapes, C2
+
+
 def test_sweep_fubini_study_windows_above_c(tmp_path):
     # a base with kappa != 0 admits only sign_phi = +1, so only tau > c
     sweep = """\
@@ -469,7 +521,7 @@ def test_sweep_window_matches_construct_verify_when_b_is_not_one(tmp_path):
     # tau = c) and the Kahler b of that side
     base = BaseModel(kind=FLAT, dim_c=1, s=2)
     params = SKRParams.section6(m=2, a=1, c=1, C2=-1, b=base.kahler_b(-1), sign_phi=-1)
-    lo, hi = cli.select_window(params, base, side=-1)
+    lo, hi = cli.select_window(params, base, side=-1).interval
     assert (row["interval_lo"], row["interval_hi"]) == (f"{lo:.9g}", f"{hi:.9g}")
     assert row["interval_hi"] == "-0.451504216"
     assert row["passed"] == "True"

@@ -12,12 +12,15 @@ import pytest
 
 import kahlerqe
 from kahlerqe.numutil import (
+    _GL7,
+    _GL15,
     ConvergenceError,
     PanelAntiderivative,
+    _gl,
     halton_points,
     invert_monotone,
 )
-from oracles import panel_build_depth_first
+from oracles import gl_loop, panel_build_depth_first
 
 
 def test_halton_points_match_scipy_bit_for_bit():
@@ -215,3 +218,33 @@ def test_invert_monotone_names_the_element_that_does_not_converge():
     assert list(got) == [invert_monotone(fn, lambda x: 1.0, t, 0.0, 1.0) for t in targets]
     with pytest.raises(ValueError, match=r"target\(s\) \[2\.0\] not bracketed"):
         invert_monotone(fn, lambda x: 1.0, np.array([0.5, 2.0]), 0.0, 1.0)
+
+
+def test_gl_matches_the_per_node_loop_bit_for_bit():
+    """``_gl`` sums the weighted node values with one sequential accumulate,
+    onto a first term plus 0.0: the same bits as adding them one node at a
+    time onto 0.0, for scalar and array bounds, at B = 1, reversed bounds,
+    and with a first term of -0.0."""
+    rng = np.random.default_rng(3)
+    lo = rng.uniform(-3.0, 0.0, 40)
+    hi = lo + 10.0 ** rng.uniform(-6.0, 0.5, 40)
+
+    def smooth(t):
+        return np.exp(t) / (1.0 + t * t)
+
+    def neg_zero(t):
+        return np.full(np.shape(t), -0.0)
+
+    def neg_zero_first(t):
+        return np.where(t == t[..., :1], -0.0, smooth(t))
+
+    for rule in (_GL7, _GL15):
+        for fn in (smooth, neg_zero, neg_zero_first):
+            for a, b in ((0.25, 1.75), (lo, hi), (lo[:1], hi[:1]), (hi, lo)):
+                got, want = _gl(fn, a, b, rule), gl_loop(fn, a, b, rule)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        # a sum of -0.0 terms is 0.0, as 0.0 + (-0.0) is
+        assert not np.signbit(_gl(neg_zero, 0.25, 1.75, rule))
+        assert not np.any(np.signbit(_gl(neg_zero, lo, hi, rule)))
+

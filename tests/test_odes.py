@@ -32,7 +32,12 @@ from kahlerqe.odes import (
     system_12,
 )
 from kahlerqe.rational import ExactParameterError, Polynomial, RationalFunction, as_fraction
-from oracles import closed_form_certificate_rf, lemma_quantities_rf, log_derivative_rf
+from oracles import (
+    closed_form_certificate_rf,
+    derivative_rf,
+    lemma_quantities_rf,
+    log_derivative_rf,
+)
 
 
 def test_params_validation():
@@ -496,8 +501,8 @@ def _expansion_residual(params, ode):
     rat_part = ode.C * params.C1 - ode.D
     if a.denominator == 1:
         u = (t - 2 * c) ** int(1 - a) * (t - c) ** (-m) * t ** int(2 * m - 1 + a)
-        psi1 = u.derivative()
-        full = params.C2 * (ode.A * psi1.derivative() + ode.B * psi1 + ode.C * u)
+        psi1 = derivative_rf(u)
+        full = params.C2 * (ode.A * derivative_rf(psi1) + ode.B * psi1 + ode.C * u)
         return full + rat_part, RationalFunction.constant(0), u
     assert a.denominator == 2
     half = Fraction(1, 2)
@@ -507,9 +512,9 @@ def _expansion_residual(params, ode):
         * t ** int(2 * m - 1 + a - half)
     )
     s = (t - 2 * c) * t
-    half_dlog_s = s.derivative() / (2 * s)
-    w1 = u.derivative() + u * half_dlog_s
-    w2 = w1.derivative() + w1 * half_dlog_s
+    half_dlog_s = derivative_rf(s) / (2 * s)
+    w1 = derivative_rf(u) + u * half_dlog_s
+    w2 = derivative_rf(w1) + w1 * half_dlog_s
     return rat_part, params.C2 * (ode.A * w2 + ode.B * w1 + ode.C * u), u
 
 
