@@ -26,6 +26,7 @@ points: one warp inversion and one pass of jet arithmetic for all of them.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -64,13 +65,21 @@ class ConstructionError(RuntimeError):
     """The requested parameters do not yield a usable chart."""
 
 
+BaseRow = namedtuple("BaseRow", "kappa sigma z2_max x_bound")
+BASES = {FLAT: BaseRow(0, 2, math.inf, 0.8), FUBINI_STUDY: BaseRow(1, 1, 4.0, 0.6)}
+KINDS = " or ".join(BASES)
+
+
 @dataclass(frozen=True)
 class BaseModel:
     """Kahler-Einstein base in a fixed normalization, plus the bundle scale s.
 
-    flat: C^d Euclidean, Einstein constant 0, rho = (s/2)|z|^2.
-    fubini-study: affine chart of CP^d with h_jk = dd-bar log(1+|z|^2),
-    Einstein constant d+1, rho = (s/2) log(1+|z|^2).
+    The one place that knows what a base kind means.  Its ``BASES`` row
+    holds the Einstein constant / (d + 1), sigma / s, the |z|^2 bound of
+    the chart and the half-width of the box the base coordinates are
+    sampled in; ``rho`` and ``h_block`` hold the two formulas that differ.
+    flat: C^d Euclidean, rho = (s/2)|z|^2.  fubini-study: affine chart of
+    CP^d with h_jk = dd-bar log(1+|z|^2), rho = (s/2) log(1+|z|^2).
     """
 
     kind: str
@@ -78,8 +87,8 @@ class BaseModel:
     s: Fraction = Fraction(1)
 
     def __post_init__(self):
-        if self.kind not in (FLAT, FUBINI_STUDY):
-            raise ValueError(f"unknown base kind {self.kind!r}")
+        if self.kind not in BASES:
+            raise ValueError(f"unknown base kind {self.kind!r} ({KINDS})")
         if not isinstance(self.dim_c, int) or self.dim_c < 1:
             raise ValueError(f"dim_c must be a positive integer, got {self.dim_c!r}")
         if not isinstance(self.s, Fraction):
@@ -89,14 +98,18 @@ class BaseModel:
                              "tau-dependence in the fiber direction")
 
     @property
+    def row(self):
+        return BASES[self.kind]
+
+    @property
     def kappa(self):
         """Einstein constant of the base metric."""
-        return Fraction(0) if self.kind == FLAT else Fraction(self.dim_c + 1)
+        return Fraction(self.row.kappa * (self.dim_c + 1))
 
     @property
     def sigma(self):
         """Chern curvature multiple of e^(-2 rho): 2s (flat), s (Fubini-Study)."""
-        return 2 * self.s if self.kind == FLAT else self.s
+        return self.row.sigma * self.s
 
     def kahler_b(self, side):
         """The b that closes the two-form of g on the side = sgn(tau - c) of
@@ -116,6 +129,14 @@ class BaseModel:
             return 0.5 * s * x2, s
         denom = 1.0 + x2
         return 0.5 * s * log_(denom), s / denom
+
+    def h_block(self, k, hfac, vcoef):
+        """(I, alpha alpha + beta beta) coefficients of hfac h + vcoef (alpha alpha +
+        beta beta) on the base: h = I flat, (2k/s) I - (2/s^2)(alpha alpha + beta beta) FS."""
+        if self.kind == FLAT:
+            return hfac, vcoef
+        s = self._s_float
+        return (2.0 / s) * k * hfac, vcoef - (2.0 / (s * s)) * hfac
 
 
 def tau_side(interval, c):
@@ -148,16 +169,9 @@ def positivity_intervals(profile, lo, hi, exclude=()):
     ``invert_monotone`` with the profile's derivative.  Fully deterministic.
     """
     fn, d1 = profile.value, lambda t: profile.taylor(t)[1]
-    cuts = sorted(x for x in set(float(e) for e in exclude) if lo < x < hi)
-    segments = []
-    left = lo
-    for x in cuts:
-        segments.append((left, x))
-        left = x
-    segments.append((left, hi))
-
+    edges = [lo, *sorted(x for x in set(float(e) for e in exclude) if lo < x < hi), hi]
     out = []
-    for a, b in segments:
+    for a, b in zip(edges, edges[1:]):
         if b - a <= 0:
             continue
         pad = 1e-9 * (b - a)
@@ -270,7 +284,6 @@ class SKRChart:
     params: SKRParams
     base: BaseModel
     warp: WarpProfile
-    x_bound: float
 
     @property
     def dim(self):
@@ -287,7 +300,7 @@ class SKRChart:
         ehi = hi - SAMPLE_MARGIN * span
         pts = np.empty((count, 2 * d + 2))
         for r, row in enumerate(raw):
-            xs = self.x_bound * (2.0 * row[:2 * d] - 1.0)
+            xs = self.base.row.x_bound * (2.0 * row[:2 * d] - 1.0)
             ell = elo + (ehi - elo) * row[2 * d]
             theta = 2.0 * math.pi * row[2 * d + 1]
             R = math.exp(ell + self.base.rho(float(np.dot(xs, xs)))[0])
@@ -302,11 +315,8 @@ def assemble_chart(base, warp):
     params = warp.params
     d = base.dim_c
     if d != params.m - 1:
-        raise ConstructionError(
-            f"base complex dimension {d} incompatible with m={params.m}"
-        )
+        raise ConstructionError(f"base complex dimension {d} incompatible with m={params.m}")
     n = 2 * d + 2
-    s = float(base.s)
     bf = float(params.b)
     cf = float(params.c)
     sign_tc = tau_side(warp.work_interval, cf)
@@ -333,11 +343,7 @@ def assemble_chart(base, warp):
         au, av = -u / wsq, -v / wsq
         alpha += [au, av]
         beta += [-av, au]
-        # base block of h: I (flat), (2k/s) I - (2/s^2)(alpha alpha + beta beta) (FS)
-        if base.kind == FLAT:
-            hdiag, hcoef = hfac, vcoef
-        else:
-            hdiag, hcoef = (2.0 / s) * k * hfac, vcoef - (2.0 / (s * s)) * hfac
+        hdiag, hcoef = base.h_block(k, hfac, vcoef)
         g = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
@@ -349,7 +355,7 @@ def assemble_chart(base, warp):
 
     lo_ell, hi_ell = warp.ell_range
     guard = 1e-9 * (hi_ell - lo_ell)
-    z2max = 4.0 if base.kind == FUBINI_STUDY else float("inf")
+    z2max = base.row.z2_max
 
     def domain(p):
         xs = p[: 2 * d]
@@ -367,15 +373,7 @@ def assemble_chart(base, warp):
         dim=n, components=lambda c: fields(c)[0], domain=domain,
         name=f"{base.kind}-bundle-m{params.m}",
     )
-    xb = 0.8 if base.kind == FLAT else 0.6
-    return SKRChart(
-        chart=chart,
-        fields=fields,
-        params=params,
-        base=base,
-        warp=warp,
-        x_bound=xb,
-    )
+    return SKRChart(chart=chart, fields=fields, params=params, base=base, warp=warp)
 
 
 def build_warp(params, phi, interval):

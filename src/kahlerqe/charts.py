@@ -269,13 +269,13 @@ def _project_out(W, G, u):
     return W - _esum("rj,j->r", _esum("ri,ij->rj", W, G), u)[:, None] * u
 
 
-def _horizontal_frame(G, v1, v2):
-    """G-orthonormal frames (dim-2, dim, B) of the complements of span{v1, v2}.
+def _horizontal_frame(G, units):
+    """G-orthonormal frames (dim-2, dim, B) of the complements of span{units}.
 
     Deterministic: modified Gram-Schmidt on the coordinate basis in index
     order, skipping directions that collapse (squared G-norm at most
     ``DROP_TOL``), at every point at once.  Coordinate vector i sees, in
-    order, the projections on the G-units of v1 and of v2, then on each
+    order, the projections on the G-units units[0] and units[1], then on each
     frame vector accepted before it at that point, in the order they were
     accepted; then it is normalised, and taken where it does not collapse.
     The projections are applied right-looking: the two fixed directions
@@ -287,11 +287,11 @@ def _horizontal_frame(G, v1, v2):
     (1994) 297-316), and each projection is the same products and sums of
     ``_esum``, so the frame is bit for bit that loop's.
     """
-    dim, B = v1.shape
+    dim, B = units.shape[1:]
     W = np.zeros((dim, dim, B))
     W[np.arange(dim), np.arange(dim)] = 1.0
-    for v in (v1, v2):
-        W = _project_out(W, G, _unit(v, G))
+    for u in units:
+        W = _project_out(W, G, u)
     out = np.zeros((dim - 2, dim, B))
     count = np.zeros(B, dtype=int)
     for i in range(dim):
@@ -410,11 +410,15 @@ class PointGeometry:
         return out
 
     @cached_property
+    def tau_units(self):
+        """G-units (2, n, B) of grad tau and J grad tau, J taken at each point."""
+        v = self.grad_tau
+        return np.stack([_unit(w, self.g) for w in (v, _esum("ij,j->i", self.J, v))])
+
+    @cached_property
     def horizontal(self):
-        """G-orthonormal frames (n-2, n, B) of the complements of
-        {grad tau, J grad tau}, with J taken at each point."""
-        return _horizontal_frame(self.g, self.grad_tau,
-                                 _esum("ij,j->i", self.J, self.grad_tau))
+        """G-orthonormal frames (n-2, n, B) of the complements of ``tau_units``."""
+        return _horizontal_frame(self.g, self.tau_units)
 
     def horizontal_block(self, S):
         """The (n-2)x(n-2) blocks of a 2-tensor S on the ``horizontal`` frames."""

@@ -29,6 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from kahlerqe.builder import (
+    KINDS,
     BaseModel,
     ConstructionError,
     admitted_phi,
@@ -194,7 +195,7 @@ def base_from_config(cfg, m, kind=None):
     for a missing ``[base] kind`` (None: the key is required)."""
     kind = cfg.get("base", "kind", kind)
     if kind is None:
-        raise ConfigError("[base] kind is required (flat or fubini-study)")
+        raise ConfigError(f"[base] kind is required ({KINDS})")
     s = _frac(cfg, "base", "s", Fraction(1))
     try:
         return BaseModel(kind=kind, dim_c=m - 1, s=s)

@@ -28,7 +28,6 @@ from kahlerqe.charts import (  # noqa: F401
     _esum,
     _max_entry,
     _quad,
-    _unit,
     is_positive_definite,
     ricci,
 )
@@ -149,8 +148,6 @@ def check_skr(skr, geos, tol=DEFAULT_TOLERANCES["skr-eigenstructure"]):
     {grad tau, J grad tau}: both must restrict to scalars there with no
     mixed terms."""
     n = skr.dim
-    G, v1 = geos.g, geos.grad_tau
-    vns = [_unit(v, G) for v in (v1, _esum("ij,j->i", geos.J, v1))]
     hs = geos.horizontal
     worst = np.zeros(len(geos))
     ricci_block = geos.horizontal_block(geos.ricci)
@@ -158,7 +155,7 @@ def check_skr(skr, geos, tol=DEFAULT_TOLERANCES["skr-eigenstructure"]):
                           (geos.ricci, ricci_block, _esum("ii->", ricci_block) / (n - 2))):
         worst = np.maximum(worst, _max_entry(block - lam * np.eye(n - 2)[:, :, None]))
         hS = _esum("si,ij->sj", hs, S)
-        for vn in vns:
+        for vn in geos.tau_units:
             worst = np.maximum(worst, _max_entry(_esum("sj,j->s", hS, vn)))
     extra = {
         "phi_estimate_min": float(np.min(geos.phi_hat)),

@@ -6,6 +6,7 @@ logic."""
 import dataclasses
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -24,7 +25,7 @@ from kahlerqe.builder import (
     positivity_intervals,
     q_from_phi,
 )
-from kahlerqe.charts import is_positive_definite
+from kahlerqe.charts import MetricChart, PointGeometry, is_positive_definite
 from kahlerqe.cli import NoWindowError, select_window
 from kahlerqe.jets import Jet
 from kahlerqe.numutil import PanelAntiderivative
@@ -58,6 +59,44 @@ def test_base_model():
         BaseModel(kind="round", dim_c=1)
     with pytest.raises(ValueError):
         BaseModel(kind=FLAT, dim_c=0)
+
+
+@pytest.mark.parametrize("kind", (FLAT, FUBINI_STUDY))
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("s", (1, 2))
+def test_base_row_is_einstein_with_its_kappa_sigma_and_rho(kind, d, s):
+    """Each base on its own, from ``BaseModel`` alone: the metric h that
+    ``h_block`` gives is Einstein with the row's kappa, Ric(h) = kappa h;
+    rho's k is its gradient, d rho/dx_i = k x_i; and sigma h is
+    Hess rho + J^T Hess rho J, the J-invariant part of the Hessian of 2 rho."""
+    base = BaseModel(kind=kind, dim_c=d, s=s)
+    n = 2 * d
+
+    def fields(coords):
+        rho, k = base.rho(sum((x * x for x in coords[1:]), coords[0] * coords[0]))
+        alpha, beta = [], []
+        for j in range(d):
+            kx, ky = k * coords[2 * j], k * coords[2 * j + 1]
+            alpha += [kx, ky]
+            beta += [-ky, kx]
+        hdiag, hcoef = base.h_block(k, 1.0, 0.0)
+        h = [[hcoef * (alpha[i] * alpha[j] + beta[i] * beta[j]) + (hdiag if i == j else 0.0)
+              for j in range(n)] for i in range(n)]
+        return h, None, None, None
+
+    xb = base.row.x_bound
+    pts = np.random.default_rng(d + 10 * s).uniform(-xb, xb, size=(12, n))
+    assert np.all(np.sum(pts * pts, axis=1) < base.row.z2_max)
+    geo = PointGeometry(SimpleNamespace(chart=MetricChart(dim=n, components=None),
+                                        fields=fields), pts)
+    assert np.max(np.abs(geo.ricci - float(base.kappa) * geo.g)) <= 1e-12
+    x = Jet.seed(geo.p)
+    rho, k = base.rho(sum((xi * xi for xi in x[1:]), x[0] * x[0]))
+    kv = k.val if isinstance(k, Jet) else k
+    npt.assert_allclose(rho.grad, kv * geo.p, rtol=1e-14, atol=0)
+    J = np.kron(np.eye(d), [[0.0, -1.0], [1.0, 0.0]])
+    levi = rho.hess + np.einsum("ai,abp,bj->ijp", J, rho.hess, J)
+    npt.assert_allclose(float(base.sigma) * geo.g, levi, rtol=0, atol=1e-14)
 
 
 def test_q_from_phi():

@@ -432,7 +432,7 @@ def test_horizontal_frame_matches_left_looking_oracle_bit_for_bit():
             collapsed = _quad(w, G, w) <= DROP_TOL
             assert collapsed.tolist() == [b % 2 == 0 for b in range(B)]
             for d1 in (v1, along):
-                got = _horizontal_frame(G, d1, v2)
+                got = _horizontal_frame(G, np.stack([_unit(d1, G), _unit(v2, G)]))
                 want = horizontal_frame_left_looking(G, d1, v2)
                 assert got.shape == want.shape == (n - 2, n, B)
                 assert got.tobytes() == want.tobytes(), (n, B)

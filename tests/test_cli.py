@@ -343,6 +343,33 @@ def test_config_error_exit(tmp_path, capsys):
     assert cli.main(["certify", "--config", bad, "--out", str(tmp_path / "o")]) == 4
     assert "config error" in capsys.readouterr().err
     assert cli.main(["certify", "--config", str(tmp_path / "nope.ini")]) == 4
+    no_kind = write(tmp_path, "no-kind.ini", FLAT_INI.replace("kind = flat\n", ""))
+    assert cli.main(["construct-verify", "--config", no_kind, "--out", str(tmp_path / "o")]) == 4
+    assert ("config error: [base] kind is required (flat or fubini-study)"
+            in capsys.readouterr().err)
+
+
+# the construct-verify configs of the CI workflow: the README's flat chart
+# and the benchmark's Fubini-Study chart, at 20 samples
+GOLDEN_CHARTS = {
+    "chart_flat_readme": "[params]\nm = 2\na = 1\nc = 1\nc2 = -1\nb = 1\nsign_phi = -1\n"
+                         "[base]\nkind = flat\ns = 1\n[interval]\nlo = 0.35\nhi = 0.95\n"
+                         "[run]\nseed = 0\nsamples = 20\n",
+    "chart_fs_a2": "[params]\nm = 3\na = 2\nc = 1\nc2 = -1/100\nkappa = 3\nb = -1/2\n"
+                   "sign_phi = 1\n[base]\nkind = fubini-study\ns = 1\n[interval]\nlo = 1.3\n"
+                   "hi = 1.9\n[run]\nseed = 0\nsamples = 20\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CHARTS))
+def test_construct_verify_writes_the_golden_chart_artifacts(tmp_path, capsys, name):
+    """report.json and warp.csv of each chart, byte for byte as checked in."""
+    cfgp = write(tmp_path, "chart.ini", GOLDEN_CHARTS[name])
+    out = tmp_path / "o"
+    assert cli.main(["construct-verify", "--config", cfgp, "--out", str(out)]) == 0
+    for artifact in ("report.json", "warp.csv"):
+        with open(os.path.join(GOLDEN, name, artifact), "rb") as fh:
+            assert (out / artifact).read_bytes() == fh.read(), artifact
 
 
 def test_sweep_grid(tmp_path, capsys):
@@ -534,7 +561,8 @@ def test_sweep_config_rejections(tmp_path, capsys):
             ("samples = 0", "kind = flat", "samples must be positive, got 0"),
             # [base] is checked as construct-verify checks it, before any cell
             ("", "kind = flat\ns = 0", "config error: invalid [base]: s must be nonzero"),
-            ("", "kind = round", "config error: invalid [base]: unknown base kind 'round'")):
+            ("", "kind = round", "config error: invalid [base]: unknown base kind 'round' "
+                                 "(flat or fubini-study)")):
         cfgp = write(tmp_path, "bad.ini", grid.format(extra=extra, base=base))
         assert cli.main(["sweep", "--config", cfgp, "--out", str(tmp_path / "o")]) == 4
         assert message in capsys.readouterr().err

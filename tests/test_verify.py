@@ -11,7 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from kahlerqe import verify
+from kahlerqe import charts, verify
 from kahlerqe.builder import (
     FLAT,
     FUBINI_STUDY,
@@ -181,6 +181,38 @@ def test_one_taylor_triple_of_q_per_batch_and_of_phi_per_check(fs_skr, monkeypat
     assert calls == ["jets", "q.taylor", "/jets",
                      "check_ricci_hessian", "phi.taylor", "/check_ricci_hessian",
                      "check_profile_identities", "phi.taylor", "/check_profile_identities"]
+
+
+def test_one_j_grad_tau_and_two_units_per_suite(flat_skr, fs_skr, monkeypatch):
+    """J grad tau and the G-units of grad tau and J grad tau are formed once
+    per suite run, in ``PointGeometry.tau_units``, for both the horizontal
+    frame and ``check_skr``."""
+    made, j_grad, units = [], [], []
+    init, esum, unit = PointGeometry.__init__, charts._esum, charts._unit
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    def counted_esum(spec, *ops):
+        if spec == "ij,j->i":
+            j_grad.append(ops[1])
+        return esum(spec, *ops)
+
+    def counted_unit(v, G):
+        units.append(v)
+        return unit(v, G)
+
+    monkeypatch.setattr(PointGeometry, "__init__", counted_init)
+    for module in (charts, verify):
+        monkeypatch.setattr(module, "_esum", counted_esum)
+        monkeypatch.setattr(module, "_unit", counted_unit, raising=False)
+    for skr in (flat_skr[0], fs_skr):
+        made.clear(), j_grad.clear(), units.clear()
+        assert run_suite(skr, samples=8, seed=0).passed
+        assert len(made) == 1
+        assert sum(op is made[0].grad_tau for op in j_grad) == 1
+        assert len(units) == 2
 
 
 def _sphere_fields_fixture():
