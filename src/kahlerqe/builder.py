@@ -160,17 +160,24 @@ def q_from_phi(params, phi):
 
 
 def positivity_intervals(profile, lo, hi, exclude=()):
-    """Maximal open subintervals of (lo, hi) where the profile is positive.
+    """Maximal open subintervals of (lo, hi) where the profile is positive,
+    yielded in order from left to right.
 
     The range is split at the excluded points and scanned on a uniform
-    grid of ``SCAN_POINTS`` per segment, with one call of the profile on the
-    whole grid; the runs of positive values (a NaN is not positive) are
-    found with array operations, and each sign change is solved by
-    ``invert_monotone`` with the profile's derivative.  Fully deterministic.
+    grid of ``SCAN_POINTS`` per segment, one segment at a time as the
+    intervals are taken, with one call of the profile on the segment's
+    grid; the runs of positive values (a NaN is not positive) are found
+    with array operations, and each sign change is solved by
+    ``invert_monotone`` on the profile's ``taylor``, which gives the value
+    and the slope of each Newton step from one evaluation.  Fully
+    deterministic.
     """
-    fn, d1 = profile.value, lambda t: profile.taylor(t)[1]
+    fn = profile.value
+
+    def fdf(t):
+        return profile.taylor(t)[:2]
+
     edges = [lo, *sorted(x for x in set(float(e) for e in exclude) if lo < x < hi), hi]
-    out = []
     for a, b in zip(edges, edges[1:]):
         if b - a <= 0:
             continue
@@ -182,11 +189,10 @@ def positivity_intervals(profile, lo, hi, exclude=()):
         flips = np.flatnonzero(pos[1:] != pos[:-1]).tolist()
         for start, end in zip(flips[0::2], flips[1::2]):
             left_edge = a if start == 0 else invert_monotone(
-                fn, d1, 0.0, xs[start - 1], xs[start])
+                fdf, 0.0, xs[start - 1], xs[start])
             right_edge = b if end == len(xs) else invert_monotone(
-                fn, d1, 0.0, xs[end - 1], xs[end])
-            out.append((float(left_edge), float(right_edge)))
-    return out
+                fdf, 0.0, xs[end - 1], xs[end])
+            yield float(left_edge), float(right_edge)
 
 
 @dataclass
@@ -230,7 +236,7 @@ class WarpProfile:
             raise ConstructionError(
                 f"the warp integral of b/Q did not converge on {interval}: {exc}"
             ) from exc
-        ends = anti(wlo), anti(whi)
+        ends = anti(np.array([wlo, whi])).tolist()
         return cls(
             params=params, phi=phi, q=q, interval=(lo, hi),
             work_interval=(wlo, whi), antiderivative=anti,
@@ -239,9 +245,9 @@ class WarpProfile:
 
     def tau_of_logr(self, ell):
         """Invert log r = l(tau), for a float or an array of log r values in
-        one call; dl/dtau = b/Q is the integrand of the panels."""
-        anti = self.antiderivative
-        return invert_monotone(anti, anti.fn, ell, *self.work_interval)
+        one call; dl/dtau = b/Q is the integrand of the panels, so each
+        Newton step takes l and its slope from one integrand call."""
+        return invert_monotone(self.antiderivative.with_slope, ell, *self.work_interval)
 
     def jets(self, ell):
         """(tau, Q(tau)) as jets of the jet log r, with dtau/dl = Q/b: all the
@@ -291,23 +297,26 @@ class SKRChart:
 
     def sample_points(self, count, seed=0):
         """Deterministic low-discrepancy points inside the chart domain, with
-        log r a share ``SAMPLE_MARGIN`` of its range clear of each end."""
+        log r a share ``SAMPLE_MARGIN`` of its range clear of each end.
+
+        The rows are formed together; |x|^2 is a stacked ``matmul``, which
+        gives ``np.dot``'s bits, and log r to R = |w| and the angle to u, v
+        go through ``math`` one point at a time, since numpy's exp, cos and
+        sin differ from libm's in the last bit.
+        """
         d = self.base.dim_c
         raw = halton_points(2 * d + 2, count, seed=seed)
         lo, hi = self.warp.ell_range
         span = hi - lo
         elo = lo + SAMPLE_MARGIN * span
         ehi = hi - SAMPLE_MARGIN * span
-        pts = np.empty((count, 2 * d + 2))
-        for r, row in enumerate(raw):
-            xs = self.base.row.x_bound * (2.0 * row[:2 * d] - 1.0)
-            ell = elo + (ehi - elo) * row[2 * d]
-            theta = 2.0 * math.pi * row[2 * d + 1]
-            R = math.exp(ell + self.base.rho(float(np.dot(xs, xs)))[0])
-            pts[r, :2 * d] = xs
-            pts[r, 2 * d] = R * math.cos(theta)
-            pts[r, 2 * d + 1] = R * math.sin(theta)
-        return pts
+        xs = self.base.row.x_bound * (2.0 * raw[:, :2 * d] - 1.0)
+        x2 = np.matmul(xs[:, None, :], xs[:, :, None]).ravel()
+        ell = elo + (ehi - elo) * raw[:, 2 * d]
+        theta = 2.0 * math.pi * raw[:, 2 * d + 1]
+        radii = [math.exp(e + self.base.rho(q)[0]) for e, q in zip(ell.tolist(), x2.tolist())]
+        w = [(R * math.cos(t), R * math.sin(t)) for R, t in zip(radii, theta.tolist())]
+        return np.concatenate((xs, np.reshape(w, (count, 2))), axis=1)
 
 
 def assemble_chart(base, warp):
@@ -385,13 +394,9 @@ def expected_kahler(base, params, interval):
     return params.b == base.kahler_b(tau_side(interval, params.c))
 
 
-def admitted_phi(params, base):
-    """phi of a parameter set the construction admits on this base.
-
-    Refuses parameter sets that the exact first-order obstruction forces to
-    phi = 0, and parameter/base combinations whose dimensions or Einstein
-    constants disagree.
-    """
+def _check_base(params, base):
+    """Refuse a parameter/base pair whose dimensions or Einstein constants
+    disagree."""
     if base.dim_c != params.m - 1:
         raise ConstructionError(
             f"base dim_c={base.dim_c} requires m={base.dim_c + 1}, got m={params.m}"
@@ -400,6 +405,16 @@ def admitted_phi(params, base):
         raise ConstructionError(
             f"base Einstein constant {base.kappa} != params kappa {params.kappa}"
         )
+
+
+def admitted_phi(params, base):
+    """phi of a parameter set the construction admits on this base.
+
+    Refuses parameter sets that the exact first-order obstruction forces to
+    phi = 0, and parameter/base combinations whose dimensions or Einstein
+    constants disagree.
+    """
+    _check_base(params, base)
     verdict = nonexistence_decision(params)
     if verdict != CONSTANTS_ADMITTED:
         raise ConstructionError(
@@ -414,16 +429,21 @@ def admitted_phi(params, base):
 def end_to_end(params, base, interval, warp=None):
     """Build the warp on a tau-window and assemble the chart; ``warp``, if
     given, is one already built for ``params`` on ``interval`` (the one
-    ``cli.select_window`` returns), and the chart uses it as it is.
+    ``cli.select_window`` returns, after the refusals of ``admitted_phi``),
+    and the chart uses it and its phi as they are.
 
-    After the refusals of ``admitted_phi``, refuses a window off the
-    sgn(tau - c) = sign_phi side, where Q = 2 (tau - c) phi cannot be
-    positive; for fractional a, a window that reaches below
-    ``real_floor``, where phi is not real; and a window with the root of a
-    factor of psi (0, c, or 2c when a != 1) strictly inside, where phi or
-    f = 1/tau + k is singular.
+    After the refusals of ``admitted_phi`` (with a warp, only its base
+    refusals), refuses a window off the sgn(tau - c) = sign_phi side, where
+    Q = 2 (tau - c) phi cannot be positive; for fractional a, a window that
+    reaches below ``real_floor``, where phi is not real; and a window with
+    the root of a factor of psi (0, c, or 2c when a != 1) strictly inside,
+    where phi or f = 1/tau + k is singular.
     """
-    phi = admitted_phi(params, base)
+    if warp is None:
+        phi = admitted_phi(params, base)
+    else:
+        _check_base(params, base)
+        phi = warp.phi
     interval = (float(interval[0]), float(interval[1]))
     sgn = tau_side(interval, params.c)
     if sgn != params.sign_phi:

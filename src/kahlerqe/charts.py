@@ -285,7 +285,9 @@ def _horizontal_frame(G, units):
     thus sees the same projections in the same order as in the
     left-looking loop over vectors (Bjorck, Linear Algebra Appl. 197-198
     (1994) 297-316), and each projection is the same products and sums of
-    ``_esum``, so the frame is bit for bit that loop's.
+    ``_esum``, so the frame is bit for bit that loop's.  Where G is not
+    positive definite a point can run out of directions; its frame then
+    keeps zero vectors in the places it could not fill.
     """
     dim, B = units.shape[1:]
     W = np.zeros((dim, dim, B))
@@ -309,8 +311,6 @@ def _horizontal_frame(G, units):
             break
         rest = W[i + 1:]
         W[i + 1:] = np.where(take, _project_out(rest, G, u), rest)
-    if np.any(count != dim - 2):
-        raise RuntimeError("failed to build a frame for the horizontal complement")
     return out
 
 
@@ -419,6 +419,13 @@ class PointGeometry:
     def horizontal(self):
         """G-orthonormal frames (n-2, n, B) of the complements of ``tau_units``."""
         return _horizontal_frame(self.g, self.tau_units)
+
+    @cached_property
+    def frameless(self):
+        """Whether each point lacks a full ``horizontal`` frame: its last
+        vector is zero only there, since every vector the frame takes is a
+        G-unit."""
+        return ~np.any(self.horizontal[-1] != 0.0, axis=0)
 
     def horizontal_block(self, S):
         """The (n-2)x(n-2) blocks of a 2-tensor S on the ``horizontal`` frames."""

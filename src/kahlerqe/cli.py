@@ -475,10 +475,11 @@ def select_window(params, base, side=None):
     each (fractional a: only above ``real_floor``, where phi is real); the
     first positivity interval wider than 1e-2 on the allowed side of tau = c
     (side = +1 or -1, None for either) is clamped by ``_clamp_window``,
-    whose warp is returned.  Its ``params`` are those of the window's side:
-    a window off ``params.sign_phi`` (only with side=None) is clamped with
-    sign_phi and b negated, so b keeps its sign relative to the side (a
-    Kahler b stays Kahler) and the window is the one the given b selects.
+    whose warp is returned; the segments to its right are not scanned.
+    Its ``params`` are those of the window's side: a window off
+    ``params.sign_phi`` (only with side=None) is clamped with sign_phi and
+    b negated, so b keeps its sign relative to the side (a Kahler b stays
+    Kahler) and the window is the one the given b selects.
     """
     phi = admitted_phi(params, base)
     cf = float(params.c)
@@ -487,14 +488,12 @@ def select_window(params, base, side=None):
     floor = real_floor(params)
     lo = min(roots) - span if floor is None else floor + 1e-6
     hi = max(roots) + span
-    candidates = [
-        iv for iv in positivity_intervals(q_from_phi(params, phi), lo, hi, roots)
-        if iv[1] - iv[0] > 1e-2 and side in (None, tau_side(iv, cf))
-    ]
-    if not candidates:
+    for iv in positivity_intervals(q_from_phi(params, phi), lo, hi, roots):
+        if iv[1] - iv[0] > 1e-2 and side in (None, tau_side(iv, cf)):
+            break
+    else:
         where = "" if side is None else f" on the sgn(tau - c) = {side} side"
         raise NoWindowError(f"no positivity interval of Q found in ({lo:.6g}, {hi:.6g}){where}")
-    iv = candidates[0]
     if tau_side(iv, cf) != params.sign_phi:
         params = dataclasses.replace(params, b=-params.b, sign_phi=-params.sign_phi)
     return _clamp_window(params, phi, iv)

@@ -13,10 +13,16 @@ build, it raises ConvergenceError instead of returning a best effort.
 Both the antiderivative and the root finder take arrays: a batch of sample
 points is inverted in one call, with every element's arithmetic the same
 as in a call with that element alone.
+
+Each step evaluates its integrand once: a Newton step takes the value and
+the slope from one callable, F and F' = fn come from one integrand call,
+and so does a refinement level of both rules.  Which nodes share a call
+changes no bit of any result.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,24 +38,40 @@ _GL15 = np.polynomial.legendre.leggauss(15)
 PANEL_RTOL = 1e-13
 
 
-def _gl(fn, lo, hi, rule):
-    """Gauss-Legendre rule on [lo, hi], or on each [lo[i], hi[i]] of arrays.
+def _gl_rules(fn, lo, hi, rules, slope=False):
+    """Each Gauss-Legendre rule of ``rules`` on [lo, hi], or on each
+    [lo[i], hi[i]] of arrays, from one call of ``fn`` on the nodes of every
+    rule of every interval; with ``slope``, also fn(hi) from that call.
 
-    ``fn`` is called once, on every node of every interval.  The weighted
-    values w_k f(x_k) are formed in one product and summed node by node in
-    order, 0.0 + t_0 + t_1 + ..., by one ``np.add.accumulate`` along the
-    node axis, which adds sequentially by definition (a reduce would sum
-    pairwise where the node axis is contiguous).  Each interval's result is
-    therefore the same in any batch, and the same bits as a loop over the
-    nodes; the leading 0.0 turns a first term of -0.0 into 0.0, as that
-    loop's ``acc = 0.0`` does.
+    The weighted values w_k f(x_k) of a rule are formed in one product and
+    summed node by node in order, 0.0 + t_0 + t_1 + ..., by one
+    ``np.add.accumulate`` along the node axis, which adds sequentially by
+    definition (a reduce would sum pairwise where the node axis is
+    contiguous).  Each interval's result is therefore the same in any batch,
+    and the same bits as a loop over the nodes; the leading 0.0 turns a
+    first term of -0.0 into 0.0, as that loop's ``acc = 0.0`` does.
     """
-    nodes, weights = rule
     mid, half = np.asarray(0.5 * (lo + hi)), np.asarray(0.5 * (hi - lo))
-    at = mid[..., None] + half[..., None] * nodes
-    terms = weights * np.broadcast_to(fn(at), at.shape)
-    terms[..., 0] += 0.0
-    return half * np.add.accumulate(terms, axis=-1)[..., -1]
+    parts = [mid[..., None] + half[..., None] * nodes for nodes, _ in rules]
+    if slope:
+        parts.append(np.asarray(hi, dtype=float)[..., None])
+    at = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    vals = np.broadcast_to(fn(at), at.shape)
+    out, start = [], 0
+    for nodes, weights in rules:
+        terms = weights * vals[..., start:start + len(nodes)]
+        terms[..., 0] += 0.0
+        out.append(half * np.add.accumulate(terms, axis=-1)[..., -1])
+        start += len(nodes)
+    if slope:
+        out.append(vals[..., -1])
+    return out
+
+
+def _gl(fn, lo, hi, rule):
+    """One Gauss-Legendre rule on [lo, hi], or on each [lo[i], hi[i]], as
+    ``_gl_rules`` gives it."""
+    return _gl_rules(fn, lo, hi, (rule,))[0]
 
 
 @dataclass(frozen=True)
@@ -61,7 +83,10 @@ class PanelAntiderivative:
     the anchor itself in its own panel).  Both terms then have the sign of
     F(x), so F keeps full relative precision even where the panels far
     from the anchor, near a zero of the integrand's denominator, carry
-    integrals many orders of magnitude larger than F(x).
+    integrals many orders of magnitude larger than F(x).  ``with_slope``
+    gives F and F' = fn from one integrand call, which is what a Newton
+    step of the inversion needs; calling F is its first part, so F has one
+    quadrature path.
     """
 
     fn: Callable
@@ -75,13 +100,14 @@ class PanelAntiderivative:
         panel, then freeze.
 
         Refines level by level: all unresolved panels of a level go through
-        one GL7 and one GL15 call, the panels where the rules agree are
-        kept, and the others are halved for the next level.  ``_gl`` gives
-        each panel the same result in any batch, so the panels are those of
-        refining one panel at a time.  Raises ConvergenceError when panels
-        still disagree after ``max_depth`` halvings; it names the leftmost
-        of them, which need not be the one a depth-first refinement would
-        meet first.
+        one integrand call on the nodes of both rules, the panels where the
+        rules agree are kept, and the others are halved for the next level;
+        one more call gives the two integrals from the anchor.  ``_gl_rules``
+        gives each panel the same result in any batch, so the panels are
+        those of refining one panel at a time.  Raises ConvergenceError when
+        panels still disagree after ``max_depth`` halvings; it names the
+        leftmost of them, which need not be the one a depth-first refinement
+        would meet first.
         """
         if not lo < hi:
             raise ValueError(f"empty integration range [{lo}, {hi}]")
@@ -90,7 +116,7 @@ class PanelAntiderivative:
         kept = []  # (left ends, right ends, GL15 integrals) of the accepted panels
         a, b = np.array([lo], dtype=float), np.array([hi], dtype=float)
         for depth in range(max_depth + 1):
-            coarse, fine = _gl(fn, a, b, _GL7), _gl(fn, a, b, _GL15)
+            coarse, fine = _gl_rules(fn, a, b, (_GL7, _GL15))
             ok = np.abs(fine - coarse) <= PANEL_RTOL * (np.abs(fine) + 1e-30)
             kept.append((a[ok], b[ok], fine[ok]))
             if ok.all():
@@ -111,8 +137,7 @@ class PanelAntiderivative:
         edges = [lo] + right[order].tolist()
         p = min(int(np.searchsorted(edges, anchor, side="right")) - 1, len(panel) - 1)
         cum = [0.0] * len(edges)
-        cum[p] = float(_gl(fn, anchor, edges[p], _GL15))
-        cum[p + 1] = float(_gl(fn, anchor, edges[p + 1], _GL15))
+        cum[p:p + 2] = _gl(fn, np.full(2, anchor), np.array(edges[p:p + 2]), _GL15).tolist()
         for j in range(p + 1, len(panel)):
             cum[j + 1] = cum[j] + panel[j]
         for j in range(p - 1, -1, -1):
@@ -132,8 +157,13 @@ class PanelAntiderivative:
 
     def __call__(self, x):
         """F at x, a float or an array of points in the integration range."""
-        arr = np.asarray(x, dtype=float)
-        xs = np.atleast_1d(arr)
+        out = self.with_slope(np.atleast_1d(np.asarray(x, dtype=float)))[0]
+        return float(out[0]) if np.ndim(x) == 0 else out
+
+    def with_slope(self, xs):
+        """(F, F' = fn) at an array of points in the integration range, from
+        one integrand call on the GL15 nodes of each point's integral and on
+        the point itself."""
         outside = (xs < self._edges[0]) | (xs > self._edges[-1])
         if np.any(outside):
             raise ValueError(
@@ -142,34 +172,36 @@ class PanelAntiderivative:
             )
         i = np.searchsorted(self._edges, xs, side="right") - 1
         i = np.clip(i, 0, len(self.edges) - 2)
-        out = self._base[i] + _gl(self.fn, self._start[i], xs, _GL15)
-        return float(out[0]) if arr.ndim == 0 else out
+        integral, slope = _gl_rules(self.fn, self._start[i], xs, (_GL15,), slope=True)
+        return self._base[i] + integral, slope
 
 
-def invert_monotone(fn, dfn, target, lo, hi, steps=100):
-    """Solve fn(x) = target on [lo, hi], where fn - target changes sign.
+def invert_monotone(fdf, target, lo, hi, steps=100):
+    """Solve f(x) = target on [lo, hi], where f - target changes sign;
+    ``fdf(x)`` returns (f(x), f'(x)) from one evaluation.
 
     ``target`` (and ``lo``, ``hi``) may be arrays: every element runs its
-    own iteration, with its own stop, and fn and dfn are called on arrays
-    of the elements still running.  With fn elementwise, each element's
-    result is bit for bit that of a call with it alone; a float target
-    gives a float.
+    own iteration, with its own stop, and fdf is called once on both ends
+    of every bracket, then once per iteration on the elements still
+    running.  With fdf elementwise, each element's result is bit for bit
+    that of a call with it alone; a float target gives a float.
 
-    Safeguarded Newton with the derivative ``dfn`` (rtsafe; Press et al.,
-    Numerical Recipes, 3rd ed., 9.4), from the secant point of the bracket.
-    Each iteration evaluates fn once, narrows the bracket by the sign of
-    fn - target, and takes a Newton step; the bracket's midpoint replaces
-    a step that would leave the bracket or exceed half the step before
-    last (Newton creeps where rounding makes fn a staircase).  It stops
-    when a step moves x by at most 1e-14 (|x| + 1), or the bracket is that
-    narrow.  Only the sign change is needed, not monotonicity.  Raises
+    Safeguarded Newton (rtsafe; Press et al., Numerical Recipes, 3rd ed.,
+    9.4), from the secant point of the bracket.  Each iteration narrows the
+    bracket by the sign of f - target and takes a Newton step; the
+    bracket's midpoint replaces a step that would leave the bracket or
+    exceed half the step before last (Newton creeps where rounding makes f
+    a staircase), or that divides by a zero slope.  It stops when a step
+    moves x by at most 1e-14 (|x| + 1), or the bracket is that narrow.
+    Only the sign change is needed, not monotonicity.  Raises
     ConvergenceError naming the targets still running after ``steps``
     iterations, ValueError naming the targets that are not bracketed.
     """
     scalar = np.ndim(target) == 0
     target = np.atleast_1d(np.asarray(target, dtype=float))
     lo, hi = (np.broadcast_to(np.asarray(e, dtype=float), target.shape) for e in (lo, hi))
-    flo, fhi = fn(lo) - target, fn(hi) - target
+    ends = np.broadcast_to(fdf(np.concatenate((lo, hi)))[0], (2 * target.size,))
+    flo, fhi = ends[:target.size] - target, ends[target.size:] - target
     out = np.where(flo == 0.0, lo, hi)
     run = (flo != 0.0) & (fhi != 0.0)
     unbracketed = run & (flo * fhi > 0.0)
@@ -181,26 +213,27 @@ def invert_monotone(fn, dfn, target, lo, hi, steps=100):
     t, flo, a, b = target[k], flo[k], lo[k], hi[k]
     x = np.minimum(b, a + (b - a) * (flo / (flo - fhi[k])))
     last = before = b - a
+    up = flo > 0.0  # the sign of f - target at a
     for _ in range(steps):
         if not k.size:
             break
-        fx = fn(x) - t
-        hit = fx == 0.0
-        out[k[hit]] = x[hit]
-        lower = (fx > 0.0) == (flo > 0.0)
+        fx, d = fdf(x)
+        fx = fx - t
+        lower = (fx > 0.0) == up
         a, b = np.where(lower, x, a), np.where(lower, b, x)
-        d = dfn(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y = np.where(d != 0.0, x - fx / d, np.nan)
+        y = x - np.divide(fx, d, out=np.full(x.shape, np.nan), where=d != 0.0)
         ok = (a <= y) & (y <= b) & (np.abs(y - x) <= 0.5 * before)  # False on a NaN step
         y = np.where(ok, y, 0.5 * (a + b))
         before, last = last, np.abs(y - x)
         tol = 1e-14 * (np.abs(y) + 1.0)
-        done = (last <= tol) | (b - a <= tol)
-        out[k[done & ~hit]] = y[done & ~hit]
-        keep = ~(done | hit)
-        k, t, flo, a, b, x = k[keep], t[keep], flo[keep], a[keep], b[keep], y[keep]
-        last, before = last[keep], before[keep]
+        hit = fx == 0.0
+        stop = hit | (last <= tol) | (b - a <= tol)
+        if stop.any():
+            out[k[stop]] = np.where(hit, x, y)[stop]
+            keep = ~stop
+            k, t, up, a, b, y = k[keep], t[keep], up[keep], a[keep], b[keep], y[keep]
+            last, before = last[keep], before[keep]
+        x = y
     if k.size:
         raise ConvergenceError(
             f"Newton for target(s) {target[k].tolist()} left the brackets "
@@ -218,6 +251,7 @@ def _first_primes(count):
     return primes
 
 
+@functools.cache
 def halton_points(dim, count, seed=0, skip=64):
     """Deterministic low-discrepancy points in [0,1)^dim.
 
@@ -227,6 +261,7 @@ def halton_points(dim, count, seed=0, skip=64):
     prime of the indices skip + seed*100003 + i, computed directly at
     those indices; the digits are summed least significant first, so the
     points equal scipy's ``qmc.Halton(scramble=False)`` bit for bit.
+    Each table is computed once per arguments and returned read-only.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -241,4 +276,5 @@ def halton_points(dim, count, seed=0, skip=64):
             index, digit = np.divmod(index, base)
             out[:, j] += digit * weight
             weight /= base
+    out.flags.writeable = False
     return out

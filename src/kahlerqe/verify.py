@@ -146,7 +146,10 @@ def check_killing(skr, geos, tol=DEFAULT_TOLERANCES["killing"]):
 def check_skr(skr, geos, tol=DEFAULT_TOLERANCES["skr-eigenstructure"]):
     """Eigenstructure of Hess(tau) and Ricci on the complement of
     {grad tau, J grad tau}: both must restrict to scalars there with no
-    mixed terms."""
+    mixed terms.  A point where that complement has no orthonormal frame
+    (the metric is not positive definite there) cannot be checked: the
+    check fails, with the count of such points in ``frameless_points``,
+    and reports the residuals of the others."""
     n = skr.dim
     hs = geos.horizontal
     worst = np.zeros(len(geos))
@@ -157,12 +160,20 @@ def check_skr(skr, geos, tol=DEFAULT_TOLERANCES["skr-eigenstructure"]):
         hS = _esum("si,ij->sj", hs, S)
         for vn in geos.tau_units:
             worst = np.maximum(worst, _max_entry(_esum("sj,j->s", hS, vn)))
-    extra = {
+    frameless = geos.frameless
+    if frameless.any():
+        framed = ~frameless
+        geos, worst = geos.select(framed), worst[framed]
+    extra = {} if not len(geos) else {
         "phi_estimate_min": float(np.min(geos.phi_hat)),
         "phi_estimate_max": float(np.max(geos.phi_hat)),
         "trivial_pair": bool(np.max(np.abs(geos.phi_hat)) <= tol),
     }
-    return _finish("skr-eigenstructure", worst, tol, geos, extra)
+    record = _finish("skr-eigenstructure", worst, tol, geos, extra)
+    if frameless.any():
+        record.extra["frameless_points"] = int(frameless.sum())
+        record.passed, record.status = False, "fail"
+    return record
 
 
 def check_ricci_hessian(skr, geos, tol=DEFAULT_TOLERANCES["ricci-hessian"]):

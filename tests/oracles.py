@@ -17,11 +17,15 @@ dGamma from the jets of g, then R from dGamma and Gamma with ``np.einsum``.
 The package forms Ricci from contracted second derivatives of g without
 either, so the trace of this tensor is an independent check of it.
 
-``esum_loop``, ``panel_build_depth_first``, ``gl_loop`` and
-``horizontal_frame_left_looking`` are the package's earlier loop forms of
-``charts._esum``, ``PanelAntiderivative.build``, ``numutil._gl`` and
-``charts._horizontal_frame``; the vectorized forms must reproduce them bit
-for bit.  ``conformal_scale`` is
+``esum_loop``, ``panel_build_depth_first``, ``gl_loop``,
+``horizontal_frame_left_looking`` and ``sample_points_loop`` are the
+package's earlier loop forms of ``charts._esum``,
+``PanelAntiderivative.build``, ``numutil._gl``,
+``charts._horizontal_frame`` and ``SKRChart.sample_points``; the
+vectorized forms must reproduce them bit for bit.  ``invert_two_calls``
+is ``numutil.invert_monotone`` as it was with separate callables for the
+value and the slope, each evaluated on its own; the one-callable form
+must give the same bits.  ``conformal_scale`` is
 the chart of g / tau^2, against which ``charts.conformal_jets`` is checked.
 
 ``log_derivative_rf``, ``lemma_quantities_rf`` and
@@ -34,14 +38,16 @@ forms and the tests do; the package differentiates polynomials only.
 """
 
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
 
 from kahlerqe import charts
+from kahlerqe.builder import SAMPLE_MARGIN
 from kahlerqe.charts import MetricChart
 from kahlerqe.jets import Jet
-from kahlerqe.numutil import _GL7, _GL15, ConvergenceError, _gl
+from kahlerqe.numutil import _GL7, _GL15, ConvergenceError, _gl, halton_points
 from kahlerqe.odes import psi_factors
 from kahlerqe.rational import Polynomial, RationalFunction, _rf
 
@@ -214,6 +220,68 @@ def gl_loop(fn, lo, hi, rule):
     for k, w in enumerate(weights):
         acc = acc + w * vals[..., k]
     return half * acc
+
+
+def invert_two_calls(fn, dfn, target, lo, hi, steps=100):
+    """``numutil.invert_monotone`` with the value ``fn`` and the slope
+    ``dfn`` as two callables: fn on each bracket end, then fn and dfn once
+    each per Newton step."""
+    scalar = np.ndim(target) == 0
+    target = np.atleast_1d(np.asarray(target, dtype=float))
+    lo, hi = (np.broadcast_to(np.asarray(e, dtype=float), target.shape) for e in (lo, hi))
+    flo, fhi = fn(lo) - target, fn(hi) - target
+    out = np.where(flo == 0.0, lo, hi)
+    run = (flo != 0.0) & (fhi != 0.0)
+    if np.any(run & (flo * fhi > 0.0)):
+        raise ValueError("not bracketed")
+    k = np.nonzero(run)[0]
+    t, flo, a, b = target[k], flo[k], lo[k], hi[k]
+    x = np.minimum(b, a + (b - a) * (flo / (flo - fhi[k])))
+    last = before = b - a
+    for _ in range(steps):
+        if not k.size:
+            break
+        fx = fn(x) - t
+        hit = fx == 0.0
+        out[k[hit]] = x[hit]
+        lower = (fx > 0.0) == (flo > 0.0)
+        a, b = np.where(lower, x, a), np.where(lower, b, x)
+        d = dfn(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = np.where(d != 0.0, x - fx / d, np.nan)
+        ok = (a <= y) & (y <= b) & (np.abs(y - x) <= 0.5 * before)
+        y = np.where(ok, y, 0.5 * (a + b))
+        before, last = last, np.abs(y - x)
+        tol = 1e-14 * (np.abs(y) + 1.0)
+        done = (last <= tol) | (b - a <= tol)
+        out[k[done & ~hit]] = y[done & ~hit]
+        keep = ~(done | hit)
+        k, t, flo, a, b, x = k[keep], t[keep], flo[keep], a[keep], b[keep], y[keep]
+        last, before = last[keep], before[keep]
+    if k.size:
+        raise ConvergenceError(f"Newton left the brackets after {steps} steps")
+    return float(out[0]) if scalar else out
+
+
+def sample_points_loop(skr, count, seed=0):
+    """``SKRChart.sample_points`` one row at a time: |x|^2 by ``np.dot``,
+    and log r, exp, cos and sin by ``math`` on the row's floats."""
+    d = skr.base.dim_c
+    raw = halton_points(2 * d + 2, count, seed=seed)
+    lo, hi = skr.warp.ell_range
+    span = hi - lo
+    elo = lo + SAMPLE_MARGIN * span
+    ehi = hi - SAMPLE_MARGIN * span
+    pts = np.empty((count, 2 * d + 2))
+    for r, row in enumerate(raw):
+        xs = skr.base.row.x_bound * (2.0 * row[:2 * d] - 1.0)
+        ell = elo + (ehi - elo) * row[2 * d]
+        theta = 2.0 * math.pi * row[2 * d + 1]
+        R = math.exp(ell + skr.base.rho(float(np.dot(xs, xs)))[0])
+        pts[r, :2 * d] = xs
+        pts[r, 2 * d] = R * math.cos(theta)
+        pts[r, 2 * d + 1] = R * math.sin(theta)
+    return pts
 
 
 def horizontal_frame_left_looking(G, v1, v2):

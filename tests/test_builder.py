@@ -15,6 +15,7 @@ import pytest
 from kahlerqe.builder import (
     FLAT,
     FUBINI_STUDY,
+    SCAN_POINTS,
     BaseModel,
     ConstructionError,
     WarpProfile,
@@ -28,9 +29,9 @@ from kahlerqe.builder import (
 from kahlerqe.charts import MetricChart, PointGeometry, is_positive_definite
 from kahlerqe.cli import NoWindowError, select_window
 from kahlerqe.jets import Jet
-from kahlerqe.numutil import PanelAntiderivative
+from kahlerqe.numutil import PanelAntiderivative, halton_points
 from kahlerqe.odes import ScalarProfile, SKRParams, phi_closed_form, real_floor
-from oracles import jets_at
+from oracles import jets_at, sample_points_loop
 
 
 def tau_at(skr, p):
@@ -122,16 +123,44 @@ def test_q_from_phi():
 def test_positivity_intervals():
     par = ScalarProfile(value=lambda t: t * t - 1.0,
                         taylor=lambda t: (t * t - 1.0, 2 * t, 2.0))
-    ivs = positivity_intervals(par, -3.0, 3.0)
+    ivs = list(positivity_intervals(par, -3.0, 3.0))
     assert len(ivs) == 2
     npt.assert_allclose(ivs[0], (-3.0, -1.0), atol=1e-6)
     npt.assert_allclose(ivs[1], (1.0, 3.0), atol=1e-6)
-    assert positivity_intervals(par, -0.9, 0.9) == []
+    assert list(positivity_intervals(par, -0.9, 0.9)) == []
     # excluded points split intervals even where the profile stays positive
     pos = ScalarProfile(value=lambda t: 1.0, taylor=lambda t: (1.0, 0.0, 0.0))
-    split = positivity_intervals(pos, 0.0, 2.0, exclude=(1.0,))
+    split = list(positivity_intervals(pos, 0.0, 2.0, exclude=(1.0,)))
     assert len(split) == 2
 
+
+
+def test_positivity_scan_is_lazy_and_takes_one_taylor_per_newton_step():
+    """The intervals come one at a time: the first is found from the first
+    segment's grid alone.  ``value`` is called only on the scan grids; each
+    inversion calls ``taylor`` once on both bracket ends, then once per
+    Newton step, for the value and the slope together."""
+    calls = []
+
+    def value(t):
+        calls.append(("value", np.shape(t)))
+        return t * t - 1.0
+
+    def taylor(t):
+        calls.append(("taylor", np.shape(t)))
+        return t * t - 1.0, 2 * t, 2.0
+
+    ivs = positivity_intervals(ScalarProfile(value=value, taylor=taylor), -3.0, 3.0,
+                               exclude=(0.0,))
+    assert calls == []
+    npt.assert_allclose(next(ivs), (-3.0, -1.0), atol=1e-6)
+    assert calls[0] == ("value", (SCAN_POINTS,))
+    assert calls[1] == ("taylor", (2,))
+    assert len(calls) > 3 and calls[2:] == [("taylor", (1,))] * (len(calls) - 2)
+    calls.clear()
+    npt.assert_allclose(next(ivs), (1.0, 3.0), atol=1e-6)
+    assert [kind for kind, _ in calls].count("value") == 1
+    assert next(ivs, None) is None
 
 @pytest.mark.parametrize("c, floor", ((1, 2.0), (-1, 0.0)))
 def test_real_floor_bounds_phi_the_window_and_the_window_search(c, floor):
@@ -294,7 +323,7 @@ def test_log_r_keeps_full_precision_near_a_zero_of_q():
     mp = pytest.importorskip("mpmath").mp
     params = SKRParams.section6(m=2, a=2, c=1, C2=1, kappa=0, b=1, sign_phi=-1)
     phi = phi_closed_form(params)
-    assert positivity_intervals(q_from_phi(params, phi), -3.0, 5.0, {0.0, 1.0, 2.0})[0] \
+    assert next(positivity_intervals(q_from_phi(params, phi), -3.0, 5.0, {0.0, 1.0, 2.0})) \
         == (0.0, 1.0)
     warp = build_warp(params, phi, (0.0, 1.0))
     assert warp.ell_range[0] < -3e4
@@ -313,8 +342,8 @@ def test_log_r_keeps_full_precision_near_a_zero_of_q():
 def test_positivity_interval_ends_are_roots_of_q():
     mp = pytest.importorskip("mpmath").mp
     params = fs_params(a=2, C2=Fraction(-1, 100))
-    ivs = positivity_intervals(q_from_phi(params, phi_closed_form(params)),
-                               -5.0, 7.0, {0.0, 1.0, 2.0})
+    ivs = list(positivity_intervals(q_from_phi(params, phi_closed_form(params)),
+                                    -5.0, 7.0, {0.0, 1.0, 2.0}))
     root = ivs[0][0]
     with mp.workdps(30):
         ref = float(mp.findroot(_mp_q(params), mp.mpf(root)))
@@ -434,6 +463,32 @@ def test_sample_points_deterministic_and_in_domain():
         assert skr.chart.domain(p)
         assert lo <= tau_at(skr, p) <= hi
 
+
+
+def test_sample_points_equal_the_row_loop_bit_for_bit():
+    """The rows formed together equal the loop over rows, bit for bit, on
+    fs-a2, the README flat chart and the chart of a sweep cell, at the
+    sample counts of the sweep and of construct-verify; the Halton
+    table behind them is computed once and is read-only."""
+    flat = BaseModel(kind=FLAT, dim_c=1, s=1)
+    fs = BaseModel(kind=FUBINI_STUDY, dim_c=2, s=1)
+    sweep = SKRParams.section6(m=3, a=2, c=-1, C2=1, kappa=0, b=flat.kahler_b(1))
+    flat3 = BaseModel(kind=FLAT, dim_c=2, s=1)
+    warp = select_window(sweep, flat3)
+    charts = [
+        end_to_end(fs_params(a=2, C2=Fraction(-1, 100)), fs, (1.3, 1.9))[0],
+        end_to_end(flat_params(), flat, (0.35, 0.95))[0],
+        end_to_end(warp.params, flat3, warp.interval, warp)[0],
+    ]
+    for skr in charts:
+        for count, seed in ((50, 0), (50, 1), (400, 0), (7, 3)):
+            got = skr.sample_points(count, seed=seed)
+            want = sample_points_loop(skr, count, seed=seed)
+            assert got.shape == want.shape == (count, skr.dim)
+            assert got.tobytes() == want.tobytes(), (skr.chart.name, count, seed)
+    table = halton_points(6, 50, seed=0)
+    assert table is halton_points(6, 50, seed=0)
+    assert not table.flags.writeable
 
 def test_expected_kahler_pinned():
     flat = BaseModel(kind=FLAT, dim_c=1, s=1)   # sigma = 2s = 2

@@ -3,6 +3,7 @@ sweep subcommands, artifact layout, exit codes, and the effective-config
 round trip."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -14,6 +15,7 @@ import pytest
 
 from kahlerqe import cli
 from kahlerqe.builder import FLAT, BaseModel
+from kahlerqe.jets import Jet
 from kahlerqe.odes import SKRParams
 from kahlerqe.rational import Polynomial
 
@@ -261,6 +263,45 @@ def test_construct_verify_failure_exit(tmp_path):
     assert rc == 2
 
 
+
+def test_metric_indefinite_at_one_point_fails_the_suite_with_a_full_report(
+        tmp_path, monkeypatch):
+    """g_00 of the README flat chart lowered by 1e6 at the sample point
+    with the least x_0 makes the metric indefinite there, and the
+    complement of grad tau and J grad tau has no orthonormal frame at it.
+    The command still writes every check: positive-definite counts the
+    point, skr-eigenstructure fails with it in ``frameless_points`` and
+    reports the residuals of the other points, and the exit code is 2."""
+    build = cli.end_to_end
+
+    def indefinite_at_one_point(params, base, interval, warp=None):
+        skr, phi = build(params, base, interval, warp)
+        x0 = sorted(p[0] for p in skr.sample_points(16) if skr.chart.domain(p))
+        cut = 0.5 * (x0[0] + x0[1])
+
+        def fields(coords):
+            g, tau, f, J = skr.fields(coords)
+            g00 = g[0][0]
+            shift = np.where(coords[0].val < cut, -1e6, 0.0)
+            g[0][0] = g00 + Jet(shift, np.zeros_like(g00.grad), np.zeros_like(g00.hess))
+            return g, tau, f, J
+
+        return dataclasses.replace(skr, fields=fields), phi
+
+    monkeypatch.setattr(cli, "end_to_end", indefinite_at_one_point)
+    cfgp = write(tmp_path, "flat.ini", FLAT_INI)
+    out = tmp_path / "o"
+    assert cli.main(["construct-verify", "--config", cfgp, "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    checks = {c["name"]: c for c in report["checks"]}
+    assert len(checks) == 12 and not report["passed"]
+    assert checks["positive-definite"]["extra"]["indefinite_points"] == 1
+    skr_check = checks["skr-eigenstructure"]
+    assert skr_check["status"] == "fail"
+    assert skr_check["extra"]["frameless_points"] == 1
+    assert skr_check["samples"] == 7 and skr_check["max_abs"] < skr_check["tolerance"]
+    assert (out / "warp.csv").exists()
+
 def test_construction_error_exit(tmp_path, capsys):
     off = """\
 [params]
@@ -448,6 +489,47 @@ def test_sweep_fubini_study_grid_matches_the_golden_csv(tmp_path):
         assert fh.read() == gh.read()
 
 
+GOLDEN_SWEEP_BENCH = os.path.join(GOLDEN, "sweep_flat_bench.csv")
+BENCH_GRID = ("[sweep]\nm = 2, 3\na = 1, 2\nc = 1, -1\nc2 = 1, -1\nk = branch, 0\n"
+              "samples = 25\n[base]\nkind = flat\n[run]\nseed = 0\n")
+
+
+def test_sweep_benchmark_grid_matches_the_golden_csv(tmp_path):
+    """The benchmark's flat sweep grid (m in {2, 3}, a in {1, 2}, c = +-1,
+    C2 = +-1, k = branch or 0, 25 samples, seed 0) writes the golden
+    sweep.csv byte for byte: 14 built cells, among them the capped
+    windows, 16 obstruction refusals and 2 cells without a window."""
+    cfgp = write(tmp_path, "bench-grid.ini", BENCH_GRID)
+    out = str(tmp_path / "sw")
+    assert cli.main(["sweep", "--config", cfgp, "--out", out]) == 0
+    with open(os.path.join(out, "sweep.csv"), "rb") as fh, open(GOLDEN_SWEEP_BENCH, "rb") as gh:
+        assert fh.read() == gh.read()
+
+
+def test_sweep_decides_phi_once_per_window_search(tmp_path, monkeypatch):
+    """Each window search runs ``admitted_phi`` once; the chart takes phi
+    from the warp the search returns instead of deciding it again."""
+    import kahlerqe.builder as builder
+
+    searches, decisions = [], []
+    search, decide = cli.select_window, builder.admitted_phi
+
+    def counted_search(*args, **kwargs):
+        searches.append(args[0])
+        return search(*args, **kwargs)
+
+    def counted_decide(params, base):
+        decisions.append(params)
+        return decide(params, base)
+
+    monkeypatch.setattr(cli, "select_window", counted_search)
+    monkeypatch.setattr(cli, "admitted_phi", counted_decide)
+    monkeypatch.setattr(builder, "admitted_phi", counted_decide)
+    cfgp = write(tmp_path, "bench-grid.ini", BENCH_GRID)
+    assert cli.main(["sweep", "--config", cfgp, "--out", str(tmp_path / "sw")]) == 0
+    assert len(searches) == 16
+    assert decisions == searches
+
 def test_sweep_cell_builds_one_warp_per_window(monkeypatch):
     """The warp ``_clamp_window`` builds on the window it returns is the
     chart's warp.  A cell whose clamp keeps its window builds one
@@ -464,9 +546,9 @@ def test_sweep_cell_builds_one_warp_per_window(monkeypatch):
         builds.append(interval)
         return build(cls, params, phi, interval)
 
-    def counted_invert(fn, dfn, target, lo, hi):
+    def counted_invert(fdf, target, lo, hi):
         inversions.append(np.shape(target))
-        return invert(fn, dfn, target, lo, hi)
+        return invert(fdf, target, lo, hi)
 
     monkeypatch.setattr(builder.WarpProfile, "build", classmethod(counted_build))
     monkeypatch.setattr(builder, "invert_monotone", counted_invert)

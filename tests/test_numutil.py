@@ -3,6 +3,7 @@ reference, loud failure of the quadrature and the root finder, the root
 finder on a bracket where Newton alone fails, the level-wise panel build
 against the depth-first one, and the import cost of the package."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from kahlerqe.numutil import (
     halton_points,
     invert_monotone,
 )
-from oracles import gl_loop, panel_build_depth_first
+from oracles import gl_loop, invert_two_calls, panel_build_depth_first
 
 
 def test_halton_points_match_scipy_bit_for_bit():
@@ -110,31 +111,31 @@ def test_panel_build_raises_at_max_depth():
 
 
 def test_invert_monotone_raises_when_bisection_stops_early():
-    fn, dfn = (lambda x: x ** 3), (lambda x: 3 * x * x)
+    fdf = lambda x: (x ** 3, 3 * x * x)
     with pytest.raises(ConvergenceError, match="after 5 steps"):
-        invert_monotone(fn, dfn, 0.2, 0.0, 1.0, steps=5)
-    assert abs(invert_monotone(fn, dfn, 0.2, 0.0, 1.0) - 0.2 ** (1 / 3)) < 1e-14
+        invert_monotone(fdf, 0.2, 0.0, 1.0, steps=5)
+    assert abs(invert_monotone(fdf, 0.2, 0.0, 1.0) - 0.2 ** (1 / 3)) < 1e-14
 
 
 def test_invert_monotone_needs_only_a_sign_change():
     # x^3 - x changes sign on [0.5, 2], but its derivative vanishes at
     # 1/sqrt(3) inside the bracket: Newton steps from there leave it
-    fn, dfn = (lambda x: x ** 3 - x), (lambda x: 3 * x * x - 1)
-    assert abs(invert_monotone(fn, dfn, 0.0, 0.5, 2.0) - 1.0) < 1e-15
+    fdf = lambda x: (x ** 3 - x, 3 * x * x - 1)
+    assert abs(invert_monotone(fdf, 0.0, 0.5, 2.0) - 1.0) < 1e-15
 
 
 def test_invert_monotone_bisects_where_newton_creeps():
     # rounding makes fn a staircase of step q = 2^-12; on the stair just
     # below the target, Newton steps of 1e-9 would creep across it
-    fn = lambda x: (x + 2.0 ** 40) - 2.0 ** 40
+    fdf = lambda x: ((x + 2.0 ** 40) - 2.0 ** 40, 1.0)
     q, level = 2.0 ** -12, 1229 * 2.0 ** -12
-    x = invert_monotone(fn, lambda x: 1.0, level + 1e-9, 0.0, 1.0)
+    x = invert_monotone(fdf, level + 1e-9, 0.0, 1.0)
     assert abs(x - (level + 0.5 * q)) < 1e-13
 
 
 def test_invert_monotone_ignores_noise_the_derivative_misses():
-    fn = lambda x: x + 1e-12 * np.sin(1e9 * x)
-    assert abs(invert_monotone(fn, lambda x: 1.0, 0.3, 0.0, 1.0) - 0.3) < 1e-11
+    fdf = lambda x: (x + 1e-12 * np.sin(1e9 * x), 1.0)
+    assert abs(invert_monotone(fdf, 0.3, 0.0, 1.0) - 0.3) < 1e-11
 
 
 def _acceptance_warps():
@@ -170,7 +171,7 @@ def test_panel_build_equals_depth_first_oracle_bit_for_bit(label):
 
 
 @pytest.mark.parametrize("label", ("flat-a1", "fs-a2", "near_q_zero"))
-def test_panel_build_calls_the_integrand_twice_per_level(label):
+def test_panel_build_calls_the_integrand_once_per_level(label):
     warp = _acceptance_warps()[label]
     lo, hi = warp.work_interval
     calls = []
@@ -182,8 +183,70 @@ def test_panel_build_calls_the_integrand_twice_per_level(label):
     anti = PanelAntiderivative.build(fn, lo, hi, anchor=warp.antiderivative.anchor)
     widths = np.diff(anti.edges)
     levels = 1 + int(np.max(np.round(np.log2((hi - lo) / widths))))
-    assert len(calls) == 2 * levels + 2  # GL7 and GL15 per level, then the anchor's two
-    assert calls[-2:] == [(15,), (15,)]
+    assert len(calls) == levels + 1  # GL7 and GL15 together per level, then the anchor's
+    assert calls[0] == (1, 7 + 15)
+    assert all(shape[1:] == (7 + 15,) for shape in calls[:-1])
+    assert calls[-1] == (2, 15)
+
+
+@pytest.mark.parametrize("label", ("flat-a1", "fs-a2", "near_q_zero"))
+def test_inversion_calls_the_integrand_once_per_newton_step(label):
+    """``tau_of_logr`` evaluates the integrand once on both ends of every
+    bracket, then once per Newton iteration on the GL15 nodes of the points
+    still running and on the points themselves, for F and F' together."""
+    warp = _acceptance_warps()[label]
+    anti = warp.antiderivative
+    steps, calls = [], []
+
+    def fn(t):
+        calls.append(np.shape(t))
+        return anti.fn(t)
+
+    counted = dataclasses.replace(anti, fn=fn)
+
+    def with_slope(x):
+        steps.append(np.shape(x))
+        return counted.with_slope(x)
+
+    ells = np.linspace(*warp.ell_range, 41)[1:-1]
+    got = invert_monotone(with_slope, ells, *warp.work_interval)
+    assert got.tobytes() == warp.tau_of_logr(ells).tobytes()
+    assert steps[0] == (2 * ells.size,)  # both ends of every bracket
+    assert len(steps) > 2 and all(s[0] <= ells.size for s in steps[1:])
+    assert calls == [s + (15 + 1,) for s in steps]
+
+
+@pytest.mark.parametrize("label", ("flat-a1", "fs-a2", "near_q_zero"))
+def test_invert_monotone_equals_the_two_callable_newton_bit_for_bit(label):
+    """One callable for F and F' gives the bits of separate callables for
+    the antiderivative and its integrand, on batches of log r targets and
+    on each target alone."""
+    warp = _acceptance_warps()[label]
+    anti = warp.antiderivative
+    lo, hi = warp.work_interval
+    ells = np.random.RandomState(7).permutation(np.linspace(*warp.ell_range, 65)[1:-1])
+    want = invert_two_calls(anti, anti.fn, ells, lo, hi)
+    assert warp.tau_of_logr(ells).tobytes() == want.tobytes()
+    for ell in ells[:8]:
+        assert warp.tau_of_logr(float(ell)) == invert_two_calls(anti, anti.fn, float(ell), lo, hi)
+    # the bracket ends themselves, and targets at them
+    assert warp.tau_of_logr(np.array(warp.ell_range)).tobytes() == invert_two_calls(
+        anti, anti.fn, np.array(warp.ell_range), lo, hi).tobytes()
+
+
+def test_positivity_newton_equals_the_two_callable_newton_bit_for_bit():
+    """The ends of the positivity intervals of fs-a2's Q, solved from
+    ``taylor`` alone, are those of ``value`` with the slope of ``taylor``."""
+    from kahlerqe.builder import positivity_intervals
+
+    q = _acceptance_warps()["fs-a2"].q
+    ends = [e for iv in positivity_intervals(q, -5.0, 7.0, (0.0, 1.0, 2.0)) for e in iv]
+    roots = [e for e in ends if e not in (-5.0, 0.0, 1.0, 2.0, 7.0)]
+    assert roots
+    for root in roots:
+        for lo, hi in ((root - 1e-3, root + 1e-3), (root - 0.2, root + 1e-9)):
+            got = invert_monotone(lambda t: q.taylor(t)[:2], 0.0, lo, hi)
+            assert got == invert_two_calls(q.value, lambda t: q.taylor(t)[1], 0.0, lo, hi)
 
 
 @pytest.mark.parametrize("label", ("flat-a1", "fs-a2"))
@@ -206,18 +269,18 @@ def test_invert_monotone_batch_equals_scalar_calls_bit_for_bit(label):
 def test_invert_monotone_names_the_element_that_does_not_converge():
     # on the staircase of test_invert_monotone_bisects_where_newton_creeps
     # the middle target needs more than 3 steps; the others are hit at once
-    fn = lambda x: (x + 2.0 ** 40) - 2.0 ** 40
+    fdf = lambda x: ((x + 2.0 ** 40) - 2.0 ** 40, 1.0)
     slow = 1229 * 2.0 ** -12 + 1e-9
     targets = np.array([0.25, slow, 0.5])
     with pytest.raises(ConvergenceError, match="after 3 steps") as info:
-        invert_monotone(fn, lambda x: 1.0, targets, 0.0, 1.0, steps=3)
+        invert_monotone(fdf, targets, 0.0, 1.0, steps=3)
     message = str(info.value)
     assert f"[{slow!r}]" in message
     assert "0.25" not in message
-    got = invert_monotone(fn, lambda x: 1.0, targets, 0.0, 1.0)
-    assert list(got) == [invert_monotone(fn, lambda x: 1.0, t, 0.0, 1.0) for t in targets]
+    got = invert_monotone(fdf, targets, 0.0, 1.0)
+    assert list(got) == [invert_monotone(fdf, t, 0.0, 1.0) for t in targets]
     with pytest.raises(ValueError, match=r"target\(s\) \[2\.0\] not bracketed"):
-        invert_monotone(fn, lambda x: 1.0, np.array([0.5, 2.0]), 0.0, 1.0)
+        invert_monotone(fdf, np.array([0.5, 2.0]), 0.0, 1.0)
 
 
 def test_gl_matches_the_per_node_loop_bit_for_bit():
