@@ -55,7 +55,7 @@ from kahlerqe.odes import (
     system_12,
     CONSTANTS_ADMITTED,
 )
-from kahlerqe.rational import ExactParameterError, Polynomial, RationalFunction, as_fraction
+from kahlerqe.rational import ExactParameterError, RationalFunction, as_fraction, from_ints
 from kahlerqe.verify import params_dict, run_suite
 
 EXIT_OK = 0
@@ -100,13 +100,19 @@ class RunConfig:
 
 # command=None serves perfbench/child.py, which loads every config during set-up
 def load_config(path, command=None):
-    """Read an INI file; a section or key that ``command`` does not read (with
-    no command: that no command reads) is a ``ConfigError``."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+    """Read an INI file, as UTF-8; a file that cannot be opened or decoded,
+    and a section or key that ``command`` does not read (with no command:
+    that no command reads), is a ``ConfigError`` naming it."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        cp.read(path)
+        with open(path, encoding="utf-8") as fh:
+            cp.read_file(fh, source=path)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"unparseable config {path}: {exc}") from exc
     if command is None:
@@ -261,14 +267,17 @@ def _identity(name, computed, expected, var="t"):
 def certify_params(params):
     """Exact certification of every symbolic identity for one parameter set;
     on the branch, L = psi'/psi is formed once for all three of its uses."""
-    t = Polynomial.variable()
-    a, c, k = params.a, params.c, params.k
+    # every polynomial here is formed in ints over d, the parameters'
+    # common denominator: A = a d, C = c d, K = k d
+    d, A, C, K = params.cleared()[:4]
+    dd = d * d
+    t = from_ints([0, 1], 1)
     zero = RationalFunction.constant(0)
     on_branch = params.on_distinguished_branch()
     entries = []
 
     sys12 = system_12(params)
-    red = first_order_reduction(sys12, t, -(t - c))
+    red = first_order_reduction(sys12, t, from_ints([C, -d], d))
     if on_branch:
         L = closed_form_log_derivative(params)
         entries.append(_identity("first-order-p", red.p, -L))
@@ -277,20 +286,24 @@ def certify_params(params):
     entries.append(_entry("first-order-q", red.q.render()))
 
     E1, E2 = lemma_quantities(red, sys12[0])
-    expected_E1 = RationalFunction(a * (t - c) ** 2 * (2 * c * k + 1), (t - 2 * c) * (k * t + 1))
+    # a(2ck + 1)(t - c)^2 / ((t - 2c)(kt + 1)), with a(2ck + 1) = s / d^3
+    s = A * (2 * C * K + dd)
+    expected_E1 = RationalFunction(from_ints([s * C * C, -2 * s * C * d, s * dd], dd * dd * d),
+                                   from_ints([-2 * C * d, dd - 2 * C * K, K * d], dd))
     entries.append(_identity("compatibility-E1", E1, expected_E1))
     entries.append(_identity("compatibility-E2", E2, zero))
 
     _, qe2_f, red_f = appendix_system(params)
     Ea, Eb = lemma_quantities(red_f, qe2_f)
-    expected_Ea = RationalFunction(-a * (t - c), t)
+    expected_Ea = RationalFunction(from_ints([A * C, -A * d], dd), t)  # -a(t - c)/t
     entries.append(_identity("appendix-compatibility-E1", Ea, expected_Ea, "f"))
     entries.append(_identity("appendix-compatibility-E2", Eb, zero, "f"))
 
     decision = nonexistence_decision(params)
     if on_branch:
         branch = solsys_system(params)
-        scaling_ok = all(getattr(bm, co) == 2 * c * getattr(gm, co)
+        # branch = 2c * general, i.e. d * branch = 2C * general
+        scaling_ok = all(d * getattr(bm, co) == 2 * C * getattr(gm, co)
                          for bm, gm in zip(branch, sys12) for co in "ABCD")
         entries.append(_entry("branch-scaling", f"[{branch[0].render()}; {branch[1].render()}]",
                               "2c * (general system at k = -1/(2c))", scaling_ok))

@@ -182,9 +182,11 @@ def invert_monotone(fdf, target, lo, hi, steps=100):
 
     ``target`` (and ``lo``, ``hi``) may be arrays: every element runs its
     own iteration, with its own stop, and fdf is called once on both ends
-    of every bracket, then once per iteration on the elements still
-    running.  With fdf elementwise, each element's result is bit for bit
-    that of a call with it alone; a float target gives a float.
+    of every bracket (on just the two ends when ``lo`` and ``hi`` are
+    scalars, one bracket for all targets), then once per iteration on the
+    elements still running.  With fdf elementwise, each element's result
+    is bit for bit that of a call with it alone; a float target gives a
+    float.
 
     Safeguarded Newton (rtsafe; Press et al., Numerical Recipes, 3rd ed.,
     9.4), from the secant point of the bracket.  Each iteration narrows the
@@ -199,9 +201,11 @@ def invert_monotone(fdf, target, lo, hi, steps=100):
     """
     scalar = np.ndim(target) == 0
     target = np.atleast_1d(np.asarray(target, dtype=float))
+    # scalar ends are one bracket shared by every target: evaluate them once
+    n = target.size if np.ndim(lo) or np.ndim(hi) else min(target.size, 1)
     lo, hi = (np.broadcast_to(np.asarray(e, dtype=float), target.shape) for e in (lo, hi))
-    ends = np.broadcast_to(fdf(np.concatenate((lo, hi)))[0], (2 * target.size,))
-    flo, fhi = ends[:target.size] - target, ends[target.size:] - target
+    ends = np.broadcast_to(fdf(np.concatenate((lo[:n], hi[:n])))[0], (2 * n,))
+    flo, fhi = ends[:n] - target, ends[n:] - target
     out = np.where(flo == 0.0, lo, hi)
     run = (flo != 0.0) & (fhi != 0.0)
     unbracketed = run & (flo * fhi > 0.0)

@@ -3,10 +3,19 @@
 The scalar tau is the conformal factor; phi(tau) is the common eigenvalue
 of the Hessian of tau on the distribution orthogonal to {grad tau, J grad
 tau}.  Everything symbolic here is a polynomial or rational function in
-tau with Fraction coefficients, so identities are decided exactly, not to
+tau with rational coefficients, so identities are decided exactly, not to
 a tolerance.  ``LinearODE2`` holds polynomials, and each compatibility
 quantity and closed-form residual is one numerator over its known
 denominator, reduced once by the ``RationalFunction`` constructor.
+
+The members of the three systems, and the log-derivative of the closed
+form, are formed in integer arithmetic over one parameter denominator:
+``SKRParams.cleared`` gives the least common denominator d of a, c, k,
+kappa and lambda with those five times d as ints, each coefficient is an
+int expression in them over a power of d, and ``rational.from_ints``
+reduces it to lowest terms.  No Fraction arithmetic and no polynomial
+product builds a member; canonical form makes the result that of the
+expanded formulas, which are the reference in ``tests/oracles.py``.
 
 Parameter conventions: n = 2m is the real dimension, a > 0 the warped
 Einstein exponent, f = 1/tau + k the warping-related profile, c the value
@@ -22,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from kahlerqe.rational import Polynomial, RationalFunction, as_fraction
+from kahlerqe.rational import Polynomial, RationalFunction, as_fraction, from_ints
 
 
 _EXACT_FIELDS = ("a", "c", "k", "kappa", "lam", "C1", "C2", "b")
@@ -78,7 +87,17 @@ class SKRParams:
         )
 
     def on_distinguished_branch(self):
-        return self.c != 0 and self.k == Fraction(-1, 1) / (2 * self.c)
+        # k = -1/(2c), i.e. 2ck = -1, on numerators and denominators
+        c, k = self.c, self.k
+        return c != 0 and 2 * c.numerator * k.numerator == -c.denominator * k.denominator
+
+    def cleared(self):
+        """(d, a d, c d, k d, kappa d, lambda d): the least common
+        denominator d of a, c, k, kappa and lambda, and those five as ints
+        over it."""
+        vals = (self.a, self.c, self.k, self.kappa, self.lam)
+        d = math.lcm(*(v.denominator for v in vals))
+        return (d, *(v.numerator * (d // v.denominator) for v in vals))
 
 
 @dataclass(frozen=True)
@@ -160,35 +179,37 @@ def gamma_from_phi(params, phi, alpha, tau):
 def system_12(params):
     """The two second-order members governing phi(tau) with polynomial coefficients.
 
-    The first clears denominators of the fiber-constancy equation; the second
-    encodes agreement of the two gamma expressions.
+    The first clears denominators of the fiber-constancy equation,
+    t(t-c)^2(1+kt) phi'' + B1 phi' - m t(1+kt) phi = -sign_phi (kappa/2) t(1+kt);
+    the second encodes agreement of the two gamma expressions,
+    t^2(t-c)(1+kt) phi'' + B2 phi' + C2 phi = -lambda(1+kt).  Each
+    coefficient is written in ints over a power of the parameters' common
+    denominator d (A = a d, C = c d, ...); the expanded formulas are the
+    reference in the tests.
     """
-    m, a, c, k = params.m, params.a, params.c, params.k
-    kap, lam, sg = params.kappa, params.lam, params.sign_phi
-    t = Polynomial.variable()
-    one = Polynomial((1,))
+    m, sg = params.m, params.sign_phi
+    d, A, C, K, Kap, Lam = params.cleared()
+    dd, CC, CK = d * d, C * C, C * K
+    ddd = dd * d
 
-    A1 = t * (t - c) ** 2 * (one + k * t)
-    B1 = Polynomial((
-        -(2 * m - 2 + a) * c * c,
-        (2 * a + 3 * m - 4) * c - 2 * (m - 1) * k * c * c,
-        Fraction(2 - m) - a + (3 * m - 4) * k * c,
-        (2 - m) * k,
-    ))
-    C1 = -(m * t + m * k * t * t)
-    D1 = Fraction(-sg) * kap / 2 * t * (one + k * t)
-    eq1 = LinearODE2(A1, B1, C1, D1)
-
-    A2 = t * t * (t - c) * (one + k * t)
-    B2 = Polynomial((
-        0,
-        c * (a + 2 * m),
-        Fraction(1 - m) - a + 2 * m * k * c,
-        (1 - m) * k,
-    ))
-    C2 = Polynomial((-2 * c * (a + 2 * m - 1), a - 2 * c * (2 * m - 1) * k))
-    D2 = -lam * (one + k * t)
-    eq2 = LinearODE2(A2, B2, C2, D2)
+    eq1 = LinearODE2(
+        from_ints([0, CC * d, CC * K - 2 * C * dd, ddd - 2 * CK * d, K * dd], ddd),
+        from_ints([
+            -((2 * m - 2) * d + A) * CC,
+            ((2 * A + (3 * m - 4) * d) * d - 2 * (m - 1) * CK) * C,
+            ((2 - m) * d - A) * dd + (3 * m - 4) * CK * d,
+            (2 - m) * K * dd,
+        ], ddd),
+        from_ints([0, -m * d, -m * K], d),
+        from_ints([0, -sg * Kap * d, -sg * Kap * K], 2 * dd),
+    )
+    eq2 = LinearODE2(
+        from_ints([0, 0, -C * d, dd - CK, K * d], dd),
+        from_ints([0, C * (A + 2 * m * d), ((1 - m) * d - A) * d + 2 * m * CK, (1 - m) * K * d],
+                  dd),
+        from_ints([-2 * C * (A + (2 * m - 1) * d), A * d - 2 * (2 * m - 1) * CK], dd),
+        from_ints([-Lam * d, -Lam * K], dd),
+    )
     return eq1, eq2
 
 
@@ -250,31 +271,35 @@ def solsys_system(params):
     """The distinguished-branch pair (k = -1/(2c)), cleared of denominators.
 
     Equals 2c times ``system_12`` at k = -1/(2c); coefficients depend only
-    on (m, a, c, kappa, lambda, sign phi).
+    on (m, a, c, kappa, lambda, sign phi), written in ints over a power of
+    the parameters' common denominator as in ``system_12``.
     """
     if not params.on_distinguished_branch():
         raise ValueError("solsys_system requires c != 0 and k = -1/(2c)")
-    m, a, c = params.m, params.a, params.c
-    kap, lam, sg = params.kappa, params.lam, params.sign_phi
-    t = Polynomial.variable()
-    one = Polynomial((1,))
+    m, sg = params.m, params.sign_phi
+    d, A, C, _, Kap, Lam = params.cleared()
+    dd, CC = d * d, C * C
+    ddd = dd * d
+    E = A + (2 * m - 1) * d  # (a + 2m - 1) d
 
-    A1 = t * (t - c) ** 2 * (2 * c * one - t)
-    B1 = Polynomial((
-        -2 * c**3 * (2 * m - 2 + a),
-        2 * c * c * (2 * a + 4 * m - 5),
-        c * (Fraction(8) - 5 * m - 2 * a),
-        Fraction(m - 2),
-    ))
-    C1 = m * t * (t - 2 * c)
-    D1 = Fraction(sg) * kap / 2 * t * (t - 2 * c)
-    eq1 = LinearODE2(A1, B1, C1, D1)
-
-    A2 = t * t * (t - c) * (2 * c * one - t)
-    B2 = Polynomial((0, 2 * c * c * (a + 2 * m), 2 * c * (Fraction(1) - 2 * m - a), Fraction(m - 1)))
-    C2 = 2 * c * (a + 2 * m - 1) * (t - 2 * c)
-    D2 = lam * (t - 2 * c)
-    eq2 = LinearODE2(A2, B2, C2, D2)
+    eq1 = LinearODE2(
+        from_ints([0, 2 * CC * C, -5 * CC * d, 4 * C * dd, -ddd], ddd),
+        from_ints([
+            -2 * CC * C * (A + (2 * m - 2) * d),
+            2 * CC * (2 * A + (4 * m - 5) * d) * d,
+            C * ((8 - 5 * m) * d - 2 * A) * dd,
+            (m - 2) * dd * dd,
+        ], dd * dd),
+        from_ints([0, -2 * m * C, m * d], d),
+        from_ints([0, -2 * sg * Kap * C, sg * Kap * d], 2 * dd),
+    )
+    eq2 = LinearODE2(
+        from_ints([0, 0, -2 * CC, 3 * C * d, -dd], dd),
+        from_ints([0, 2 * CC * (A + 2 * m * d), 2 * C * ((1 - 2 * m) * d - A) * d, (m - 1) * ddd],
+                  ddd),
+        from_ints([-4 * CC * E, 2 * C * E * d], ddd),
+        from_ints([-2 * Lam * C, Lam * d], dd),
+    )
     return eq1, eq2
 
 
@@ -298,13 +323,17 @@ def closed_form_log_derivative(params):
     """d/dtau log psi = sum e/(tau - root) over ``psi_factors``, exactly.
 
     Rational for every rational a; equals -p of the first-order reduction
-    on the distinguished branch.
+    on the distinguished branch.  Over tau(tau-c)(tau-2c) the sum's
+    numerator is m tau^2 - 2c(2m-1+a) tau + 2c^2(2m-1+a) (the exponents sum
+    to m); both are formed in ints over the parameters' common denominator
+    and reduced once.
     """
-    t = Polynomial.variable()
-    num, den = Polynomial(), Polynomial((1,))
-    for e, root in psi_factors(params):
-        num, den = num * (t - root) + e * den, den * (t - root)
-    return RationalFunction(num, den)
+    m = params.m
+    d, A, C = params.cleared()[:3]
+    dd = d * d
+    E = A + (2 * m - 1) * d  # (2m - 1 + a) d
+    num = from_ints([2 * C * C * E, -2 * C * E * d, m * dd * d], dd * d)
+    return RationalFunction(num, from_ints([0, 2 * C * C, -3 * C * d, dd], dd))
 
 
 def phi_closed_form(params):
@@ -395,22 +424,28 @@ def closed_form_certificate(params, ode, L):
 def appendix_system(params):
     """The analogous pair in the variable f (with tau-free coefficients).
 
-    Returns (fiber-constancy member, gamma member, first-order reduction by
-    the combination first + (f-c)*second).
+    Returns (fiber-constancy member
+    f(f-c)^2 phi'' + (f-c)(m f + a(f-c)) phi' - m f phi = -sign_phi (kappa/2) f,
+    gamma member
+    -f(f-c) phi'' - (a(f-c) + (m+1) f) phi' - a phi = lambda f,
+    first-order reduction by the combination first + (f-c)*second), the
+    members written in ints over powers of the parameters' common
+    denominator as in ``system_12``.
     """
-    m, a, c = params.m, params.a, params.c
-    kap, lam, sg = params.kappa, params.lam, params.sign_phi
-    f = Polynomial.variable()
+    m, sg = params.m, params.sign_phi
+    d, A, C, _, Kap, Lam = params.cleared()
+    dd, CC = d * d, C * C
 
-    IA = f * (f - c) ** 2
-    IB = (f - c) * (m * f + (f - c) * a)
-    IC = -m * f
-    ID = Fraction(-sg) * kap / 2 * f
-    mek_f = LinearODE2(IA, IB, IC, ID)
-
-    IIA = -(f * (f - c))
-    IIB = -(a * (f - c)) - (m + 1) * f
-    IIC = Polynomial((-a,))
-    IID = lam * f
-    qe2_f = LinearODE2(IIA, IIB, IIC, IID)
-    return mek_f, qe2_f, first_order_reduction((mek_f, qe2_f), 1, f - c)
+    mek_f = LinearODE2(
+        from_ints([0, CC, -2 * C * d, dd], dd),
+        from_ints([A * CC, -C * (2 * A + m * d) * d, (A + m * d) * dd], dd * d),
+        from_ints([0, -m], 1),
+        from_ints([0, -sg * Kap], 2 * d),
+    )
+    qe2_f = LinearODE2(
+        from_ints([0, C, -d], d),
+        from_ints([A * C, -(A + (m + 1) * d) * d], dd),
+        from_ints([-A], d),
+        from_ints([0, Lam], d),
+    )
+    return mek_f, qe2_f, first_order_reduction((mek_f, qe2_f), 1, from_ints([-C, d], d))

@@ -6,6 +6,10 @@ denominator, in lowest terms (the gcd of the numerators' content and the
 denominator is 1).  The zero polynomial is the empty tuple over 1.  That
 form is canonical, so ``==`` and ``hash`` are exact equality; ``.coeffs``
 gives the coefficients as ``fractions.Fraction`` on demand.
+``from_ints(nums, den)`` builds that form from int numerators over one int
+denominator, reduced to lowest terms.  ``Polynomial(coeffs)`` and every
+operator go through it, and the exact ODE layer forms its system members
+with it in integer arithmetic.
 
 Sums, products and derivatives run on ints and pay one content gcd per
 result.  Division is pseudo-division in place on one integer list, scaled
@@ -30,10 +34,11 @@ derivative: the package differentiates polynomials only.
 
 Coefficients must be exact (int, Fraction, or a string Fraction() accepts);
 floats and bools are rejected to preserve exactness end to end.  Only the
-public constructor checks them, with ``as_fraction``, the one exactness rule
-that parameters and configuration values go through too.  Float evaluation
-uses each coefficient's numerator / denominator, which equals ``float`` of
-its Fraction.
+``Polynomial`` constructor checks them, with ``as_fraction``, the one
+exactness rule that parameters and configuration values go through too;
+``from_ints`` trusts its caller to pass ints (a float numerator fails in
+its gcd).  Float evaluation uses each coefficient's numerator /
+denominator, which equals ``float`` of its Fraction.
 """
 
 from __future__ import annotations
@@ -68,11 +73,15 @@ def as_fraction(x, name="value"):
     )
 
 
-def _make(nums, den):
-    """The Polynomial nums/den in lowest terms.
+def from_ints(nums, den):
+    """The Polynomial with coefficients nums[i]/den, ascending, in lowest terms.
 
-    ``nums`` is a list of ints, which this may modify; ``den`` a nonzero int.
+    ``nums`` is a list of ints, which this may modify; ``den`` a nonzero
+    int.  Every polynomial is made here: callers that know their
+    coefficients over one denominator build it without Fraction arithmetic.
     """
+    if not den:
+        raise ZeroDivisionError("polynomial with denominator 0")
     while nums and not nums[-1]:
         nums.pop()
     if not nums:
@@ -94,7 +103,7 @@ def _as_poly(x):
     if isinstance(x, Polynomial):
         return x
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return _make([x.numerator], x.denominator)
+        return from_ints([x.numerator], x.denominator)
     return NotImplemented
 
 
@@ -147,7 +156,7 @@ class Polynomial:
         cs = [as_fraction(c, "coefficient") for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
         nums = [c.numerator * (den // c.denominator) for c in cs]
-        p = _make(nums, den)
+        p = from_ints(nums, den)
         object.__setattr__(self, "_num", p._num)
         object.__setattr__(self, "_den", p._den)
 
@@ -189,7 +198,7 @@ class Polynomial:
         return not self.is_zero
 
     def __neg__(self):
-        return _make([-n for n in self._num], self._den)
+        return from_ints([-n for n in self._num], self._den)
 
     def __add__(self, other):
         other = _as_poly(other)
@@ -205,7 +214,7 @@ class Polynomial:
         out = list(a)
         for i, n in enumerate(b):
             out[i] += n
-        return _make(out, da)
+        return from_ints(out, da)
 
     __radd__ = __add__
 
@@ -221,10 +230,10 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             if isinstance(other, int) and not isinstance(other, bool):
-                return _make([n * other for n in self._num], self._den)
+                return from_ints([n * other for n in self._num], self._den)
             if isinstance(other, Fraction):
                 num = other.numerator
-                return _make([n * num for n in self._num], self._den * other.denominator)
+                return from_ints([n * num for n in self._num], self._den * other.denominator)
             return NotImplemented
         a, b = self._num, other._num
         if not a or not b:
@@ -239,7 +248,7 @@ class Polynomial:
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return _make(out, self._den * other._den)
+        return from_ints(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -276,7 +285,7 @@ class Polynomial:
         q = [0] * (len(r) - d)
         # s*A = Q*B + R, so A/da = (Q*db / (s*da)) * (B/db) + R / (s*da)
         sd = _pdiv(r, b, q) * self._den
-        return _make([n * db for n in q], sd), _make(r[:d], sd)
+        return from_ints([n * db for n in q], sd), from_ints(r[:d], sd)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -287,7 +296,7 @@ class Polynomial:
     def monic(self):
         if self.is_zero:
             return self
-        return _make(list(self._num), self._num[-1])
+        return from_ints(list(self._num), self._num[-1])
 
     def gcd(self, other):
         """Monic greatest common divisor (Euclid); gcd(0, 0) = 0.
@@ -312,13 +321,13 @@ class Polynomial:
             while r and not r[-1]:
                 r.pop()
             if not r:
-                return _make(b, b[-1])
+                return from_ints(b, b[-1])
             if len(r) == 1:
                 return _ONE
             a, b = b, _primitive(r)
 
     def derivative(self):
-        return _make([i * n for i, n in enumerate(self._num)][1:], self._den)
+        return from_ints([i * n for i, n in enumerate(self._num)][1:], self._den)
 
     def __call__(self, x):
         # Horner; exact for int or Fraction input, else in floats (elementwise
@@ -372,7 +381,7 @@ class Polynomial:
 _ZERO = object.__new__(Polynomial)
 object.__setattr__(_ZERO, "_num", ())
 object.__setattr__(_ZERO, "_den", 1)
-_ONE = _make([1], 1)
+_ONE = from_ints([1], 1)
 
 
 def _monic_pair(num, den):
@@ -383,7 +392,7 @@ def _monic_pair(num, den):
     lc, dd = den._num[-1], den._den
     if lc == dd:
         return num, den
-    return _make([n * dd for n in num._num], num._den * lc), _make(list(den._num), lc)
+    return from_ints([n * dd for n in num._num], num._den * lc), from_ints(list(den._num), lc)
 
 
 def _rf(num, den):

@@ -35,10 +35,18 @@ time.  The package forms each quantity as one numerator over its known
 denominator and reduces it once; canonical form makes the two equal.
 ``derivative_rf`` differentiates a ``RationalFunction``, which only these
 forms and the tests do; the package differentiates polynomials only.
+
+``system_12_formula``, ``solsys_system_formula`` and
+``appendix_system_formula`` build the three systems as the package did
+before it wrote their members in ints over the parameters' common
+denominator: products of the polynomials t, t - c, 1 + k t with Fraction
+coefficients.  ``log_derivative_rf`` is the same kind of reference for
+``closed_form_log_derivative``.  Canonical form makes each pair equal.
 """
 
 import itertools
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,7 +56,7 @@ from kahlerqe.builder import SAMPLE_MARGIN
 from kahlerqe.charts import MetricChart
 from kahlerqe.jets import Jet
 from kahlerqe.numutil import _GL7, _GL15, ConvergenceError, _gl, halton_points
-from kahlerqe.odes import psi_factors
+from kahlerqe.odes import LinearODE2, first_order_reduction, psi_factors
 from kahlerqe.rational import Polynomial, RationalFunction, _rf
 
 
@@ -372,3 +380,86 @@ def closed_form_certificate_rf(params, ode2, L):
     reduction phi' - L phi = 0."""
     E, _ = lemma_quantities_rf(-L, RationalFunction.constant(0), ode2)
     return params.C2 * E, RationalFunction(ode2.C * params.C1 - ode2.D)
+
+
+# -- the exact ODE systems by their formulas -------------------------------
+
+
+def system_12_formula(params):
+    """``odes.system_12`` by its formulas: polynomial products of t, t - c
+    and 1 + k t with Fraction coefficients."""
+    m, a, c, k = params.m, params.a, params.c, params.k
+    kap, lam, sg = params.kappa, params.lam, params.sign_phi
+    t = Polynomial.variable()
+    one = Polynomial((1,))
+
+    A1 = t * (t - c) ** 2 * (one + k * t)
+    B1 = Polynomial((
+        -(2 * m - 2 + a) * c * c,
+        (2 * a + 3 * m - 4) * c - 2 * (m - 1) * k * c * c,
+        Fraction(2 - m) - a + (3 * m - 4) * k * c,
+        (2 - m) * k,
+    ))
+    C1 = -(m * t + m * k * t * t)
+    D1 = Fraction(-sg) * kap / 2 * t * (one + k * t)
+    eq1 = LinearODE2(A1, B1, C1, D1)
+
+    A2 = t * t * (t - c) * (one + k * t)
+    B2 = Polynomial((
+        0,
+        c * (a + 2 * m),
+        Fraction(1 - m) - a + 2 * m * k * c,
+        (1 - m) * k,
+    ))
+    C2 = Polynomial((-2 * c * (a + 2 * m - 1), a - 2 * c * (2 * m - 1) * k))
+    D2 = -lam * (one + k * t)
+    eq2 = LinearODE2(A2, B2, C2, D2)
+    return eq1, eq2
+
+
+def solsys_system_formula(params):
+    """``odes.solsys_system`` by its formulas, as ``system_12_formula``."""
+    if not params.on_distinguished_branch():
+        raise ValueError("solsys_system requires c != 0 and k = -1/(2c)")
+    m, a, c = params.m, params.a, params.c
+    kap, lam, sg = params.kappa, params.lam, params.sign_phi
+    t = Polynomial.variable()
+    one = Polynomial((1,))
+
+    A1 = t * (t - c) ** 2 * (2 * c * one - t)
+    B1 = Polynomial((
+        -2 * c**3 * (2 * m - 2 + a),
+        2 * c * c * (2 * a + 4 * m - 5),
+        c * (Fraction(8) - 5 * m - 2 * a),
+        Fraction(m - 2),
+    ))
+    C1 = m * t * (t - 2 * c)
+    D1 = Fraction(sg) * kap / 2 * t * (t - 2 * c)
+    eq1 = LinearODE2(A1, B1, C1, D1)
+
+    A2 = t * t * (t - c) * (2 * c * one - t)
+    B2 = Polynomial((0, 2 * c * c * (a + 2 * m), 2 * c * (Fraction(1) - 2 * m - a), Fraction(m - 1)))
+    C2 = 2 * c * (a + 2 * m - 1) * (t - 2 * c)
+    D2 = lam * (t - 2 * c)
+    eq2 = LinearODE2(A2, B2, C2, D2)
+    return eq1, eq2
+
+
+def appendix_system_formula(params):
+    """``odes.appendix_system`` by its formulas, as ``system_12_formula``."""
+    m, a, c = params.m, params.a, params.c
+    kap, lam, sg = params.kappa, params.lam, params.sign_phi
+    f = Polynomial.variable()
+
+    IA = f * (f - c) ** 2
+    IB = (f - c) * (m * f + (f - c) * a)
+    IC = -m * f
+    ID = Fraction(-sg) * kap / 2 * f
+    mek_f = LinearODE2(IA, IB, IC, ID)
+
+    IIA = -(f * (f - c))
+    IIB = -(a * (f - c)) - (m + 1) * f
+    IIC = Polynomial((-a,))
+    IID = lam * f
+    qe2_f = LinearODE2(IIA, IIB, IIC, IID)
+    return mek_f, qe2_f, first_order_reduction((mek_f, qe2_f), 1, f - c)

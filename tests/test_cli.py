@@ -81,6 +81,24 @@ def test_load_config_rejections(tmp_path):
         cli.params_from_config(cli.load_config(bad_val))
 
 
+def test_config_directory_is_a_config_error(tmp_path, capsys):
+    # configparser.read skips a path it cannot open, which left "[params] m
+    # is required" as the error
+    rc = cli.main(["certify", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {tmp_path}")
+    assert "is required" not in err
+
+
+def test_config_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes("[params]\nm = 2\na = 1\nc = 1 ; \u00e9t\u00e9\n".encode("latin-1"))
+    rc = cli.main(["certify", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: config {path} is not UTF-8 text")
+
+
 def test_certify_pass(tmp_path, capsys):
     # certify reads only [params] and [run] out
     cfgp = write(tmp_path, "flat.ini", FLAT_PARAMS)
@@ -125,6 +143,9 @@ GOLDEN_CELLS = {
     "certificate_m2_a1_c-1.json": (2, 1, -1, -3, 4),
     # integer a: psi itself is rational
     "certificate_m3_a2.json": (3, 2, 3, -4, 6),
+    # every parameter carries a denominator, kappa fractional and negative
+    "certificate_m3_a5-2_c-2-3.json": (3, Fraction(5, 2), Fraction(-2, 3), Fraction(3, 4),
+                                       Fraction(-9, 2)),
 }
 
 

@@ -191,9 +191,10 @@ def test_panel_build_calls_the_integrand_once_per_level(label):
 
 @pytest.mark.parametrize("label", ("flat-a1", "fs-a2", "near_q_zero"))
 def test_inversion_calls_the_integrand_once_per_newton_step(label):
-    """``tau_of_logr`` evaluates the integrand once on both ends of every
-    bracket, then once per Newton iteration on the GL15 nodes of the points
-    still running and on the points themselves, for F and F' together."""
+    """``tau_of_logr`` evaluates the integrand once on the two ends of the
+    bracket that every target shares, then once per Newton iteration on the
+    GL15 nodes of the points still running and on the points themselves,
+    for F and F' together."""
     warp = _acceptance_warps()[label]
     anti = warp.antiderivative
     steps, calls = [], []
@@ -211,7 +212,7 @@ def test_inversion_calls_the_integrand_once_per_newton_step(label):
     ells = np.linspace(*warp.ell_range, 41)[1:-1]
     got = invert_monotone(with_slope, ells, *warp.work_interval)
     assert got.tobytes() == warp.tau_of_logr(ells).tobytes()
-    assert steps[0] == (2 * ells.size,)  # both ends of every bracket
+    assert steps[0] == (2,)  # the two ends of the one bracket
     assert len(steps) > 2 and all(s[0] <= ells.size for s in steps[1:])
     assert calls == [s + (15 + 1,) for s in steps]
 
@@ -232,6 +233,19 @@ def test_invert_monotone_equals_the_two_callable_newton_bit_for_bit(label):
     # the bracket ends themselves, and targets at them
     assert warp.tau_of_logr(np.array(warp.ell_range)).tobytes() == invert_two_calls(
         anti, anti.fn, np.array(warp.ell_range), lo, hi).tobytes()
+
+
+def test_shared_bracket_ends_give_the_bits_of_per_target_ends():
+    """fs-a2's inversion of 200 targets with the two scalar ends of its work
+    interval, evaluated once, gives the bits of the same ends repeated for
+    every target, which evaluates them once per target."""
+    warp = _acceptance_warps()["fs-a2"]
+    lo, hi = warp.work_interval
+    ells = np.random.RandomState(3).uniform(*warp.ell_range, 200)
+    ells[:2] = warp.ell_range  # targets at the bracket ends themselves
+    per_target = invert_monotone(warp.antiderivative.with_slope, ells,
+                                 np.full(ells.size, lo), np.full(ells.size, hi))
+    assert warp.tau_of_logr(ells).tobytes() == per_target.tobytes()
 
 
 def test_positivity_newton_equals_the_two_callable_newton_bit_for_bit():

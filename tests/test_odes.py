@@ -33,10 +33,13 @@ from kahlerqe.odes import (
 )
 from kahlerqe.rational import ExactParameterError, Polynomial, RationalFunction, as_fraction
 from oracles import (
+    appendix_system_formula,
     closed_form_certificate_rf,
     derivative_rf,
     lemma_quantities_rf,
     log_derivative_rf,
+    solsys_system_formula,
+    system_12_formula,
 )
 
 
@@ -625,3 +628,72 @@ def test_one_reduction_matches_rational_function_formulas(params, tamper):
         residual = closed_form_certificate(bad, eq2, L)
         assert residual == closed_form_certificate_rf(bad, eq2, L)
         assert not residual[1].is_zero
+
+
+_ratios = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def _builder_params(draw):
+    """m from 2 to 12; a > 0, c != 0 and kappa, lambda, C1, C2 rationals with
+    denominators; k on the branch -1/(2c) or drawn off it likewise."""
+    m = draw(st.integers(2, 12))
+    a = draw(st.builds(Fraction, st.integers(1, 40), st.integers(1, 12)))
+    c = draw(_ratios.filter(bool))
+    branch = Fraction(-1) / (2 * c)
+    k = draw(st.one_of(st.just(branch), _ratios.filter(lambda x: x != branch)))
+    kappa, lam, C1, C2 = (draw(_ratios) for _ in range(4))
+    return SKRParams(m=m, a=a, c=c, k=k, kappa=kappa, lam=lam, C1=C1, C2=C2,
+                     sign_phi=draw(st.sampled_from((1, -1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_builder_params())
+@example(SKRParams.section6(m=3, a=Fraction(5, 2), c=Fraction(-2, 3), C2=Fraction(3, 4),
+                            kappa=Fraction(-9, 2)))
+@example(SKRParams(m=12, a=Fraction(21, 2), c=Fraction(-7, 12), k=Fraction(5, 11),
+                   kappa=Fraction(-13, 6), lam=Fraction(9, 10), C1=Fraction(1, 7),
+                   C2=Fraction(-3, 8), sign_phi=-1))
+def test_integer_builders_equal_their_formula_forms(params):
+    """Each member written in ints over the parameters' common denominator,
+    and the log-derivative summed over t(t-c)(t-2c) in ints, equals the
+    formula form: Fraction-coefficient polynomial products, and the sum of
+    e/(t - root) term by term."""
+    assert system_12(params) == system_12_formula(params)
+    assert appendix_system(params) == appendix_system_formula(params)
+    assert closed_form_log_derivative(params) == log_derivative_rf(params)
+    if params.on_distinguished_branch():
+        assert solsys_system(params) == solsys_system_formula(params)
+    else:
+        with pytest.raises(ValueError, match="requires"):
+            solsys_system(params)
+
+
+def test_members_are_built_without_fraction_arithmetic_or_polynomial_products(monkeypatch):
+    """The members of system_12 and solsys_system, those of appendix_system
+    up to its reduction, and the log-derivative take no Fraction operator
+    and no product of two polynomials."""
+    params = SKRParams.section6(m=3, a=Fraction(5, 2), c=Fraction(-2, 3), C2=Fraction(3, 4),
+                                kappa=Fraction(-9, 2))
+    calls = []
+
+    def counting(cls, name):
+        op = getattr(cls, name)
+
+        def counted(x, y=None):
+            if cls is Fraction or isinstance(y, Polynomial):
+                calls.append((cls.__name__, name))
+            return op(x) if y is None else op(x, y)
+        monkeypatch.setattr(cls, name, counted)
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__pow__"):
+        counting(Fraction, name)
+    counting(Polynomial, "__mul__")
+    # the f pair's reduction multiplies polynomials by design
+    monkeypatch.setattr("kahlerqe.odes.first_order_reduction", lambda system, m1, m2: None)
+    system_12(params)
+    solsys_system(params)
+    appendix_system(params)
+    closed_form_log_derivative(params)
+    assert calls == []
