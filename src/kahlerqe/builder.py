@@ -21,6 +21,8 @@ with h the base metric, zero on the fiber rows and columns.  Everything is
 written with jet-friendly arithmetic so curvature comes out of automatic
 differentiation, and one call of ``fields`` evaluates a whole batch of
 points: one warp inversion and one pass of jet arithmetic for all of them.
+The fields of several charts of one base stack into one such pass
+(``ChartFields.stack``), with one warp inversion per chart.
 """
 
 from __future__ import annotations
@@ -249,16 +251,6 @@ class WarpProfile:
         Newton step takes l and its slope from one integrand call."""
         return invert_monotone(self.antiderivative.with_slope, ell, *self.work_interval)
 
-    def jets(self, ell):
-        """(tau, Q(tau)) as jets of the jet log r, with dtau/dl = Q/b: all the
-        points of a batch are inverted together, and Q's Taylor triple at
-        them is evaluated once for both chain rules."""
-        t0 = self.tau_of_logr(ell.val)
-        bf = float(self.params.b)
-        q0, q1, q2 = self.q.taylor(t0)
-        tau = ell.compose(t0, q0 / bf, q0 * q1 / (bf * bf))
-        return tau, tau.compose(q0, q1, q2)
-
     def roundtrip_error(self):
         """Largest |tau(log r(tau)) - tau| over ``ROUNDTRIP_POINTS`` points."""
         ts = np.linspace(self.work_interval[0], self.work_interval[1], ROUNDTRIP_POINTS)
@@ -270,6 +262,26 @@ class WarpProfile:
         return list(zip(ts, self.antiderivative(ts), self.q.value(ts)))
 
 
+def warp_jets(warps, ell):
+    """(tau, Q(tau)) as jets of the jet log r, with dtau/dl = Q/b.
+
+    ``warps`` pairs each WarpProfile with the slice of the batch it
+    serves: each inverts its own points' log r in one call and evaluates
+    Q's Taylor triple there once for both chain rules.  The per-point
+    coefficients are joined and composed once, elementwise, so a point's
+    jets are those of its warp evaluated alone.
+    """
+    cols = []
+    for warp, rows in warps:
+        t0 = warp.tau_of_logr(ell.val[rows])
+        bf = float(warp.params.b)
+        q0, q1, q2 = warp.q.taylor(t0)
+        cols.append((t0, q0 / bf, q0 * q1 / (bf * bf), q0, q1, q2))
+    t0, d1, d2, q0, q1, q2 = cols[0] if len(cols) == 1 else map(np.concatenate, zip(*cols))
+    tau = ell.compose(t0, d1, d2)
+    return tau, tau.compose(q0, q1, q2)
+
+
 def _standard_J(n):
     rows = [[0.0] * n for _ in range(n)]
     for j in range(n // 2):
@@ -278,12 +290,77 @@ def _standard_J(n):
     return rows
 
 
+@dataclass(frozen=True)
+class ChartFields:
+    """The ``fields`` of a chart: called on the seeded jets of a batch of
+    points, it returns the metric rows g, the scalar tau, the profile f and
+    the complex structure J together, from one pass of jet arithmetic.
+
+    The chart's constants c, 2 sgn(tau - c), 1/b^2 and k are floats for one
+    chart.  ``stack`` joins the fields of several charts of one base into
+    one pass over their points, block after block: the constants become
+    arrays of one value per point, and each chart's warp inverts its own
+    slice of log r (``warp_jets``).  Every operation that takes a constant
+    is elementwise along the point axis, so a point's fields are bit for
+    bit those of its own chart's.
+    """
+
+    base: BaseModel
+    warps: tuple  # (WarpProfile, slice of the batch it serves) per chart
+    c: object
+    two_sgn: object
+    inv_b2: object
+    k: object
+
+    @classmethod
+    def stack(cls, members, counts):
+        """One pass over ``counts[i]`` points of chart i, in that order."""
+        base = members[0].base
+        if any(m.base != base or len(m.warps) != 1 for m in members):
+            raise ValueError("only single charts of one base stack")
+        ends = np.cumsum([0, *counts]).tolist()
+        warps = tuple((m.warps[0][0], slice(lo, hi))
+                      for m, lo, hi in zip(members, ends, ends[1:]))
+        consts = (np.repeat([getattr(m, key) for m in members], counts)
+                  for key in ("c", "two_sgn", "inv_b2", "k"))
+        return cls(base, warps, *consts)
+
+    def __call__(self, coords):
+        base = self.base
+        d = base.dim_c
+        n = 2 * d + 2
+        xs = list(coords[: 2 * d])
+        u, v = coords[2 * d], coords[2 * d + 1]
+        rho, k = base.rho(sum((x * x for x in xs[1:]), xs[0] * xs[0]))
+        wsq = u * u + v * v
+        tau, q = warp_jets(self.warps, 0.5 * log_(wsq) - rho)
+        hfac = self.two_sgn * (tau - self.c)
+        vcoef = q * self.inv_b2
+        # alpha + i beta = 2 d'rho - dw/w
+        alpha, beta = [], []
+        for j in range(d):
+            kx, ky = k * xs[2 * j], k * xs[2 * j + 1]
+            alpha += [kx, ky]
+            beta += [-ky, kx]
+        au, av = -u / wsq, -v / wsq
+        alpha += [au, av]
+        beta += [-av, au]
+        hdiag, hcoef = base.h_block(k, hfac, vcoef)
+        g = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                coef = hcoef if j < 2 * d else vcoef
+                gij = coef * (alpha[i] * alpha[j] + beta[i] * beta[j])
+                g[i][j] = g[j][i] = gij + hdiag if i == j < 2 * d else gij
+        # f = K / tau + L with K = 1, L = k: affine in 1/tau, from the same jet
+        return g, tau, 1.0 / tau + self.k, _standard_J(n)
+
+
 @dataclass
 class SKRChart:
-    """Assembled chart bundle: the metric chart, and ``fields``, one callable
-    on the seeded jets of a batch of points that returns the metric rows g,
-    the scalar tau, the profile f and the complex structure J together, from
-    one evaluation."""
+    """Assembled chart bundle: the metric chart, and ``fields`` (a
+    ``ChartFields``), which evaluates g, tau, f and J at a batch of points
+    in one pass."""
 
     chart: MetricChart
     fields: Callable
@@ -331,52 +408,30 @@ def assemble_chart(base, warp):
     sign_tc = tau_side(warp.work_interval, cf)
     if not (warp.work_interval[0] > cf or warp.work_interval[1] < cf):
         raise ConstructionError("working interval must avoid tau = c")
-    inv_b2 = 1.0 / (bf * bf)
-    kf = float(params.k)
-    J = _standard_J(n)
-
-    def fields(coords):
-        xs = list(coords[: 2 * d])
-        u, v = coords[2 * d], coords[2 * d + 1]
-        rho, k = base.rho(sum((x * x for x in xs[1:]), xs[0] * xs[0]))
-        wsq = u * u + v * v
-        tau, q = warp.jets(0.5 * log_(wsq) - rho)
-        hfac = 2.0 * sign_tc * (tau - cf)
-        vcoef = q * inv_b2
-        # alpha + i beta = 2 d'rho - dw/w
-        alpha, beta = [], []
-        for j in range(d):
-            kx, ky = k * xs[2 * j], k * xs[2 * j + 1]
-            alpha += [kx, ky]
-            beta += [-ky, kx]
-        au, av = -u / wsq, -v / wsq
-        alpha += [au, av]
-        beta += [-av, au]
-        hdiag, hcoef = base.h_block(k, hfac, vcoef)
-        g = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                coef = hcoef if j < 2 * d else vcoef
-                gij = coef * (alpha[i] * alpha[j] + beta[i] * beta[j])
-                g[i][j] = g[j][i] = gij + hdiag if i == j < 2 * d else gij
-        # f = K / tau + L with K = 1, L = k: affine in 1/tau, from the same jet
-        return g, tau, 1.0 / tau + kf, J
+    fields = ChartFields(base, ((warp, slice(None)),), cf, 2.0 * sign_tc,
+                         1.0 / (bf * bf), float(params.k))
 
     lo_ell, hi_ell = warp.ell_range
     guard = 1e-9 * (hi_ell - lo_ell)
     z2max = base.row.z2_max
+    rho = base.rho
 
     def domain(p):
-        xs = p[: 2 * d]
-        u, v = p[2 * d], p[2 * d + 1]
+        """Whether each row of ``p`` (R, n) lies in the chart, as a mask
+        (R,); for one point (n,), a bool.  |x|^2 is a stacked ``matmul``,
+        which gives ``np.dot``'s bits, and log r goes through ``math.log``
+        one value at a time, as in ``sample_points``."""
+        rows = np.atleast_2d(p)
+        xs = rows[:, :2 * d]
+        u, v = rows[:, 2 * d], rows[:, 2 * d + 1]
         wsq = u * u + v * v
-        if wsq <= 1e-30:
-            return False
-        x2 = float(np.dot(xs, xs))
-        if x2 >= z2max:
-            return False
-        ell = 0.5 * math.log(wsq) - base.rho(x2)[0]
-        return lo_ell + guard <= ell <= hi_ell - guard
+        x2 = np.matmul(xs[:, None, :], xs[:, :, None]).ravel()
+        near = np.flatnonzero((wsq > 1e-30) & (x2 < z2max))
+        ell = np.array([0.5 * math.log(w) - rho(x)[0]
+                        for w, x in zip(wsq[near].tolist(), x2[near].tolist())])
+        inside = np.zeros(len(rows), dtype=bool)
+        inside[near] = (lo_ell + guard <= ell) & (ell <= hi_ell - guard)
+        return inside if np.ndim(p) == 2 else bool(inside[0])
 
     chart = MetricChart(
         dim=n, components=lambda c: fields(c)[0], domain=domain,

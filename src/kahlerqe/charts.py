@@ -334,6 +334,13 @@ class PointGeometry:
     each point's position in the sample stream it came from (default
     0..B-1).  ``select`` and ``join`` take and merge sub-batches.
 
+    Several charts of one dimension make one batch: ``skr`` a list of
+    them, ``points`` and ``index`` lists of each chart's arrays.  Their
+    fields are joined by ``fields.stack`` into one call over all the
+    points, chart after chart, and everything here is elementwise along
+    the point axis, so each chart's block of the batch is bit for bit
+    that chart's own batch, cached quantities included.
+
     Attributes: ``p``, ``g``, ``ginv``, ``ricci``; with tau: ``tau`` (its
     values, else None), ``dtau``, ``grad_tau`` (contravariant),
     ``grad_tau_sq``, ``hess_tau``, ``lap_tau``, ``g_hat``, ``ricci_hat``;
@@ -341,14 +348,25 @@ class PointGeometry:
     ``lap_f_hat``, ``grad_f_hat_sq``; with J: ``J`` (its values),
     ``kahler_residual`` (max |nabla J| entry) and, with tau too,
     ``killing_residual`` (max |L_K g| entry for K = J grad tau).
+    ``tau_units``, ``horizontal``, ``frameless``, ``hess_tau_horizontal``,
+    ``phi_hat``, ``skr_residual`` and ``indefinite`` are formed on first
+    use and kept; ``select`` carries those already formed, and ``join``
+    needs its parts to have formed the same ones.
     """
 
     def __init__(self, skr, points, index=None):
+        if isinstance(skr, list):
+            fields = skr[0].fields.stack([one.fields for one in skr],
+                                         [len(pts) for pts in points])
+            skr, points = skr[0], np.concatenate(points)
+            index = None if index is None else np.concatenate(index)
+        else:
+            fields = skr.fields
         n = skr.chart.dim
         self.p = np.atleast_2d(np.asarray(points, dtype=float)).T
         B = self.p.shape[1]
         self.index = np.arange(B) if index is None else np.asarray(index)
-        rows, tau, f, J = skr.fields(Jet.seed(self.p))
+        rows, tau, f, J = fields(Jet.seed(self.p))
         g, dg, d2g = metric_jets(rows, n, B)
         del rows
         self.g = g
@@ -443,3 +461,29 @@ class PointGeometry:
         / (n - 2), built once for every check."""
         return _esum("ii->", self.hess_tau_horizontal) / (self.g.shape[0] - 2)
 
+    @cached_property
+    def skr_residual(self):
+        """Largest entry, at each point, of the departures from the SKR
+        eigenstructure: Hess tau and Ricci on the ``horizontal`` frames less
+        their traces / (n - 2) times the identity, and their mixed terms
+        between the frames and ``tau_units``."""
+        n = self.g.shape[0]
+        ricci_block = self.horizontal_block(self.ricci)
+        worst = np.zeros(len(self))
+        for S, block, lam in ((self.hess_tau, self.hess_tau_horizontal, self.phi_hat),
+                              (self.ricci, ricci_block, _esum("ii->", ricci_block) / (n - 2))):
+            worst = np.maximum(worst, _max_entry(block - lam * np.eye(n - 2)[:, :, None]))
+            hS = _esum("si,ij->sj", self.horizontal, S)
+            for vn in self.tau_units:
+                worst = np.maximum(worst, _max_entry(_esum("sj,j->s", hS, vn)))
+        return worst
+
+    @cached_property
+    def indefinite(self):
+        """Whether each point's metric is not positive definite: one
+        Cholesky call on the whole batch, and only if it fails one per
+        point."""
+        gs = np.moveaxis(self.g, -1, 0)
+        if is_positive_definite(gs):
+            return np.zeros(len(gs), dtype=bool)
+        return np.array([not is_positive_definite(g) for g in gs])

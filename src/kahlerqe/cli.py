@@ -56,7 +56,7 @@ from kahlerqe.odes import (
     CONSTANTS_ADMITTED,
 )
 from kahlerqe.rational import ExactParameterError, RationalFunction, as_fraction, from_ints
-from kahlerqe.verify import params_dict, run_suite
+from kahlerqe.verify import gather_points, params_dict, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -100,12 +100,13 @@ class RunConfig:
 
 # command=None serves perfbench/child.py, which loads every config during set-up
 def load_config(path, command=None):
-    """Read an INI file, as UTF-8; a file that cannot be opened or decoded,
-    and a section or key that ``command`` does not read (with no command:
-    that no command reads), is a ``ConfigError`` naming it."""
+    """Read an INI file, as UTF-8 (a leading byte-order mark is skipped); a
+    file that cannot be opened or decoded, and a section or key that
+    ``command`` does not read (with no command: that no command reads), is
+    a ``ConfigError`` naming it."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             cp.read_file(fh, source=path)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
@@ -512,7 +513,26 @@ def select_window(params, base, side=None):
     return _clamp_window(params, phi, iv)
 
 
-def _sweep_cell(index, m, a, c, C2, k, base, samples, seed):
+# A sweep evaluates the built cells of one dimension n together, in batches
+# of at most this many n^4 entries (n^4 per point: the second derivatives
+# of the metrics), the size of construct-verify's 200-point batch at n = 6;
+# so a cell of larger n still takes a batch of its own, as large as today's.
+BATCH_N4_POINTS = 6**4 * 200
+
+
+@dataclass
+class _Cell:
+    """A sweep cell settled up to its suite: its row, and, unless a refusal
+    or an error decided the row, its chart and tolerance scale."""
+
+    row: dict
+    skr: object = None
+    tol_scale: float = 1.0
+
+
+def _settle_cell(index, m, a, c, C2, k, base):
+    """Decide a sweep cell up to its suite: the obstruction, the window and
+    the chart, and the tolerance scale the chart's profile sets."""
     row = {
         "index": index, "m": m, "a": str(a), "c": str(c), "C2": str(C2),
         "k": "branch" if k is None else str(k),
@@ -529,7 +549,7 @@ def _sweep_cell(index, m, a, c, C2, k, base, samples, seed):
                 if nonexistence_decision(probe) != CONSTANTS_ADMITTED:
                     row["status"] = "refused"
                     row["note"] = "obstruction a(2ck+1) != 0 forces phi = 0"
-                    return row
+                    return _Cell(row)
             # any admitted cell sits on k = -1/(2c); take the matched constants,
             # with the b that makes the chart Kahler above tau = c.  A window
             # below c comes back with sign_phi and b negated: the b that makes
@@ -539,42 +559,95 @@ def _sweep_cell(index, m, a, c, C2, k, base, samples, seed):
         except (ValueError, ExactParameterError) as exc:
             row["status"] = "refused"
             row["note"] = str(exc)
-            return row
+            return _Cell(row)
         # section6 admits kappa != 0 only with sign_phi = +1, i.e. tau > c
         try:
             warp = select_window(params, base, side=None if base.kappa == 0 else 1)
         except NoWindowError as exc:
             row["status"] = "no-interval"
             row["note"] = str(exc)
-            return row
-        iv = warp.interval
-        skr, _ = end_to_end(warp.params, base, iv, warp)
+            return _Cell(row)
+        skr, _ = end_to_end(warp.params, base, warp.interval, warp)
         # absolute residuals grow with the metric's magnitude; grade each
         # cell relative to the profile scale on its own window
         t0, t1 = skr.warp.work_interval
         ts = np.array([t0 + (t1 - t0) * i / 64 for i in range(65)])
         qmax = max(skr.warp.q.value(ts).tolist())
-        cell_ts = max(1.0, qmax)
+        return _Cell(row, skr, max(1.0, qmax))
+    except Exception as exc:  # keep the sweep alive; the row records the cell
+        _record_failure(row, exc)
+    return _Cell(row)
+
+
+def _record_failure(row, exc):
+    """A cell that raised: refused on a ``ConstructionError``, else an error."""
+    if isinstance(exc, ConstructionError):
+        row["status"], row["note"] = "refused", str(exc)
+    else:
+        row["status"], row["note"] = "error", f"{type(exc).__name__}: {exc}"
+
+
+def _sweep_cell(index, m, a, c, C2, k, base, samples, seed, cell=None, geos=None):
+    """The row of one sweep cell.  ``cell`` is the cell as ``_settle_cell``
+    left it (settled here when None), and ``geos`` the geometry of its
+    sample points, its slice of a sweep batch (gathered here when None)."""
+    if cell is None:
+        cell = _settle_cell(index, m, a, c, C2, k, base)
+    row, skr = cell.row, cell.skr
+    if skr is None:
+        return row
+    try:
         report = run_suite(skr, samples=samples, seed=seed,
-                           tolerance_scale=cell_ts)
+                           tolerance_scale=cell.tol_scale, geos=geos)
         by_name = {r.name: r for r in report.records}
+        iv = skr.warp.interval
         row["status"] = "ok"
         row["interval_lo"] = f"{iv[0]:.9g}"
         row["interval_hi"] = f"{iv[1]:.9g}"
-        row["tol_scale"] = f"{cell_ts:.3g}"
+        row["tol_scale"] = f"{cell.tol_scale:.3g}"
         row["kahler_max"] = f"{by_name['kahler'].max_abs:.3e}"
         row["killing_max"] = f"{by_name['killing'].max_abs:.3e}"
         row["skr_max"] = f"{by_name['skr-eigenstructure'].max_abs:.3e}"
         row["ricci_hessian_max"] = f"{by_name['ricci-hessian'].max_abs:.3e}"
         row["quasi_einstein_max"] = f"{by_name['quasi-einstein'].max_abs:.3e}"
         row["passed"] = str(report.passed)
-    except ConstructionError as exc:
-        row["status"] = "refused"
-        row["note"] = str(exc)
     except Exception as exc:  # keep the sweep alive; the row records the cell
-        row["status"] = "error"
-        row["note"] = f"{type(exc).__name__}: {exc}"
+        _record_failure(row, exc)
     return row
+
+
+def _sweep_batches(cells, samples):
+    """The built cells, as lists of indices evaluated in one batch: runs of
+    consecutive built cells of one dimension n, cut where the next would
+    pass ``BATCH_N4_POINTS``."""
+    batches = []
+    for i, cell in enumerate(cells):
+        if cell.skr is None:
+            continue
+        n = cell.skr.dim
+        last = batches[-1] if batches else None
+        if (last and cells[last[0]].skr.dim == n
+                and (len(last) + 1) * samples * n**4 <= BATCH_N4_POINTS):
+            last.append(i)
+        else:
+            batches.append([i])
+    return batches
+
+
+def _batch_geometry(skrs, samples, seed):
+    """Each chart's slice of one geometry batch of all their sample points;
+    None where the chart gathers its own points in ``_sweep_cell``.
+
+    A batch that raises names no cell, so each chart of it gathers its own
+    points, and the one at fault fails alone, with the row it gets alone.
+    """
+    if len(skrs) == 1:
+        return [None]
+    try:
+        geos, _ = gather_points(skrs, samples, seed=seed)
+    except Exception:  # the cell at fault raises again in _sweep_cell
+        return [None] * len(skrs)
+    return [geos.select(slice(i * samples, (i + 1) * samples)) for i in range(len(skrs))]
 
 
 def cmd_sweep(cfg, run):
@@ -597,7 +670,18 @@ def cmd_sweep(cfg, run):
 
     cells = list(itertools.product(ms, a_list, c_list, C2_list, k_list))
     print(f"sweep: {len(cells)} cells")
-    rows = [_sweep_cell(i, *cell, base=base, samples=cell_samples, seed=seed)
+    # two phases: every cell is settled up to its suite, then the built
+    # cells of one n are evaluated in shared batches, one batch at a time
+    settled = [_settle_cell(i, *cell, base=base) for i, cell in enumerate(cells)]
+    rows = {}
+    for batch in _sweep_batches(settled, cell_samples):
+        slices = _batch_geometry([settled[i].skr for i in batch], cell_samples, seed)
+        for i, geos in zip(batch, slices):
+            rows[i] = _sweep_cell(i, *cells[i], base=base, samples=cell_samples,
+                                  seed=seed, cell=settled[i], geos=geos)
+    rows = [rows[i] if i in rows else
+            _sweep_cell(i, *cell, base=base, samples=cell_samples, seed=seed,
+                        cell=settled[i])
             for i, cell in enumerate(cells)]
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "sweep.csv")

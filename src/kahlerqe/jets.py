@@ -24,6 +24,9 @@ import math
 import numpy as np
 
 
+_CONSTANT = (int, float, np.ndarray)
+
+
 class Jet:
     """Values, gradients and Hessians of a scalar at a batch of points."""
 
@@ -47,12 +50,13 @@ class Jet:
         return [cls(coords[i], np.broadcast_to(eye[i], (n, B)), zero) for i in range(n)]
 
     # -- arithmetic ------------------------------------------------------
-    # A float operand is a constant: it scales or shifts the value only.
+    # A float operand, or an array (B,) of one float per point, is a
+    # constant: it scales or shifts the value only, elementwise.
 
     def __add__(self, other):
         if isinstance(other, Jet):
             return Jet(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
-        if isinstance(other, (int, float)):
+        if isinstance(other, _CONSTANT):
             return Jet(self.val + other, self.grad, self.hess)
         return NotImplemented
 
@@ -64,7 +68,7 @@ class Jet:
     def __sub__(self, other):
         if isinstance(other, Jet):
             return Jet(self.val - other.val, self.grad - other.grad, self.hess - other.hess)
-        if isinstance(other, (int, float)):
+        if isinstance(other, _CONSTANT):
             return Jet(self.val - other, self.grad, self.hess)
         return NotImplemented
 
@@ -79,7 +83,7 @@ class Jet:
                 self.grad * other.val + other.grad * self.val,
                 self.hess * other.val + other.hess * self.val + cross + cross.transpose(1, 0, 2),
             )
-        if isinstance(other, (int, float)):
+        if isinstance(other, _CONSTANT):
             return Jet(self.val * other, self.grad * other, self.hess * other)
         return NotImplemented
 
@@ -88,12 +92,12 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other._reciprocal()
-        if isinstance(other, (int, float)):
+        if isinstance(other, _CONSTANT):
             return self * (1.0 / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, _CONSTANT):
             return self._reciprocal() * other
         return NotImplemented
 

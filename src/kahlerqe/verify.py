@@ -15,7 +15,6 @@ with its inner loop over the contiguous batch.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -25,10 +24,8 @@ import numpy as np
 # name in this module's namespace.
 from kahlerqe.charts import (  # noqa: F401
     PointGeometry,
-    _esum,
     _max_entry,
     _quad,
-    is_positive_definite,
     ricci,
 )
 from kahlerqe.odes import alpha_profile, gamma_from_phi
@@ -89,46 +86,79 @@ def _finish(name, residuals, tol, geos, extra=None):
     )
 
 
+# the parameter-free quantities the checks read beyond those PointGeometry
+# forms on construction; gather_points forms them on its whole batch
+SHARED = ("indefinite", "frameless", "skr_residual")
+
+
 def gather_points(skr, samples, seed=0):
     """Geometry of the valid sample points, as one ``PointGeometry`` batch,
     plus the count of deterministic exclusions.
 
     The first ``samples`` points of ``skr.sample_points(2 * samples, seed)``
-    inside the chart domain are evaluated together, in one batch; ``index``
-    holds each one's position in that stream.  Points where the gradient
-    of tau degenerates (|grad tau|^2 at most ``GRAD_FLOOR``; never expected
-    on a margin-trimmed interval, but guarded anyway) are dropped and
-    replaced by the next points of the stream, evaluated in a further
-    batch.  A point's geometry does not depend on its batch, so the result
-    is that of evaluating the points one at a time, in stream order, until
-    ``samples`` are usable.
+    inside the chart domain (one ``chart.domain`` call on all the rows) are
+    evaluated together, in one batch; ``index`` holds each one's position
+    in that stream.  Points where the gradient of tau degenerates
+    (|grad tau|^2 at most ``GRAD_FLOOR``; never expected on a
+    margin-trimmed interval, but guarded anyway) are dropped and replaced
+    by the next points of the stream, evaluated in a further batch.  A
+    point's geometry does not depend on its batch, so the result is that of
+    evaluating the points one at a time, in stream order, until ``samples``
+    are usable.  The quantities of ``SHARED`` are formed on the result.
+
+    ``skr`` may also be a group: a list of charts of one base.  Their
+    points are then evaluated in one batch across the charts (each further
+    batch holds the charts still short), and the result holds chart i's
+    ``samples`` points at rows ``i * samples`` to ``(i + 1) * samples``,
+    each chart's bit for bit its own result, with the sum of the charts'
+    exclusions.  ``SHARED`` is formed on the whole group, before any
+    caller takes a chart's ``select``ed slice.
     """
-    raw = skr.sample_points(2 * samples, seed=seed)
-    inside = (i for i, p in enumerate(raw) if skr.chart.domain(p))
-    parts, usable = [], 0
-    while usable < samples:
-        batch = list(itertools.islice(inside, samples - usable))
-        if not batch:
+    skrs = skr if isinstance(skr, list) else [skr]
+    streams = []
+    for one in skrs:
+        raw = one.sample_points(2 * samples, seed=seed)
+        streams.append((raw, np.flatnonzero(one.chart.domain(raw))))
+    taken, usable = [0] * len(skrs), np.zeros(len(skrs), dtype=int)
+    parts, owners = [], []
+    while True:
+        short = [i for i, (_, inside) in enumerate(streams)
+                 if usable[i] < samples and taken[i] < len(inside)]
+        if not short:
             break
-        geo = PointGeometry(skr, raw[batch], batch)
+        batch = []
+        for i in short:
+            batch.append(streams[i][1][taken[i]:taken[i] + samples - usable[i]])
+            taken[i] += len(batch[-1])
+        pts = [streams[i][0][rows] for i, rows in zip(short, batch)]
+        geo = (PointGeometry(skrs[short[0]], pts[0], batch[0]) if len(short) == 1
+               else PointGeometry([skrs[i] for i in short], pts, batch))
+        owner = np.repeat(short, [len(rows) for rows in batch])
         keep = geo.grad_tau_sq > GRAD_FLOOR
-        parts.append(geo if keep.all() else geo.select(keep))
-        usable += int(keep.sum())
-    if usable < samples:
+        if not keep.all():
+            geo, owner = geo.select(keep), owner[keep]
+        parts.append(geo)
+        owners.append(owner)
+        usable += np.bincount(owner, minlength=len(skrs))
+    if usable.min() < samples:
         raise RuntimeError(
-            f"only {usable} of {samples} requested sample points were usable"
+            f"only {usable.min()} of {samples} requested sample points were usable"
         )
     geos = parts[0] if len(parts) == 1 else PointGeometry.join(parts)
-    # every point of the stream up to the last usable one was excluded or used
-    return geos, int(geos.index[-1]) + 1 - samples
+    if len(parts) > 1 and len(skrs) > 1:
+        # chart after chart, each in stream order
+        geos = geos.select(np.lexsort((geos.index, np.concatenate(owners))))
+    for name in SHARED:
+        getattr(geos, name)
+    # every point of a stream up to its last usable one was excluded or used
+    last = geos.index[samples - 1::samples]
+    return geos, int(np.sum(last + 1 - samples))
 
 
 def check_positive_definite(skr, geos):
-    """One Cholesky call on the whole batch; only if it fails, one per point,
-    to count the indefinite metrics and find the first."""
-    gs = np.moveaxis(geos.g, -1, 0)
-    bad = np.zeros(len(gs), dtype=bool) if is_positive_definite(gs) else np.array(
-        [not is_positive_definite(g) for g in gs])
+    """The count of points whose metric is not positive definite, and the
+    first of them."""
+    bad = geos.indefinite
     # one aggregate residual, the count; its point is the first indefinite one
     return _finish("positive-definite", [float(bad.sum())], 0.0,
                    geos.select([int(np.argmax(bad))]),
@@ -150,16 +180,7 @@ def check_skr(skr, geos, tol=DEFAULT_TOLERANCES["skr-eigenstructure"]):
     (the metric is not positive definite there) cannot be checked: the
     check fails, with the count of such points in ``frameless_points``,
     and reports the residuals of the others."""
-    n = skr.dim
-    hs = geos.horizontal
-    worst = np.zeros(len(geos))
-    ricci_block = geos.horizontal_block(geos.ricci)
-    for S, block, lam in ((geos.hess_tau, geos.hess_tau_horizontal, geos.phi_hat),
-                          (geos.ricci, ricci_block, _esum("ii->", ricci_block) / (n - 2))):
-        worst = np.maximum(worst, _max_entry(block - lam * np.eye(n - 2)[:, :, None]))
-        hS = _esum("si,ij->sj", hs, S)
-        for vn in geos.tau_units:
-            worst = np.maximum(worst, _max_entry(_esum("sj,j->s", hS, vn)))
+    worst = geos.skr_residual
     frameless = geos.frameless
     if frameless.any():
         framed = ~frameless
@@ -311,11 +332,18 @@ def base_dict(base):
             "kappa": str(base.kappa)}
 
 
-def run_suite(skr, samples=200, seed=0, tolerance_scale=1.0):
+def run_suite(skr, samples=200, seed=0, tolerance_scale=1.0, geos=None):
     """Run every check on one shared deterministic point set; every tolerance
-    of ``DEFAULT_TOLERANCES`` is multiplied by ``tolerance_scale`` here, once."""
+    of ``DEFAULT_TOLERANCES`` is multiplied by ``tolerance_scale`` here, once.
+
+    ``geos`` is the chart's points when they were gathered already, as its
+    slice of a group's batch (``gather_points`` on a list of charts);
+    without it they are gathered here."""
     tols = {name: tol * tolerance_scale for name, tol in DEFAULT_TOLERANCES.items()}
-    geos, excluded = gather_points(skr, samples, seed=seed)
+    if geos is None:
+        geos, excluded = gather_points(skr, samples, seed=seed)
+    else:
+        excluded = int(geos.index[-1]) + 1 - samples
     records = [
         check_positive_definite(skr, geos),
         check_kahler(skr, geos, tols["kahler"]),

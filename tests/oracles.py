@@ -292,6 +292,27 @@ def sample_points_loop(skr, count, seed=0):
     return pts
 
 
+def domain_loop(skr, rows):
+    """The chart domain of ``assemble_chart`` one row at a time: w away from
+    0, |x|^2 by ``np.dot`` below the base's bound, and log r by
+    ``math.log`` inside the warp's log r range less its guard."""
+    d = skr.base.dim_c
+    lo, hi = skr.warp.ell_range
+    guard = 1e-9 * (hi - lo)
+    out = []
+    for p in rows:
+        xs = p[:2 * d]
+        u, v = p[2 * d], p[2 * d + 1]
+        wsq = u * u + v * v
+        x2 = float(np.dot(xs, xs))
+        if wsq <= 1e-30 or x2 >= skr.base.row.z2_max:
+            out.append(False)
+            continue
+        ell = 0.5 * math.log(wsq) - skr.base.rho(x2)[0]
+        out.append(lo + guard <= ell <= hi - guard)
+    return np.array(out, dtype=bool)
+
+
 def horizontal_frame_left_looking(G, v1, v2):
     """``charts._horizontal_frame`` as left-looking modified Gram-Schmidt:
     coordinate vector i is projected on the G-units of v1 and v2, then on

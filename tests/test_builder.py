@@ -25,13 +25,14 @@ from kahlerqe.builder import (
     expected_kahler,
     positivity_intervals,
     q_from_phi,
+    warp_jets,
 )
 from kahlerqe.charts import MetricChart, PointGeometry, is_positive_definite
 from kahlerqe.cli import NoWindowError, select_window
 from kahlerqe.jets import Jet
 from kahlerqe.numutil import PanelAntiderivative, halton_points
 from kahlerqe.odes import ScalarProfile, SKRParams, phi_closed_form, real_floor
-from oracles import jets_at, sample_points_loop
+from oracles import domain_loop, jets_at, sample_points_loop
 
 
 def tau_at(skr, p):
@@ -232,7 +233,7 @@ def test_warp_tau_jet_derivatives():
     warp = build_warp(p, phi_closed_form(p), (0.35, 0.95))
     lo, hi = warp.ell_range
     ell0 = 0.5 * (lo + hi)
-    jet, qjet = warp.jets(Jet.seed(np.array([ell0]))[0])
+    jet, qjet = warp_jets(((warp, slice(None)),), Jet.seed(np.array([ell0]))[0])
     t0 = warp.tau_of_logr(ell0)
     assert abs(jet.val - t0) < 1e-12
     # dtau/dl = Q/b
@@ -489,6 +490,42 @@ def test_sample_points_equal_the_row_loop_bit_for_bit():
     table = halton_points(6, 50, seed=0)
     assert table is halton_points(6, 50, seed=0)
     assert not table.flags.writeable
+
+def test_domain_mask_equals_the_row_loop():
+    """``chart.domain`` on all rows at once gives the mask of the loop over
+    rows, on the README flat chart and on fs-a2: for sample rows, for rows
+    past the |z|^2 bound of the Fubini-Study chart, with w at 0, and with
+    log r on either side of each end of the guarded range.  One row gives
+    a bool."""
+    charts = [end_to_end(flat_params(), BaseModel(kind=FLAT, dim_c=1, s=1), (0.35, 0.95))[0],
+              end_to_end(fs_params(a=2, C2=Fraction(-1, 100)),
+                         BaseModel(kind=FUBINI_STUDY, dim_c=2, s=1), (1.3, 1.9))[0]]
+    for skr in charts:
+        d = skr.base.dim_c
+        rows = [skr.sample_points(400, seed=0)]
+        xs = rows[0][:60, :2 * d]
+        lo, hi = skr.warp.ell_range
+        guard = 1e-9 * (hi - lo)
+        for ell in (lo, lo + 0.5 * guard, lo + 2 * guard, hi - 2 * guard,
+                    hi - 0.5 * guard, hi, lo - 1.0, hi + 1.0):
+            R = [math.exp(ell + skr.base.rho(float(np.dot(x, x)))[0]) for x in xs]
+            rows.append(np.column_stack([xs, np.multiply(R, 0.6), np.multiply(R, 0.8)]))
+        past = np.array(rows[0][:40])
+        past[:, :2 * d] *= np.linspace(0.5, 4.0, 40)[:, None]
+        zero_w = np.array(rows[0][:3])
+        zero_w[:, 2 * d:] = [[0.0, 0.0], [1e-16, 0.0], [0.0, -1e-15]]
+        rows = np.concatenate(rows + [past, zero_w])
+        want = domain_loop(skr, rows)
+        got = skr.chart.domain(rows)
+        assert got.dtype == bool and got.shape == (len(rows),)
+        assert np.array_equal(got, want), skr.chart.name
+        assert 0 < want.sum() < len(rows)
+        assert [skr.chart.domain(p) for p in rows[::37]] == want[::37].tolist()
+        if skr.base.kind == FUBINI_STUDY:
+            x2 = np.einsum("ij,ij->i", past[:, :2 * d], past[:, :2 * d])
+            assert (x2 >= skr.base.row.z2_max).any()
+            assert not domain_loop(skr, past)[x2 >= skr.base.row.z2_max].any()
+
 
 def test_expected_kahler_pinned():
     flat = BaseModel(kind=FLAT, dim_c=1, s=1)   # sigma = 2s = 2

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kahlerqe import cli
+from kahlerqe import cli, verify
 from kahlerqe.builder import FLAT, BaseModel
 from kahlerqe.jets import Jet
 from kahlerqe.odes import SKRParams
@@ -97,6 +97,18 @@ def test_config_not_utf8_is_a_config_error(tmp_path, capsys):
     rc = cli.main(["certify", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: config {path} is not UTF-8 text")
+
+
+def test_config_with_a_byte_order_mark_certifies_like_the_plain_file(tmp_path, capsys):
+    # an editor may save UTF-8 with a BOM; configparser then saw no section
+    # header and the command exited 4
+    plain = write(tmp_path, "plain.ini", FLAT_PARAMS)
+    bom = tmp_path / "bom.ini"
+    bom.write_bytes(b"\xef\xbb\xbf" + FLAT_PARAMS.encode())
+    for cfgp, out in ((plain, "plain"), (str(bom), "bom")):
+        assert cli.main(["certify", "--config", cfgp, "--out", str(tmp_path / out)]) == 0
+    text = (tmp_path / "bom" / "certificate.json").read_bytes()
+    assert text == (tmp_path / "plain" / "certificate.json").read_bytes()
 
 
 def test_certify_pass(tmp_path, capsys):
@@ -525,6 +537,113 @@ def test_sweep_benchmark_grid_matches_the_golden_csv(tmp_path):
     assert cli.main(["sweep", "--config", cfgp, "--out", out]) == 0
     with open(os.path.join(out, "sweep.csv"), "rb") as fh, open(GOLDEN_SWEEP_BENCH, "rb") as gh:
         assert fh.read() == gh.read()
+
+
+GOLDEN_SWEEP_BENCH_SEED1 = os.path.join(GOLDEN, "sweep_flat_bench_seed1.csv")
+
+
+def test_sweep_benchmark_grid_at_seed_1_matches_the_golden_csv(tmp_path):
+    """The benchmark's flat sweep grid at ``[run] seed = 1`` writes its
+    golden sweep.csv byte for byte."""
+    cfgp = write(tmp_path, "bench-grid.ini", BENCH_GRID.replace("seed = 0", "seed = 1"))
+    out = str(tmp_path / "sw")
+    assert cli.main(["sweep", "--config", cfgp, "--out", out]) == 0
+    with open(os.path.join(out, "sweep.csv"), "rb") as fh, \
+            open(GOLDEN_SWEEP_BENCH_SEED1, "rb") as gh:
+        assert fh.read() == gh.read()
+
+
+def test_sweep_evaluates_the_built_cells_of_one_n_in_one_batch(tmp_path, monkeypatch):
+    """On the benchmark grid, the 8 built cells of n = 4 and the 6 of n = 6
+    gather their points in one call each, and every cell's suite runs on
+    its slice of that batch."""
+    gathered, suites = [], []
+    gather, suite = cli.gather_points, cli.run_suite
+
+    def counted_gather(skr, samples, seed=0):
+        gathered.append([one.dim for one in skr] if isinstance(skr, list) else skr.dim)
+        return gather(skr, samples, seed=seed)
+
+    def counted_suite(skr, *args, geos=None, **kwargs):
+        suites.append(geos is not None and len(geos))
+        return suite(skr, *args, geos=geos, **kwargs)
+
+    monkeypatch.setattr(cli, "gather_points", counted_gather)
+    monkeypatch.setattr(cli, "run_suite", counted_suite)
+    cfgp = write(tmp_path, "bench-grid.ini", BENCH_GRID)
+    assert cli.main(["sweep", "--config", cfgp, "--out", str(tmp_path / "sw")]) == 0
+    assert gathered == [[4] * 8, [6] * 6]
+    assert suites == [25] * 14
+
+
+def test_sweep_batches_stay_within_the_batch_bound():
+    """Built cells of one n share a batch while its n^4 entries per point
+    times its points stay within ``BATCH_N4_POINTS``; a cell too large for
+    the bound takes a batch alone."""
+    def cell(n):
+        return cli._Cell({}, skr=None if n is None else type("Chart", (), {"dim": n})())
+
+    cells = [cell(n) for n in (4, None, 4, 6, 6, 4, 12, 12)]
+    assert cli._sweep_batches(cells, 25) == [[0, 2], [3, 4], [5], [6], [7]]
+    assert cli._sweep_batches([cell(6)] * 9, 25) == [list(range(8)), [8]]
+    assert cli._sweep_batches([cell(4)] * 3, 400) == [[0, 1], [2]]
+
+
+def test_a_cell_whose_geometry_raises_fails_alone(tmp_path, monkeypatch):
+    """Q forced to 0 at the first sample point of one cell of the benchmark
+    grid makes that point's metric singular, so the n = 4 batch raises as a
+    whole.  Its cells are then evaluated one at a time: the tampered cell's
+    row reads ``error`` with the note it gets on its own, and every other
+    row is byte for byte the untampered sweep's."""
+    import kahlerqe.builder as builder
+    from kahlerqe.odes import ScalarProfile
+
+    target = 8  # m = 2, a = 2, c = 1, C2 = 1, branch
+    build = cli.end_to_end
+
+    def singular_at_one_point(params, base, interval, warp=None):
+        skr, phi = build(params, base, interval, warp)
+        if (params.m, params.a, params.c, params.C2) != (2, 2, 1, 1):
+            return skr, phi
+        q = skr.warp.q
+
+        def taylor(t):
+            q0, q1, q2 = q.taylor(t)
+            return np.where(np.arange(np.size(t)) == 0, 0.0, q0), q1, q2
+
+        warp = dataclasses.replace(skr.warp, q=ScalarProfile(value=q.value, taylor=taylor))
+        return builder.assemble_chart(skr.base, warp), phi
+
+    gathered = []
+    gather = cli.gather_points
+
+    def counted_gather(skr, samples, seed=0):
+        gathered.append(len(skr) if isinstance(skr, list) else 1)
+        return gather(skr, samples, seed=seed)
+
+    monkeypatch.setattr(cli, "end_to_end", singular_at_one_point)
+    monkeypatch.setattr(cli, "gather_points", counted_gather)
+    monkeypatch.setattr(verify, "gather_points", counted_gather)
+    base = BaseModel(kind=FLAT, dim_c=1, s=1)
+    alone = cli._sweep_cell(target, 2, Fraction(2), Fraction(1), Fraction(1), None,
+                            base=base, samples=25, seed=0)
+    assert alone["status"] == "error"
+    assert alone["note"].startswith("SingularMetricError: metric not invertible")
+    gathered.clear()
+    cfgp = write(tmp_path, "bench-grid.ini", BENCH_GRID)
+    out = str(tmp_path / "sw")
+    assert cli.main(["sweep", "--config", cfgp, "--out", out]) == 0
+    # the n = 4 batch raised, its 8 cells gathered alone, the n = 6 batch held
+    assert gathered == [8] + [1] * 8 + [6]
+    with open(os.path.join(out, "sweep.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    with open(GOLDEN_SWEEP_BENCH) as gh:
+        golden = list(csv.DictReader(gh))
+    assert rows[target] == {key: str(val) for key, val in alone.items()}
+    assert rows[:target] + rows[target + 1:] == golden[:target] + golden[target + 1:]
+    with open(os.path.join(out, "sweep.csv"), "rb") as fh, open(GOLDEN_SWEEP_BENCH, "rb") as gh:
+        got, want = fh.read().splitlines(), gh.read().splitlines()
+    assert got[:target + 1] + got[target + 2:] == want[:target + 1] + want[target + 2:]
 
 
 def test_sweep_decides_phi_once_per_window_search(tmp_path, monkeypatch):

@@ -11,14 +11,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from kahlerqe import charts, verify
+from kahlerqe import builder, charts, verify
 from kahlerqe.builder import (
     FLAT,
     FUBINI_STUDY,
     BaseModel,
     WarpProfile,
     end_to_end,
+    tau_side,
 )
+from kahlerqe.cli import select_window
 from kahlerqe.charts import MetricChart, PointGeometry, conformal_jets
 from kahlerqe.jets import Jet, log_
 from oracles import conformal_scale, cos_, curvature_at, jets_at, point, points, sin_
@@ -147,7 +149,7 @@ def test_one_warp_inversion_per_sample_point(flat_skr, fs_skr, monkeypatch):
 
 
 def test_one_taylor_triple_of_q_per_batch_and_of_phi_per_check(fs_skr, monkeypatch):
-    """A batch evaluates Q's (Q, Q', Q'') once, inside ``WarpProfile.jets``,
+    """A batch evaluates Q's (Q, Q', Q'') once, inside ``builder.warp_jets``,
     for both tau and Q(tau); the suite evaluates phi's (phi, phi', phi'')
     once in each check that reads phi's derivatives, and nowhere else."""
     calls = []
@@ -167,7 +169,7 @@ def test_one_taylor_triple_of_q_per_batch_and_of_phi_per_check(fs_skr, monkeypat
         return ScalarProfile(value=profile.value, taylor=taylor)
 
     warp = fs_skr.warp
-    monkeypatch.setattr(WarpProfile, "jets", traced("jets", WarpProfile.jets))
+    monkeypatch.setattr(builder, "warp_jets", traced("jets", builder.warp_jets))
     monkeypatch.setattr(warp, "q", counted(warp.q, "q.taylor"))
     monkeypatch.setattr(warp, "phi", counted(warp.phi, "phi.taylor"))
     for name in ("check_ricci_hessian", "check_profile_identities"):
@@ -204,9 +206,8 @@ def test_one_j_grad_tau_and_two_units_per_suite(flat_skr, fs_skr, monkeypatch):
         return unit(v, G)
 
     monkeypatch.setattr(PointGeometry, "__init__", counted_init)
-    for module in (charts, verify):
-        monkeypatch.setattr(module, "_esum", counted_esum)
-        monkeypatch.setattr(module, "_unit", counted_unit, raising=False)
+    monkeypatch.setattr(charts, "_esum", counted_esum)
+    monkeypatch.setattr(charts, "_unit", counted_unit)
     for skr in (flat_skr[0], fs_skr):
         made.clear(), j_grad.clear(), units.clear()
         assert run_suite(skr, samples=8, seed=0).passed
@@ -265,6 +266,87 @@ def test_batch_geometry_equals_each_point_alone_bit_for_bit(flat_skr, fs_skr):
                 assert point(batch, row).index == i
 
 
+def _same_bits(one, many):
+    """Every attribute of ``one`` is ``many``'s, arrays bit for bit."""
+    assert set(vars(many)) == set(vars(one))
+    for key, val in vars(one).items():
+        got = getattr(many, key)
+        if isinstance(val, np.ndarray):
+            assert got.shape == val.shape, key
+            assert np.ascontiguousarray(got).tobytes() == val.tobytes(), key
+        else:
+            assert got == val, key
+
+
+def _charts_of_n4():
+    """Flat and Fubini-Study charts of n = 4 whose a, c, C2 and window side
+    differ: as the sweep builds them, and one Fubini-Study chart below
+    tau = c with C1 = -kappa/(2m), which section6 does not build."""
+    flat = BaseModel(kind=FLAT, dim_c=1, s=1)
+    fs = BaseModel(kind=FUBINI_STUDY, dim_c=1, s=1)
+    groups = []
+    for base, side, cells in ((flat, None, ((1, 1, 1), (1, 1, -1), (2, -1, 1), (1, -1, 1))),
+                              (fs, 1, ((1, 1, 1), (2, -1, -1)))):
+        params = [SKRParams.section6(m=2, a=a, c=c, C2=C2, kappa=base.kappa,
+                                     b=base.kahler_b(1)) for a, c, C2 in cells]
+        groups.append((base, [select_window(p, base, side=side) for p in params]))
+    C1 = -fs.kappa / 4
+    below = SKRParams(m=2, a=Fraction(2), c=Fraction(1), k=Fraction(-1, 2), kappa=fs.kappa,
+                      lam=2 * 1 * (2 + 3) * C1, C1=C1, C2=Fraction(1, 2),
+                      b=fs.kahler_b(-1), sign_phi=-1)
+    groups[1][1].append(select_window(below, fs, side=-1))
+    out = []
+    for base, warps in groups:
+        assert {tau_side(w.interval, w.params.c) for w in warps} == {1, -1}
+        out.append([end_to_end(w.params, base, w.interval, w)[0] for w in warps])
+    return out
+
+
+def test_a_batch_of_several_charts_equals_each_chart_alone_bit_for_bit(monkeypatch):
+    """One PointGeometry over the points of several charts of one base and
+    dimension holds, in each chart's block, that chart's own batch bit for
+    bit: every array, the quantities ``gather_points`` forms on the batch
+    (the horizontal frame among them) included.  ``gather_points`` on the
+    group equals each chart's own, also where a raised gradient floor
+    drops points and further batches replace them, and charts of two
+    bases do not stack."""
+    groups = _charts_of_n4()
+    for group in groups:
+        pts, idx = [], []
+        for j, skr in enumerate(group):
+            raw = skr.sample_points(24, seed=j)
+            inside = np.flatnonzero(skr.chart.domain(raw))[:3 + 2 * j]
+            pts.append(raw[inside])
+            idx.append(inside)
+        batch = PointGeometry(group, pts, idx)
+        for name in verify.SHARED:
+            getattr(batch, name)
+        start = 0
+        for skr, p, i in zip(group, pts, idx):
+            alone = PointGeometry(skr, p, i)
+            for name in verify.SHARED:
+                getattr(alone, name)
+            _same_bits(alone, batch.select(slice(start, start + len(p))))
+            start += len(p)
+        # the floor drops at least two of the first points of some chart,
+        # and at most two of any
+        floor = min(np.sort(PointGeometry(skr, p[:5], i[:5]).grad_tau_sq)[2]
+                    for skr, p, i in zip(group, pts, idx) if len(p) >= 5)
+        for grad_floor in (verify.GRAD_FLOOR, floor):
+            monkeypatch.setattr(verify, "GRAD_FLOOR", grad_floor)
+            geos, excluded = gather_points(group, 6, seed=0)
+            assert len(geos) == 6 * len(group)
+            total = 0
+            for j, skr in enumerate(group):
+                own, own_excluded = gather_points(skr, 6, seed=0)
+                _same_bits(own, geos.select(slice(6 * j, 6 * j + 6)))
+                total += own_excluded
+            assert excluded == total and (excluded > 0) == (grad_floor == floor)
+    mixed = [groups[0][0], groups[1][0]]
+    with pytest.raises(ValueError, match="one base"):
+        PointGeometry(mixed, [m.sample_points(2) for m in mixed], None)
+
+
 def test_point_axis_is_last_and_indexing_drops_it(fs_skr):
     """Every array of a batch of B points ends in the point axis, and point
     i alone has the same arrays without it."""
@@ -312,9 +394,11 @@ def test_excluded_points_match_sequential_selection(flat_skr, monkeypatch):
             break
         examined += 1
         if bad.chart.domain(p):
-            geo = point(PointGeometry(bad, p, [index]), 0)
-            if geo.grad_tau_sq > 1e-12:
-                expected.append(geo)
+            alone = PointGeometry(bad, p, [index])
+            if alone.grad_tau_sq[0] > 1e-12:
+                for name in verify.SHARED:
+                    getattr(alone, name)
+                expected.append(point(alone, 0))
     monkeypatch.setattr(verify, "PointGeometry", Counted)
     geos, excluded = gather_points(bad, samples, seed=0)
     assert len(batches) >= 2  # the floor forced a further batch
@@ -546,11 +630,11 @@ def test_positive_definite_check_finds_the_one_indefinite_point(monkeypatch):
     pts = np.column_stack([np.linspace(0.5, 2.0, 31), np.zeros(31)])
     calls = []
 
-    def counted(g, test=verify.is_positive_definite):
+    def counted(g, test=charts.is_positive_definite):
         calls.append(np.shape(g))
         return test(g)
 
-    monkeypatch.setattr(verify, "is_positive_definite", counted)
+    monkeypatch.setattr(charts, "is_positive_definite", counted)
     rec = check_positive_definite(ns, _geometries(ns, pts))
     assert rec.passed and rec.extra["indefinite_points"] == 0
     assert calls == [(31, 2, 2)]
